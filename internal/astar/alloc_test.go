@@ -13,7 +13,9 @@ func allocGrid() (*grid.Grid, Config, []grid.Cell, []grid.Cell) {
 	g.Block(0, geom.Rect{X0: 20, Y0: 10, X1: 44, Y1: 14})
 	src := []grid.Cell{{X: 2, Y: 2, L: 0}}
 	tgt := []grid.Cell{{X: 60, Y: 58, L: 0}}
-	return g, Config{WL: 1, Via: 2}, src, tgt
+	pen := make([]int32, g.W*g.H*g.Layers)
+	pen[g.Index(grid.Cell{X: 30, Y: 30, L: 1})] = 8
+	return g, Config{WL: 1, Via: 2, Pen: pen, PinVia: 12, Gamma2: 3, DirPenalty: 2}, src, tgt
 }
 
 // TestSearchAllocsSteadyState pins the engine's allocation discipline: a
@@ -41,7 +43,7 @@ func TestSearchAllocsSteadyState(t *testing.T) {
 
 // TestPoolRetainsQueueCapacity pins the Acquire/Release contract the
 // router's engine pooling relies on: the open-list backing array (and the
-// per-cell arrays) survive a pool round-trip, so the next binding's
+// per-cell records) survive a pool round-trip, so the next binding's
 // searches start with warm capacity.
 func TestPoolRetainsQueueCapacity(t *testing.T) {
 	g, cfg, src, tgt := allocGrid()
@@ -49,8 +51,8 @@ func TestPoolRetainsQueueCapacity(t *testing.T) {
 	if _, ok := e.Search(-1, src, tgt, cfg); !ok {
 		t.Fatal("no path")
 	}
-	qcap, dcap := cap(e.queue), cap(e.dist)
-	if qcap == 0 || dcap == 0 {
+	qcap, ncap := cap(e.queue), cap(e.nodes)
+	if qcap == 0 || ncap == 0 {
 		t.Fatal("search left no capacity to retain")
 	}
 	e.Release()
@@ -62,11 +64,11 @@ func TestPoolRetainsQueueCapacity(t *testing.T) {
 	if cap(e2.queue) < qcap {
 		t.Fatalf("queue capacity dropped across Release/Acquire: %d -> %d", qcap, cap(e2.queue))
 	}
-	if cap(e2.dist) < dcap {
-		t.Fatalf("per-cell capacity dropped across Release/Acquire: %d -> %d", dcap, cap(e2.dist))
+	if cap(e2.nodes) < ncap {
+		t.Fatalf("per-cell capacity dropped across Release/Acquire: %d -> %d", ncap, cap(e2.nodes))
 	}
-	if e2.cfg.Step != nil || e2.Rec != nil {
-		t.Fatal("Release must drop hook and recorder references")
+	if e2.cfg.Pen != nil || e2.Rec != nil {
+		t.Fatal("Release must drop penalty-plane and recorder references")
 	}
 }
 

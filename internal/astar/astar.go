@@ -1,7 +1,7 @@
 // Package astar implements the grid A*-search engine underlying the
 // paper's overlay-aware detailed router (Section III-E): multi-source /
-// multi-target search over a 3-D routing grid with a pluggable step-cost
-// hook, an admissible Manhattan heuristic, and path backtrace.
+// multi-target search over a 3-D routing grid under the inline cost model
+// of eq. (5), an admissible Manhattan heuristic, and path backtrace.
 //
 // Costs are integers in half-wirelength units so that the paper's
 // gamma = 1.5 type-2-b weight stays exact.
@@ -15,18 +15,33 @@ import (
 	"sadproute/internal/obs"
 )
 
-// StepCost prices a move from one cell to an adjacent cell (planar step or
-// via). Returning ok=false forbids the step. The base wirelength/via terms
-// are added by the engine; the hook adds scenario-driven penalties.
-type StepCost func(from, to grid.Cell) (extra int, ok bool)
-
-// Config parameterizes a search.
+// Config parameterizes a search: the cost model of eq. (5) as data, priced
+// inline by the engine.
+//
+// Every cost must be non-negative — the weights here and every Pen entry
+// — and every path cost g and estimate f = g + h a search reaches must
+// stay at or below MaxCost: the open list packs f and g into one 64-bit
+// key. Search refuses a Config with a negative weight, and gives up on
+// reaching a cost outside [0, MaxCost]; both report no path rather than
+// search on a wrapped key.
 type Config struct {
 	// WL, Via are the alpha and beta weights of cost equation (5), in
 	// engine cost units (use Scale to convert).
 	WL, Via int
-	// Step is the extra-cost hook (may be nil).
-	Step StepCost
+	// Pen is the rip-up penalty plane: the extra cost of entering each
+	// cell, in grid index order (grid.Grid.Index). Nil means no penalties.
+	Pen []int32
+	// PinVia is the extra cost of a via step whose either cell is one of
+	// the search's sources or targets: a via directly at a pin leaves a
+	// bare one-cell stub, the most conflict-prone SADP geometry.
+	PinVia int
+	// Gamma2 is the type-2-b surcharge of a planar step whose forward
+	// continuation cell is owned by another net: the path would end
+	// tip-to-side against that net or corner alongside it.
+	Gamma2 int
+	// DirPenalty is the extra cost of a planar step against the layer's
+	// preferred direction (even layers horizontal, odd vertical).
+	DirPenalty int
 	// MaxExpand bounds node expansions; 0 means no bound.
 	MaxExpand int
 	// SoftOccupied, when positive, makes cells owned by other nets passable
@@ -41,19 +56,22 @@ type Config struct {
 // remain integral.
 const Scale = 2
 
+// MaxCost is the largest path cost g, and the largest estimate f = g + h,
+// a search may reach (see Config).
+const MaxCost = 1<<31 - 1
+
 // Engine holds reusable search state for one grid; it is not safe for
 // concurrent use. Engines are cheap to rebind (Bind) and poolable
 // (Acquire/Release), so a worker routing many instances back to back reuses
 // one engine's allocations instead of paying a fresh O(cells) allocation
 // per instance.
 type Engine struct {
-	g      *grid.Grid
-	dist   []int
-	stamp  []int32
-	parent []int32
-	tmark  []int32 // target marks for the current search (stamped with cur)
-	cur    int32
-	queue  pq
+	g     *grid.Grid
+	nodes []node // per-cell search records, grid index order
+	cur   uint32 // id of the current search; records of older ids are stale
+	// delta holds the index offset of each move in moves order.
+	delta [6]int
+	queue pq
 	// Per-search statistics, reset by Search. The inner loop maintains them
 	// as plain field increments (no branches) so the cost is identical
 	// whether or not a Recorder is attached.
@@ -69,12 +87,29 @@ type Engine struct {
 	// the heap-peak gauge) in one flush at the end of every search.
 	Rec *obs.Recorder
 	// cfg and targets are the current search's parameters, held as fields so
-	// the hot heuristic/push paths are methods instead of closures — a
-	// closure pair plus captured locals escaped to the heap on every Search
-	// call before. targets is a reused copy of the caller's slice.
+	// the hot heuristic/push paths are methods instead of closures. targets
+	// is a reused copy of the caller's slice.
 	cfg     Config
 	targets []grid.Cell
+	// overflow is set when the current search reached a cost outside
+	// [0, MaxCost]; the search stops at the next pop.
+	overflow bool
 }
+
+// node is one cell's search record: the four per-cell fields a relaxation
+// touches sit in one 16-byte record instead of four parallel arrays.
+type node struct {
+	dist   int32  // best g pushed this search; valid when stamp == cur
+	stamp  uint32 // search id that last wrote dist and parent
+	parent int32  // predecessor index on the best path; -1 at a source
+	// mark is cur<<1 when the cell is a source or target of search cur,
+	// with the low bit set when it is a target.
+	mark uint32
+}
+
+// moves lists the six unit moves in expansion order. The order is part of
+// the tie-breaking contract: it fixes the push order of equal-key nodes.
+var moves = [6]grid.Cell{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}, {L: 1}, {L: -1}}
 
 // New creates an engine bound to g.
 func New(g *grid.Grid) *Engine {
@@ -83,7 +118,7 @@ func New(g *grid.Grid) *Engine {
 	return e
 }
 
-// Bind points the engine at g, reusing the per-cell arrays when they are
+// Bind points the engine at g, reusing the per-cell records when they are
 // large enough and reallocating only when g exceeds every grid this engine
 // has seen. Search state from the previous grid is discarded.
 func (e *Engine) Bind(g *grid.Grid) {
@@ -91,26 +126,21 @@ func (e *Engine) Bind(g *grid.Grid) {
 	e.g = g
 	e.cur = 0
 	e.queue = e.queue[:0]
-	if cap(e.dist) < n {
-		e.dist = make([]int, n)
-		e.stamp = make([]int32, n)
-		e.parent = make([]int32, n)
-		e.tmark = make([]int32, n)
+	plane := g.W * g.H
+	e.delta = [6]int{1, -1, g.W, -g.W, plane, -plane}
+	if cap(e.nodes) < n {
+		e.nodes = make([]node, n)
 		return
 	}
-	e.dist = e.dist[:n]
-	e.stamp = e.stamp[:n]
-	e.parent = e.parent[:n]
-	e.tmark = e.tmark[:n]
-	// Stamps compare against cur, which restarts at 0: clear them so stale
-	// entries from the previous binding cannot alias the new search ids.
-	clear(e.stamp)
-	clear(e.tmark)
+	// Stamps and marks compare against cur, which restarts at 0: clear them
+	// so stale records from the previous binding cannot alias new search ids.
+	e.nodes = e.nodes[:n]
+	clear(e.nodes)
 }
 
 // enginePool backs Acquire/Release. Pooled engines keep their per-cell
-// arrays, so a worker that routes many same-order-of-magnitude instances
-// allocates the arrays once instead of once per instance.
+// records, so a worker that routes many same-order-of-magnitude instances
+// allocates them once instead of once per instance.
 var enginePool = sync.Pool{New: func() any { return &Engine{} }}
 
 // Acquire returns a pooled engine bound to g. Callers that route many
@@ -127,59 +157,57 @@ func Acquire(g *grid.Grid) *Engine {
 func (e *Engine) Release() {
 	e.g = nil
 	e.Rec = nil
-	// Drop references the pool must not retain (the step hook closes over
-	// router state); the queue and per-cell arrays keep their capacity.
+	// Drop references the pool must not retain (the penalty plane belongs
+	// to the router); the queue and per-cell records keep their capacity.
 	e.cfg = Config{}
 	e.targets = e.targets[:0]
 	enginePool.Put(e)
 }
-
-func (e *Engine) idx(c grid.Cell) int { return (c.L*e.g.H+c.Y)*e.g.W + c.X }
 
 func (e *Engine) cell(i int) grid.Cell {
 	w, h := e.g.W, e.g.H
 	return grid.Cell{X: i % w, Y: (i / w) % h, L: i / (w * h)}
 }
 
-type pqItem struct {
-	idx  int32
-	f, g int
+// item is one open-list entry. key packs the order — f ascending, then g
+// descending, so f-ties prefer deeper nodes and straighter paths — as
+// f<<32 | ^uint32(g): one unsigned compare orders two items exactly as the
+// (f, -g) pair compare does whenever 0 <= g <= f <= MaxCost.
+type item struct {
+	key uint64
+	idx int32
 }
 
-type pq []pqItem
+// pack builds an open-list key from f and g (0 <= g <= f <= MaxCost).
+func pack(f, g int) uint64 { return uint64(f)<<32 | uint64(^uint32(g)) }
 
-func (q pq) Len() int      { return len(q) }
-func (q pq) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q pq) Less(i, j int) bool {
-	if q[i].f != q[j].f {
-		return q[i].f < q[j].f
-	}
-	return q[i].g > q[j].g // prefer deeper nodes on f-ties: straighter paths
-}
+type pq []item
 
-// push and pop are the container/heap algorithm specialized to pqItem:
-// identical comparison order (so identical tie-breaking and traces), but
-// no interface boxing — the boxed pqItem per Push/Pop dominated the
-// engine's allocation profile before this.
-func (q *pq) push(it pqItem) {
+// push and pop are the container/heap algorithm specialized to item: the
+// same comparisons in the same order, so the same array after every
+// operation (identical tie-breaking and traces). They move a hole instead
+// of swapping — the moving item sits at the hole in container/heap, so
+// each compare sees the same pair — and write the item once at the end.
+func (q *pq) push(it item) {
 	*q = append(*q, it)
-	i := len(*q) - 1
+	h := *q
+	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !q.Less(i, p) {
+		if it.key >= h[p].key {
 			break
 		}
-		q.Swap(i, p)
+		h[i] = h[p]
 		i = p
 	}
+	h[i] = it
 }
 
-func (q *pq) pop() pqItem {
-	old := *q
-	n := len(old) - 1
-	old.Swap(0, n)
-	it := old[n]
-	*q = old[:n]
+func (q *pq) pop() item {
+	h := *q
+	n := len(h) - 1
+	top, last := h[0], h[n]
+	*q = h[:n]
 	i := 0
 	for {
 		l := 2*i + 1
@@ -187,134 +215,230 @@ func (q *pq) pop() pqItem {
 			break
 		}
 		j := l
-		if r := l + 1; r < n && old.Less(r, l) {
+		if r := l + 1; r < n && h[r].key < h[l].key {
 			j = r
 		}
-		if !old.Less(j, i) {
+		if h[j].key >= last.key {
 			break
 		}
-		old.Swap(i, j)
+		h[i] = h[j]
 		i = j
 	}
-	return it
+	h[i] = last
+	return top
 }
 
 // Search finds a minimum-cost path from any source to any target under cfg.
 // Occupied and blocked cells are impassable except cells owned by net id.
 // The returned path runs source→target inclusive; ok is false when no path
-// exists.
+// exists, and when the search gives up: MaxExpand reached, or a cost
+// outside the range Config documents.
 func (e *Engine) Search(id int32, sources, targets []grid.Cell, cfg Config) ([]grid.Cell, bool) {
 	if len(sources) == 0 || len(targets) == 0 {
 		return nil, false
 	}
-	e.cur++
 	e.queue = e.queue[:0]
 	e.Expand, e.Pushes, e.Pops, e.HeapPeak = 0, 0, 0, 0
 	e.rx0, e.ry0, e.rx1, e.ry1 = int(^uint(0)>>1), int(^uint(0)>>1), -1<<30, -1<<30
 	for _, s := range sources {
 		e.note(s)
 	}
-	defer e.flushObs()
-
-	// Targets are marked in the reusable tmark array (stamped with the
-	// search id) instead of a per-search map: membership tests in the pop
-	// loop become one array load and Search stops allocating per call.
-	ntargets := 0
 	for _, t := range targets {
 		e.note(t)
-		if !e.g.In(t) {
-			continue
-		}
-		if i := e.idx(t); e.tmark[i] != e.cur {
-			e.tmark[i] = e.cur
-			ntargets++
-		}
 	}
-	if ntargets == 0 {
+	defer e.flushObs()
+	if !cfg.nonNegative() || e.begin(sources, targets, cfg) == 0 {
 		return nil, false
 	}
-	e.cfg = cfg
 	e.targets = append(e.targets[:0], targets...)
 
 	for _, s := range sources {
 		if !e.g.In(s) || !e.g.FreeOrNet(s, id) {
 			continue
 		}
-		e.pushNode(e.idx(s), 0, -1)
+		e.pushNode(e.g.Index(s), s, 0, -1)
 	}
 
-	var steps = [6]grid.Cell{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}, {L: 1}, {L: -1}}
-	for e.queue.Len() > 0 {
+	target := e.cur<<1 | 1
+	var costs [6]int
+	for len(e.queue) > 0 && !e.overflow {
 		it := e.queue.pop()
 		e.Pops++
 		i := int(it.idx)
-		if e.stamp[i] == e.cur && e.dist[i] < it.g {
-			continue // stale entry
+		g := int(^uint32(it.key))
+		// Every queued item was pushed by this search, so the record is
+		// current: a smaller dist means a cheaper push superseded this one.
+		if int(e.nodes[i].dist) < g {
+			continue
 		}
 		e.Expand++
 		if cfg.MaxExpand > 0 && e.Expand > cfg.MaxExpand {
 			return nil, false
 		}
-		if e.tmark[i] == e.cur {
+		if e.nodes[i].mark == target {
 			return e.trace(i), true
 		}
 		c := e.cell(i)
 		e.note(c)
-		for _, d := range steps {
-			nc := grid.Cell{X: c.X + d.X, Y: c.Y + d.Y, L: c.L + d.L}
-			if !e.g.In(nc) {
-				continue
+		e.stepCosts(id, i, c, &costs)
+		for d, m := range &moves {
+			if costs[d] >= 0 {
+				e.pushNode(i+e.delta[d], grid.Cell{X: c.X + m.X, Y: c.Y + m.Y, L: c.L + m.L}, g+costs[d], int32(i))
 			}
-			step := cfg.WL * Scale
-			if d.L != 0 {
-				step = cfg.Via * Scale
-			}
-			if !e.g.FreeOrNet(nc, id) {
-				if cfg.SoftOccupied <= 0 || e.g.At(nc) < 0 {
-					continue // foreign cell or hard blockage
-				}
-				step += cfg.SoftOccupied
-			}
-			if cfg.Step != nil {
-				extra, ok := cfg.Step(c, nc)
-				if !ok {
-					continue
-				}
-				step += extra
-			}
-			e.pushNode(e.idx(nc), it.g+step, int32(i))
 		}
 	}
 	return nil, false
 }
 
-// h is the admissible Manhattan heuristic over the current search's
-// targets, in engine cost units.
+// begin starts a new search id under cfg: it marks every in-grid source and
+// target as a pin and every in-grid target as a goal, and returns the
+// number of distinct goals.
+func (e *Engine) begin(sources, targets []grid.Cell, cfg Config) int {
+	e.cur++
+	e.cfg = cfg
+	e.overflow = false
+	pin, target := e.cur<<1, e.cur<<1|1
+	for _, s := range sources {
+		if e.g.In(s) {
+			e.nodes[e.g.Index(s)].mark = pin
+		}
+	}
+	ntargets := 0
+	for _, t := range targets {
+		if !e.g.In(t) {
+			continue
+		}
+		if n := &e.nodes[e.g.Index(t)]; n.mark != target {
+			n.mark = target
+			ntargets++
+		}
+	}
+	return ntargets
+}
+
+// nonNegative reports whether every weight of c is >= 0.
+func (c *Config) nonNegative() bool {
+	return c.WL >= 0 && c.Via >= 0 && c.PinVia >= 0 && c.Gamma2 >= 0 && c.DirPenalty >= 0 && c.SoftOccupied >= 0
+}
+
+// stepCosts prices the six moves out of cell c (index i) for net id under
+// cost equation (5) and the current search's Config, in moves order: the
+// wirelength or via weight, the soft-occupancy toll, the rip-up penalty
+// of the entered cell, the pin-via push-off, the type-2-b lookahead and
+// the preferred-direction penalty. A move off the grid or into a cell the
+// net may not enter costs -1. Search and Price both price through here, so
+// a repriced path costs exactly what a search charges for it.
+func (e *Engine) stepCosts(id int32, i int, c grid.Cell, out *[6]int) {
+	g, cfg := e.g, &e.cfg
+	pinHere := e.nodes[i].mark>>1 == e.cur
+	for d, m := range &moves {
+		nc := grid.Cell{X: c.X + m.X, Y: c.Y + m.Y, L: c.L + m.L}
+		if !g.In(nc) {
+			out[d] = -1
+			continue
+		}
+		ni := i + e.delta[d]
+		cost := 0
+		if v := g.AtIndex(ni); v != grid.Free && v != id {
+			if cfg.SoftOccupied <= 0 || v < 0 {
+				out[d] = -1 // foreign cell or hard blockage
+				continue
+			}
+			cost = cfg.SoftOccupied
+		}
+		if cfg.Pen != nil {
+			cost += int(cfg.Pen[ni])
+		}
+		if m.L != 0 {
+			cost += cfg.Via * Scale
+			if cfg.PinVia > 0 && (pinHere || e.nodes[ni].mark>>1 == e.cur) {
+				cost += cfg.PinVia
+			}
+		} else {
+			cost += cfg.WL * Scale
+			if cfg.Gamma2 > 0 && g.In(grid.Cell{X: nc.X + m.X, Y: nc.Y + m.Y, L: nc.L}) {
+				if v := g.AtIndex(ni + e.delta[d]); v >= 0 && v != id {
+					cost += cfg.Gamma2
+				}
+			}
+			if cfg.DirPenalty > 0 && (m.X != 0) != (c.L%2 == 0) {
+				cost += cfg.DirPenalty
+			}
+		}
+		out[d] = cost
+	}
+}
+
+// Price returns the cost a search for net id from sources to targets under
+// cfg charges for path, a source→target chain of unit moves. ok is false
+// when a step is not a unit move inside the grid or enters a cell the net
+// may not enter, and when cfg has a negative weight. Price starts a new
+// search id but leaves the statistics and read region of the last Search
+// untouched.
+func (e *Engine) Price(id int32, sources, targets, path []grid.Cell, cfg Config) (int, bool) {
+	if !cfg.nonNegative() {
+		return 0, false
+	}
+	e.begin(sources, targets, cfg)
+	total := 0
+	var costs [6]int
+	for k := 1; k < len(path); k++ {
+		from, to := path[k-1], path[k]
+		d := moveIndex(grid.Cell{X: to.X - from.X, Y: to.Y - from.Y, L: to.L - from.L})
+		if d < 0 || !e.g.In(from) {
+			return 0, false
+		}
+		e.stepCosts(id, e.g.Index(from), from, &costs)
+		if costs[d] < 0 {
+			return 0, false
+		}
+		total += costs[d]
+	}
+	return total, true
+}
+
+// moveIndex returns m's position in moves, or -1 when m is no unit move.
+func moveIndex(m grid.Cell) int {
+	for d, mv := range &moves {
+		if mv == m {
+			return d
+		}
+	}
+	return -1
+}
+
+// h is the Manhattan heuristic over the current search's targets, in
+// engine cost units. It is admissible because every planar step costs at
+// least WL*Scale and every layer change at least Via*Scale, whichever of
+// the two weights is larger.
 func (e *Engine) h(c grid.Cell) int {
 	best := -1
 	for _, t := range e.targets {
-		d := absi(c.X-t.X) + absi(c.Y-t.Y)
-		if dl := absi(c.L - t.L); dl > 0 {
-			d += dl
-		}
+		d := (absi(c.X-t.X)+absi(c.Y-t.Y))*e.cfg.WL + absi(c.L-t.L)*e.cfg.Via
 		if best < 0 || d < best {
 			best = d
 		}
 	}
-	return best * e.cfg.WL * Scale
+	return best * Scale
 }
 
-// pushNode relaxes node i to gcost and pushes it on the open list.
-func (e *Engine) pushNode(i, gcost int, parent int32) {
-	if e.stamp[i] == e.cur && e.dist[i] <= gcost {
+// pushNode relaxes node i (cell c) to gcost and pushes it on the open list.
+// A cost the packed key cannot hold is not pushed; it sets overflow, which
+// ends the search.
+func (e *Engine) pushNode(i int, c grid.Cell, gcost int, parent int32) {
+	n := &e.nodes[i]
+	if n.stamp == e.cur && int(n.dist) <= gcost {
 		return
 	}
-	e.stamp[i] = e.cur
-	e.dist[i] = gcost
-	e.parent[i] = parent
-	e.queue.push(pqItem{idx: int32(i), f: gcost + e.h(e.cell(i)), g: gcost})
+	f := gcost + e.h(c)
+	if gcost < 0 || f > MaxCost {
+		e.overflow = true
+		return
+	}
+	n.stamp, n.dist, n.parent = e.cur, int32(gcost), parent
+	e.queue.push(item{key: pack(f, gcost), idx: int32(i)})
 	e.Pushes++
-	if n := e.queue.Len(); n > e.HeapPeak {
+	if n := len(e.queue); n > e.HeapPeak {
 		e.HeapPeak = n
 	}
 }
@@ -338,8 +462,8 @@ func (e *Engine) note(c grid.Cell) {
 // ReadBBox over-approximates, as an XY bounding box in cell coordinates,
 // the set of grid cells whose occupancy or penalty the last Search may have
 // read: every expanded cell, every source and target candidate, plus a
-// two-cell margin covering neighbor probes and the step-cost hook's
-// one-cell lookahead. Any cell outside the box provably did not influence
+// two-cell margin covering neighbor probes and the type-2-b one-cell
+// lookahead. Any cell outside the box provably did not influence
 // the search result, which is exactly the property the speculative net
 // scheduler (internal/sched) needs to validate a concurrently computed
 // path at commit time.
@@ -367,7 +491,7 @@ func (e *Engine) flushObs() {
 // trace reconstructs the path ending at index i.
 func (e *Engine) trace(i int) []grid.Cell {
 	var rev []grid.Cell
-	for j := int32(i); j >= 0; j = e.parent[j] {
+	for j := int32(i); j >= 0; j = e.nodes[j].parent {
 		rev = append(rev, e.cell(int(j)))
 	}
 	for a, b := 0, len(rev)-1; a < b; a, b = a+1, b-1 {

@@ -65,7 +65,7 @@ func benchSearch(b *testing.B, rec *obs.Recorder) {
 	g := benchGrid()
 	e := New(g)
 	e.Rec = rec
-	cfg := Config{WL: 1, Via: 1, Step: func(from, to grid.Cell) (int, bool) { return 0, true }}
+	cfg := Config{WL: 1, Via: 1, Pen: make([]int32, g.W*g.H*g.Layers), PinVia: 12, Gamma2: 3, DirPenalty: 2}
 	src := []grid.Cell{{X: 1, Y: 1}}
 	dst := []grid.Cell{{X: 62, Y: 62, L: 2}}
 	b.ReportAllocs()

@@ -67,7 +67,7 @@ type common struct {
 	eng    *astar.Engine
 	frags  []*fragstore.Store
 	colors []map[int]decomp.Color
-	pen    map[grid.Cell]int
+	pen    []int32 // rip-up cost inflation, grid index order
 	out    *Out
 }
 
@@ -76,9 +76,9 @@ func newCommon(nl *netlist.Netlist, ds rules.Set) *common {
 		nl:  nl,
 		ds:  ds,
 		g:   nl.BuildGrid(ds),
-		pen: make(map[grid.Cell]int),
 		out: &Out{},
 	}
+	c.pen = make([]int32, c.g.W*c.g.H*c.g.Layers)
 	c.eng = astar.Acquire(c.g)
 	c.frags = make([]*fragstore.Store, nl.Layers)
 	c.colors = make([]map[int]decomp.Color, nl.Layers)
@@ -97,19 +97,11 @@ func (c *common) release() {
 
 func (c *common) search(id int, n netlist.Net, soft int) ([]grid.Cell, bool) {
 	cfg := astar.Config{
-		WL:        1,
-		Via:       1,
-		MaxExpand: 400000,
-		Step: func(from, to grid.Cell) (int, bool) {
-			extra := c.pen[to]
-			if to.L == from.L {
-				horiz := to.X != from.X
-				if horiz != (to.L%2 == 0) {
-					extra += 2
-				}
-			}
-			return extra, true
-		},
+		WL:           1,
+		Via:          1,
+		MaxExpand:    400000,
+		Pen:          c.pen,
+		DirPenalty:   2,
 		SoftOccupied: soft,
 	}
 	return c.eng.Search(int32(id), n.A.Candidates, n.B.Candidates, cfg)

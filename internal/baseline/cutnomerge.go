@@ -67,7 +67,7 @@ func (t CutNoMerge) routeNet(c *common, id int) {
 			return
 		}
 		for _, cell := range path {
-			c.pen[cell] += 4
+			c.pen[c.g.Index(cell)] += 4
 		}
 	}
 }

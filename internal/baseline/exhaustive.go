@@ -88,7 +88,7 @@ func (t TrimExhaustive) routeNet(ctx context.Context, c *common, id int) bool {
 		c.ripup(id, path)
 		c.out.Ripups++
 		for _, cell := range path {
-			c.pen[cell] += 4
+			c.pen[c.g.Index(cell)] += 4
 		}
 	}
 }

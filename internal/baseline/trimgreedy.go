@@ -75,7 +75,7 @@ func (t TrimGreedy) routeNet(c *common, id int) {
 			return
 		}
 		for _, cell := range path {
-			c.pen[cell] += 4
+			c.pen[c.g.Index(cell)] += 4
 		}
 	}
 }

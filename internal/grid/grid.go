@@ -55,8 +55,16 @@ func (g *Grid) In(c Cell) bool {
 
 func (g *Grid) idx(c Cell) int { return (c.L*g.H+c.Y)*g.W + c.X }
 
+// Index returns c's position in grid index order (layer-major, then row,
+// then column): the layout of per-cell planes indexed alongside the grid,
+// such as the router's rip-up penalty plane.
+func (g *Grid) Index(c Cell) int { return g.idx(c) }
+
 // At returns the occupancy of c: Free, Blocked, or a net id.
 func (g *Grid) At(c Cell) int32 { return g.occ[g.idx(c)] }
+
+// AtIndex is At for a cell given by its Index.
+func (g *Grid) AtIndex(i int) int32 { return g.occ[i] }
 
 // Occupy assigns cell c to net id (no-op checks are the caller's job).
 func (g *Grid) Occupy(c Cell, id int32) { g.occ[g.idx(c)] = id }

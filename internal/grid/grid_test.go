@@ -71,6 +71,28 @@ func TestInBounds(t *testing.T) {
 	}
 }
 
+// TestIndexOrder pins the index layout per-cell planes rely on: layer-major,
+// then row, then column, dense from 0, and AtIndex agreeing with At.
+func TestIndexOrder(t *testing.T) {
+	g := New(4, 5, 2, rules.Node10nm())
+	g.Occupy(Cell{3, 4, 1}, 7)
+	next := 0
+	for l := 0; l < 2; l++ {
+		for y := 0; y < 5; y++ {
+			for x := 0; x < 4; x++ {
+				c := Cell{x, y, l}
+				if i := g.Index(c); i != next {
+					t.Fatalf("Index(%v) = %d, want %d", c, i, next)
+				}
+				if g.AtIndex(next) != g.At(c) {
+					t.Fatalf("AtIndex(%d) disagrees with At(%v)", next, c)
+				}
+				next++
+			}
+		}
+	}
+}
+
 func TestCloneIsIndependent(t *testing.T) {
 	g := New(8, 8, 2, rules.Node10nm())
 	g.Occupy(Cell{X: 1, Y: 1, L: 0}, 5)

@@ -274,9 +274,7 @@ func (st *state) repairConflicts() {
 			if st.rec.Tracing() {
 				st.rec.Trace("ripup", obs.I("net", id), obs.S("cause", "repair"))
 			}
-			for _, c := range path {
-				st.pen[c] += 6 * st.opt.Alpha
-			}
+			st.inflate(st.pen, path, 6*st.opt.Alpha)
 			if predicted {
 				st.dirty = ep.dirty
 			}

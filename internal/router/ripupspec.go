@@ -1,6 +1,7 @@
 package router
 
 import (
+	"slices"
 	"time"
 
 	"sadproute/internal/astar"
@@ -13,7 +14,7 @@ import (
 // repair phases process their nets one at a time, but the LIST of nets is
 // known when the phase starts — the repair pass computes its offenders up
 // front, and the post-wave reroute drains a queue frozen at that moment.
-// An episode freezes a clone of the grid and penalty map with every
+// An episode freezes a clone of the grid and penalty plane with every
 // PREDICTED mutation of the phase pre-applied (each offender's rip-up and
 // penalty inflation for repair passes; nothing for the pending drain,
 // whose nets are already off the grid), then pre-searches every net of
@@ -31,10 +32,10 @@ import (
 // downstream decision are byte-identical to the serial run. Rejected or
 // unconsumed pre-searches are counted ripup.spec_wasted and discarded.
 type episode struct {
-	g   *grid.Grid        // frozen grid clone, predicted rips released
-	pen map[grid.Cell]int // frozen penalty clone, predicted bumps applied
-	pos map[int]int       // net id -> slot; entries removed as consumed
-	res []*specResult     // per-slot pre-search results, written by workers
+	g   *grid.Grid    // frozen grid clone, predicted rips released
+	pen []int32       // frozen penalty clone, predicted bumps applied
+	pos map[int]int   // net id -> slot; entries removed as consumed
+	res []*specResult // per-slot pre-search results, written by workers
 	// future[s] holds slot s's predicted rip-up cells — the mutations the
 	// clone anticipated but the serial run has not performed yet. Nil
 	// per-slot for pending-drain episodes (their nets are already ripped).
@@ -82,15 +83,15 @@ func (st *state) beginRepairEpisode(offenders []int) *episode {
 	}
 	ep := &episode{
 		g:      st.g.Clone(),
-		pen:    clonePen(st.pen),
+		pen:    slices.Clone(st.pen),
 		future: make([]*sched.DirtySet, len(ids)),
 	}
 	for i, id := range ids {
 		path := st.res.Paths[id]
 		for _, c := range path {
 			ep.g.Release(c)
-			ep.pen[c] += 6 * st.opt.Alpha
 		}
+		st.inflate(ep.pen, path, 6*st.opt.Alpha)
 		f := &sched.DirtySet{}
 		f.MarkCells(path)
 		ep.future[i] = f
@@ -121,7 +122,7 @@ func (st *state) beginPendingEpisode() *episode {
 	if !st.ripupSpecEnabled(len(ids)) {
 		return nil
 	}
-	ep := &episode{g: st.g.Clone(), pen: clonePen(st.pen)}
+	ep := &episode{g: st.g.Clone(), pen: slices.Clone(st.pen)}
 	st.launchEpisode(ep, ids)
 	return ep
 }
@@ -148,11 +149,11 @@ func (st *state) launchEpisode(ep *episode, ids []int) {
 	}
 	ep.dirty = &sched.DirtySet{}
 	ep.launched = len(ids)
-	g, pen := ep.g, ep.pen
+	pen := ep.pen
 	ep.async = sched.Launch(len(ids), workers, func(w, i int) {
 		id := ids[i]
 		n := st.nl.Nets[id]
-		cfg := st.searchCfgOn(g, pen, id, n)
+		cfg := st.searchCfg(pen)
 		e := ep.engs[w]
 		t0 := time.Now() //lint:allow wallclock per-search duration for the ripup speedup stats; reporting-only
 		path, ok := e.Search(int32(id), n.A.Candidates, n.B.Candidates, cfg)
@@ -235,13 +236,4 @@ func (st *state) endEpisode(ep *episode) {
 	st.rec.AddStage(obs.StageRipupMakespan, time.Duration(sched.Makespan(ns, len(ep.engs))))
 	st.dirty = nil
 	st.ep = nil
-}
-
-// clonePen copies the rip-up penalty map for an episode's frozen view.
-func clonePen(pen map[grid.Cell]int) map[grid.Cell]int {
-	cp := make(map[grid.Cell]int, len(pen))
-	for c, v := range pen {
-		cp[c] = v
-	}
-	return cp
 }

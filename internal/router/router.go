@@ -8,6 +8,7 @@ package router
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"time"
 
@@ -142,6 +143,27 @@ func Defaults() Options {
 	}
 }
 
+// Validate reports the first option outside its domain. The cost weights
+// of eq. (5) — Alpha, Beta, Gamma2 and DirPenalty — must be >= 0: A*
+// optimality and termination rest on non-negative step costs (with a
+// negative Alpha a path lowers its cost forever by stepping back and
+// forth), and the engine refuses a negative weight outright
+// (astar.Config). MaxRipup, MaxExpand and NetWorkers must be >= 0 too.
+func (o Options) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    int
+	}{
+		{"Alpha", o.Alpha}, {"Beta", o.Beta}, {"Gamma2", o.Gamma2}, {"DirPenalty", o.DirPenalty},
+		{"MaxRipup", o.MaxRipup}, {"MaxExpand", o.MaxExpand}, {"NetWorkers", o.NetWorkers},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("options: %s is %d, must be >= 0", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // Result is a completed routing run. Diagnostics that used to live here
 // (rip-up counts by cause, flips, blocker rips) are now counters on the
 // Options.Obs recorder — pass one and read its Snapshot.
@@ -256,7 +278,7 @@ type state struct {
 	frags  []*fragstore.Store
 	colors []map[int]decomp.Color
 	locks  []map[int]decomp.Color // colors pinned by the cut-conflict check
-	pen    map[grid.Cell]int      // rip-up cost inflation
+	pen    []int32                // rip-up cost inflation, grid index order
 	// sp/speng are the corridor graph and its pooled engine, live only
 	// when Options.SparseSearch is effective (serial run). sp mirrors g:
 	// commit and ripup forward every cell mutation.
@@ -328,10 +350,10 @@ func RouteCtx(ctx context.Context, nl *netlist.Netlist, ds rules.Set, opt Option
 		ds:  ds,
 		g:   nl.BuildGrid(ds),
 		opt: opt,
-		pen: make(map[grid.Cell]int),
 		rec: rec,
 		ctx: ctx,
 	}
+	st.pen = make([]int32, st.g.W*st.g.H*st.g.Layers)
 	st.eng = astar.Acquire(st.g)
 	defer st.eng.Release()
 	st.eng.Rec = rec
@@ -548,12 +570,8 @@ func (st *state) routeNet(id int) {
 		}
 		st.dirty.MarkCells(path)
 		st.dirty.MarkCells(hot)
-		for _, c := range path {
-			st.pen[c] += 2 * st.opt.Alpha * astar.Scale
-		}
-		for _, c := range hot {
-			st.pen[c] += 16 * st.opt.Alpha * astar.Scale
-		}
+		st.inflate(st.pen, path, 2*st.opt.Alpha*astar.Scale)
+		st.inflate(st.pen, hot, 16*st.opt.Alpha*astar.Scale)
 	}
 }
 
@@ -587,35 +605,33 @@ func (st *state) search(id int, n netlist.Net) ([]grid.Cell, bool) {
 		}
 		st.rec.Inc(obs.CtrSparseFallbacks)
 	}
-	cfg := st.searchCfg(id, n)
-	path, ok := st.eng.Search(int32(id), n.A.Candidates, n.B.Candidates, cfg)
+	path, ok := st.eng.Search(int32(id), n.A.Candidates, n.B.Candidates, st.searchCfg(st.pen))
 	st.rec.NetSearch(id, int64(st.eng.Expand))
 	return path, ok
 }
 
-// searchCfg builds the A* configuration of a net's first search; shared
-// by the serial path and the speculative workers so both price steps
-// identically.
-func (st *state) searchCfg(id int, n netlist.Net) astar.Config {
-	return st.searchCfgOn(st.g, st.pen, id, n)
+// searchCfg builds the eq. (5) cost model of a net's first search over the
+// penalty plane pen: st.pen for the serial engine and the wave workers,
+// the episode's frozen copy for rip-up episode workers. Shared by every
+// first search and by repriceDense, so all of them price steps
+// identically. The type-2-b lookahead reads the searching engine's own
+// grid, which is the episode clone for episode workers.
+func (st *state) searchCfg(pen []int32) astar.Config {
+	return astar.Config{
+		WL:         st.opt.Alpha,
+		Via:        st.opt.Beta,
+		Pen:        pen,
+		PinVia:     6 * st.opt.Alpha * astar.Scale,
+		Gamma2:     st.opt.Gamma2 * st.opt.Alpha,
+		DirPenalty: st.opt.DirPenalty,
+		MaxExpand:  st.opt.MaxExpand,
+	}
 }
 
-// searchCfgOn is searchCfg against an explicit grid and penalty map: the
-// rip-up episode workers price their searches on the episode's frozen
-// clone while the serial engine keeps mutating the real state.
-func (st *state) searchCfgOn(g *grid.Grid, pen map[grid.Cell]int, id int, n netlist.Net) astar.Config {
-	pins := make(map[grid.Cell]bool, len(n.A.Candidates)+len(n.B.Candidates))
-	for _, c := range n.A.Candidates {
-		pins[c] = true
-	}
-	for _, c := range n.B.Candidates {
-		pins[c] = true
-	}
-	return astar.Config{
-		WL:        st.opt.Alpha,
-		Via:       st.opt.Beta,
-		MaxExpand: st.opt.MaxExpand,
-		Step:      st.stepCostOn(g, pen, int32(id), pins),
+// inflate adds delta to the penalty of every cell in cells.
+func (st *state) inflate(pen []int32, cells []grid.Cell, delta int) {
+	for _, c := range cells {
+		pen[st.g.Index(c)] += int32(delta)
 	}
 }
 
@@ -646,14 +662,9 @@ func (st *state) hotOwners(id int, hot []grid.Cell) []int {
 // findBlockers runs a soft-occupancy search to identify which routed nets
 // stand between the pins of an unroutable net.
 func (st *state) findBlockers(id int, n netlist.Net) []int {
-	pins := make(map[grid.Cell]bool)
-	cfg := astar.Config{
-		WL:           st.opt.Alpha,
-		Via:          st.opt.Beta,
-		MaxExpand:    st.opt.MaxExpand,
-		Step:         st.stepCost(int32(id), pins),
-		SoftOccupied: 40 * st.opt.Alpha * astar.Scale,
-	}
+	cfg := st.searchCfg(st.pen)
+	cfg.PinVia = 0 // the blocker probe prices no pin-via push-off
+	cfg.SoftOccupied = 40 * st.opt.Alpha * astar.Scale
 	path, ok := st.eng.Search(int32(id), n.A.Candidates, n.B.Candidates, cfg)
 	st.rec.NetSearch(id, int64(st.eng.Expand))
 	if !ok {
@@ -668,47 +679,6 @@ func (st *state) findBlockers(id int, n netlist.Net) []int {
 		}
 	}
 	return out
-}
-
-// stepCost adds the rip-up penalties and the type-2-b geometry discourager:
-// stepping toward a cell whose forward continuation is blocked by another
-// net means the path would either end tip-to-side against that net (a type
-// 2-b scenario with unavoidable overlay) or corner alongside it.
-func (st *state) stepCost(id int32, pins map[grid.Cell]bool) astar.StepCost {
-	return st.stepCostOn(st.g, st.pen, id, pins)
-}
-
-// stepCostOn is stepCost against an explicit grid and penalty map (see
-// searchCfgOn). Reads only immutable per-run configuration besides its
-// arguments, so episode workers can call the returned closure
-// concurrently with the serial engine.
-func (st *state) stepCostOn(g *grid.Grid, pen map[grid.Cell]int, id int32, pins map[grid.Cell]bool) astar.StepCost {
-	return func(from, to grid.Cell) (int, bool) {
-		extra := pen[to]
-		if to.L != from.L && (pins[from] || pins[to]) {
-			// A via directly at a pin leaves a bare one-cell stub — the
-			// most conflict-prone SADP geometry (it can be flanked by cut
-			// patterns on opposite sides). Push the via off the pin.
-			extra += 6 * st.opt.Alpha * astar.Scale
-		}
-		if to.L == from.L {
-			if st.opt.Gamma2 > 0 {
-				ahead := grid.Cell{X: to.X + (to.X - from.X), Y: to.Y + (to.Y - from.Y), L: to.L}
-				if g.In(ahead) {
-					if v := g.At(ahead); v >= 0 && v != id {
-						extra += st.opt.Gamma2 * st.opt.Alpha
-					}
-				}
-			}
-			if st.opt.DirPenalty > 0 {
-				horizStep := to.X != from.X
-				if horizStep != (to.L%2 == 0) {
-					extra += st.opt.DirPenalty
-				}
-			}
-		}
-		return extra, true
-	}
 }
 
 // commit occupies the path and registers fragments.

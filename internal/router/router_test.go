@@ -1,7 +1,9 @@
 package router_test
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"sadproute/internal/bench"
 	"sadproute/internal/decomp"
@@ -110,4 +112,47 @@ func absAll(a, b grid.Cell) int {
 		d += v
 	}
 	return d
+}
+
+// TestOptionsValidate checks that every option with a >= 0 domain is
+// rejected when negative, by name, and that the defaults pass.
+func TestOptionsValidate(t *testing.T) {
+	if err := router.Defaults().Validate(); err != nil {
+		t.Fatalf("defaults rejected: %v", err)
+	}
+	for name, set := range map[string]func(*router.Options){
+		"Alpha":      func(o *router.Options) { o.Alpha = -1 },
+		"Beta":       func(o *router.Options) { o.Beta = -1 },
+		"Gamma2":     func(o *router.Options) { o.Gamma2 = -1 },
+		"DirPenalty": func(o *router.Options) { o.DirPenalty = -1 },
+		"MaxRipup":   func(o *router.Options) { o.MaxRipup = -1 },
+		"MaxExpand":  func(o *router.Options) { o.MaxExpand = -1 },
+		"NetWorkers": func(o *router.Options) { o.NetWorkers = -1 },
+	} {
+		opt := router.Defaults()
+		set(&opt)
+		err := opt.Validate()
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s = -1: Validate() = %v, want an error naming %s", name, err, name)
+		}
+	}
+}
+
+// TestNegativeWeightTerminates routes with the option set that used to
+// search forever (a negative Alpha with no expansion budget): the engine
+// refuses the negative weight, so every net fails fast instead.
+func TestNegativeWeightTerminates(t *testing.T) {
+	nl := bench.Generate(smallSpec(10, 16, 1, 3))
+	opt := router.Defaults()
+	opt.Alpha, opt.MaxExpand = -1, 0
+	done := make(chan *router.Result, 1)
+	go func() { done <- router.Route(nl, rules.Node10nm(), opt) }()
+	select {
+	case res := <-done:
+		if res.Routed != 0 {
+			t.Errorf("routed %d nets under a negative Alpha", res.Routed)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("Route with Alpha = -1 did not terminate")
+	}
 }

@@ -1,7 +1,6 @@
 package router
 
 import (
-	"sadproute/internal/astar"
 	"sadproute/internal/grid"
 	"sadproute/internal/netlist"
 	"sadproute/internal/obs"
@@ -12,7 +11,7 @@ import (
 // (internal/sparse) instead of the dense grid. The corridor cost model is
 // the uniform part of the dense step cost — wirelength, vias, the
 // preferred-direction penalty and the pin-via push-off — and every term
-// the dense hook can add on top (rip-up penalty inflation, the gamma_2
+// the dense cost model can add on top (rip-up penalty inflation, the gamma_2
 // lookahead) is >= 0, so the corridor optimum lower-bounds the dense
 // optimum. Adoption is exact-or-fallback: the snapped path is repriced
 // under the full dense step cost, and only a path whose dense cost equals
@@ -27,12 +26,14 @@ import (
 // recorded by the caller.
 func (st *state) sparseSearch(id int, n netlist.Net) (path []grid.Cell, ok, done bool) {
 	st.rec.Inc(obs.CtrSparseSearches)
+	// The uniform terms of the dense first-search cost model.
+	dc := st.searchCfg(nil)
 	cfg := sparse.Config{
-		WL:         st.opt.Alpha,
-		Via:        st.opt.Beta,
-		DirPenalty: st.opt.DirPenalty,
-		PinVia:     6 * st.opt.Alpha * astar.Scale,
-		MaxExpand:  st.opt.MaxExpand,
+		WL:         dc.WL,
+		Via:        dc.Via,
+		DirPenalty: dc.DirPenalty,
+		PinVia:     dc.PinVia,
+		MaxExpand:  dc.MaxExpand,
 	}
 	p, cost, out := st.speng.Search(n.A.Candidates, n.B.Candidates, cfg)
 	st.rec.Add(obs.CtrSparseNodes, int64(st.speng.Expand))
@@ -50,24 +51,11 @@ func (st *state) sparseSearch(id int, n netlist.Net) (path []grid.Cell, ok, done
 	return p, true, true
 }
 
-// repriceDense walks a candidate path and prices it exactly as the dense
-// engine would: base wirelength/via weights plus the full step-cost hook.
+// repriceDense prices a candidate path exactly as the dense engine would:
+// astar.Engine.Price walks it through the same step-cost function the
+// search relaxes with, under the same first-search cost model.
 func (st *state) repriceDense(id int, n netlist.Net, path []grid.Cell) (int, bool) {
-	cfg := st.searchCfg(id, n)
-	total := 0
-	for i := 1; i < len(path); i++ {
-		from, to := path[i-1], path[i]
-		step := cfg.WL * astar.Scale
-		if to.L != from.L {
-			step = cfg.Via * astar.Scale
-		}
-		extra, ok := cfg.Step(from, to)
-		if !ok {
-			return 0, false
-		}
-		total += step + extra
-	}
-	return total, true
+	return st.eng.Price(int32(id), n.A.Candidates, n.B.Candidates, path, st.searchCfg(st.pen))
 }
 
 // sparseEligible gates corridor engagement per search: the lever must be

@@ -145,11 +145,11 @@ func (st *state) routeWaves(order []int) {
 
 // specSearch runs one net's first search on a private engine against the
 // frozen grid. Read-only with respect to router state: the grid occupancy
-// and the penalty map are not mutated anywhere between wave start and the
-// commit phase, so concurrent map reads here are race-free.
+// and the penalty plane are not mutated anywhere between wave start and the
+// commit phase, so concurrent reads here are race-free.
 func (st *state) specSearch(e *astar.Engine, id int) *specResult {
 	n := st.nl.Nets[id]
-	cfg := st.searchCfg(id, n)
+	cfg := st.searchCfg(st.pen)
 	t0 := time.Now() //lint:allow wallclock per-search duration for the netpar speedup stats; reporting-only
 	path, ok := e.Search(int32(id), n.A.Candidates, n.B.Candidates, cfg)
 	return &specResult{

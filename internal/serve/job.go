@@ -206,8 +206,8 @@ func compileRequest(req Request) (*netlist.Netlist, rules.Set, router.Options, e
 	}
 	opt = router.Defaults()
 	req.Options.apply(&opt)
-	if opt.MaxRipup < 0 || opt.MaxExpand < 0 || opt.NetWorkers < 0 {
-		return nil, rules.Set{}, opt, fmt.Errorf("options: max_ripup, max_expand and net_workers must be >= 0")
+	if err := opt.Validate(); err != nil {
+		return nil, rules.Set{}, opt, err
 	}
 	return nl, ds, opt, nil
 }

@@ -207,6 +207,10 @@ func TestSubmitValidation(t *testing.T) {
 		"malformed netlist": `{"netlist":"grid bogus"}`,
 		"bad rules":         `{"netlist":"name x\ngrid 8 8 2\nnet a (0,0,0) -> (2,2,0)\n","rules":{"w_line":-1}}`,
 		"bad options":       `{"netlist":"name x\ngrid 8 8 2\nnet a (0,0,0) -> (2,2,0)\n","options":{"net_workers":-2}}`,
+		// A negative cost weight with no expansion budget used to search
+		// forever, pinning a worker past cancellation and drain.
+		"negative alpha":  `{"netlist":"name x\ngrid 8 8 2\nnet a (0,0,0) -> (2,2,0)\n","options":{"alpha":-1,"max_expand":0}}`,
+		"negative gamma2": `{"netlist":"name x\ngrid 8 8 2\nnet a (0,0,0) -> (2,2,0)\n","options":{"gamma2":-3}}`,
 	} {
 		code, ae := post(body)
 		if code != http.StatusBadRequest || ae.Code != "bad_request" {

@@ -20,8 +20,8 @@ type Config struct {
 	// preferred direction (even layers horizontal, odd vertical).
 	DirPenalty int
 	// PinVia is the extra cost of a via whose either cell is a source or
-	// target candidate (the router pushes vias off pins; see
-	// router.stepCostOn).
+	// target candidate, exactly as astar.Config.PinVia (the router pushes
+	// vias off pins).
 	PinVia int
 	// MaxExpand bounds corridor-node expansions; 0 means no bound.
 	MaxExpand int

@@ -14,7 +14,7 @@
 // direction (even layers horizontal, odd vertical), a via costs Via*Scale
 // plus PinVia when either via cell is a pin candidate. That model is
 // exactly the uniform part of the router's dense step cost — every extra
-// the dense hook can add on top (rip-up penalty inflation, the gamma_2
+// the dense cost model can add on top (rip-up penalty inflation, the gamma_2
 // lookahead) is >= 0 — so a corridor path's cost lower-bounds the dense
 // cost of any path and the router can prove dense-optimality of a snapped
 // corridor path by repricing it (see internal/router's sparse adoption
