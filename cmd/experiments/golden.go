@@ -15,8 +15,8 @@ import (
 // tables into tab-separated files under results/golden/. Every column is
 // a pure function of the benchmark seed and the design rules — no CPU or
 // stage-time columns, no budget-dependent algorithms (the exhaustive
-// baseline is excluded) — so the files are byte-stable across machines,
-// -jobs values and -net-workers values. TestGoldenTables diffs freshly
+// baseline is excluded) — so the files are byte-stable across machines
+// and -jobs values. TestGoldenTables diffs freshly
 // computed tables against the checked-in files; regenerate after an
 // intentional algorithm change with:
 //

@@ -114,30 +114,6 @@ func TestDecompCacheExperiment(t *testing.T) {
 	}
 }
 
-// TestRipupparExperiment runs the rip-up acceleration experiment at the
-// CI smoke scale. The experiment fingerprints every configuration and
-// errors out on divergence itself, so a pass doubles as an equivalence
-// check on the incremental/speculative rip-up paths.
-func TestRipupparExperiment(t *testing.T) {
-	dir := t.TempDir()
-	var b strings.Builder
-	if err := run([]string{"-which", "ripuppar", "-scale", "tiny", "-out", dir, "-net-workers", "3"}, &b); err != nil {
-		t.Fatalf("ripuppar failed: %v\n%s", err, b.String())
-	}
-	out := b.String()
-	for _, w := range []string{"det serial", "det incremental", "det speculative", "det combined", "fingerprint="} {
-		if !strings.Contains(out, w) {
-			t.Fatalf("ripuppar output missing %q:\n%s", w, out)
-		}
-	}
-	if strings.Contains(out, "identical=NO") {
-		t.Fatalf("ripuppar reported a divergent configuration:\n%s", out)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "ripuppar.txt")); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSparsehugeExperiment runs the corridor-search experiment on the
 // smallest huge instance (tiny scale): both configs route, every sparse
 // run is DRC-checked inside the experiment, and the ledger carries both

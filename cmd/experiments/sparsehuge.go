@@ -17,8 +17,7 @@ import (
 
 // sparsehuge measures Options.SparseSearch on the huge benchmark family
 // (bench.HugeSpecs): every cell dense, then every cell with the corridor
-// graph, one run at a time on one core, which is the configuration the
-// lever exists for (it disables itself under NetWorkers). The sparse run
+// graph, one run at a time on one core. The sparse run
 // of each instance is additionally decomposed and DRC-checked end to end
 // — the corridor engine must not cost any of the paper's guarantees.
 //
@@ -68,9 +67,7 @@ func sparsehuge(ds rules.Set, scale string, h harness) (string, error) {
 		}
 		snap := m.Obs
 		fpSnap := snap
-		fpSnap.ZeroFamily("sched.")
 		fpSnap.ZeroFamily("decomp.")
-		fpSnap.ZeroFamily("ripup.")
 		var fp bytes.Buffer
 		fmt.Fprintf(&fp, "rt=%.2f wl=%d vias=%d conf=%d hard=%d viol=%d\n",
 			m.RoutabilityPct, m.Wirelength, m.Vias, m.Conflicts, m.HardOverlays, m.Violations)

@@ -20,13 +20,12 @@ import (
 // harness carries the scheduling knobs shared by the routing-heavy
 // experiments and builds one bench.Harness per (specs × algos) matrix.
 type harness struct {
-	jobs       int
-	netWorkers int  // intra-instance: concurrent nets within one routing run
-	noCache    bool // route with the decomposition memo cache disabled
-	sparse     bool // route ours-cells with the corridor routing graph
-	budget     time.Duration
-	traceDir   string
-	ledger     *bench.Ledger // nil unless -bench-json; rows append per experiment
+	jobs     int
+	noCache  bool // route with the decomposition memo cache disabled
+	sparse   bool // route ours-cells with the corridor routing graph
+	budget   time.Duration
+	traceDir string
+	ledger   *bench.Ledger // nil unless -bench-json; rows append per experiment
 }
 
 // runCells routes every (spec × algo) cell across the worker pool and
@@ -44,9 +43,8 @@ func (h harness) runCells(exp string, ds rules.Set, specs []bench.Spec, algos []
 		Jobs: h.jobs,
 		Cfg:  bench.RunConfig{Rules: ds, Budget: h.budget},
 	}
-	if h.netWorkers > 1 || h.noCache || h.sparse {
+	if h.noCache || h.sparse {
 		opt := router.Defaults()
-		opt.NetWorkers = h.netWorkers
 		opt.DecompCache = !h.noCache
 		opt.SparseSearch = h.sparse
 		bh.Cfg.RouterOptions = &opt

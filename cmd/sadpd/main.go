@@ -44,7 +44,7 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal) error {
 	fs.SetOutput(stdout)
 	var (
 		addr         = fs.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
-		workers      = fs.Int("workers", serve.DefaultWorkers, "concurrent routing jobs (see docs/operations.md for sizing vs per-job net_workers)")
+		workers      = fs.Int("workers", serve.DefaultWorkers, "concurrent routing jobs (see docs/operations.md for sizing)")
 		queue        = fs.Int("queue", serve.DefaultQueueDepth, "admission queue depth; full queue answers 429 + Retry-After")
 		journal      = fs.String("journal", "", "append-only JSONL job journal; replayed on startup for restart recovery")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "graceful-drain budget after SIGTERM before in-flight jobs are cancelled")

@@ -15,7 +15,7 @@
 //     internal/ — the determinism contract behind the byte-identical
 //     trace and table guarantees.
 //   - goroutine: `go` statements in internal/ only inside the blessed
-//     worker pools (internal/sched, internal/bench).
+//     worker pools (internal/bench, internal/serve).
 //   - immutable: no writes through fields of `//sadp:immutable`-marked
 //     types outside their home package (the memo-cache sharing contract;
 //     generalizes the former resultwrite rule).

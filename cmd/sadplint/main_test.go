@@ -114,7 +114,6 @@ func TestFixtureFindings(t *testing.T) {
 		"clock.go:27",               // whitelisted wallclock reads
 		"clock.go:31",               // Duration arithmetic is not a clock read
 		"gorout.go:12",              // whitelisted goroutine
-		"internal/sched/sched.go",   // allowlisted pool package may spawn
 		"internal/serve/serve.go",   // allowlisted job-server pool may spawn
 	}
 	for _, d := range donts {
@@ -180,9 +179,9 @@ func TestJSONOutput(t *testing.T) {
 // TestJSONCleanRunEmitsEmptyArray keeps the schema stable for tooling:
 // a clean selection still prints a JSON array.
 func TestJSONCleanRunEmitsEmptyArray(t *testing.T) {
-	out, err := runLint(t, "-dir", "testdata/mod", "-json", "./internal/sched")
+	out, err := runLint(t, "-dir", "testdata/mod", "-json", "./internal/serve")
 	if err != nil {
-		t.Fatalf("internal/sched fixture should be clean: %v\n%s", err, out)
+		t.Fatalf("internal/serve fixture should be clean: %v\n%s", err, out)
 	}
 	if strings.TrimSpace(out) != "[]" {
 		t.Errorf("clean -json run should print [], got:\n%s", out)

@@ -4,12 +4,11 @@ import "go/ast"
 
 // goroutine: `go` statements in internal/ are legal only inside the
 // blessed worker-pool packages. Every parallel construct in this repo —
-// the cell harness (internal/bench), the intra-instance wave scheduler
-// (internal/sched), the sadpd job-server pool (internal/serve) — funnels
-// its concurrency through a fixed-size pool whose results are keyed by
-// input (canonical-order merge, or per-job state owned by one worker at
-// a time), which is what makes the parallel runs byte-identical to
-// serial. A goroutine spawned anywhere else is exactly how that
+// the cell harness (internal/bench) and the sadpd job-server pool
+// (internal/serve) — funnels its concurrency through a fixed-size pool
+// whose results are keyed by input (canonical-order merge, or per-job
+// state owned by one worker at a time), which is what makes the
+// parallel runs byte-identical to serial. A goroutine spawned anywhere else is exactly how that
 // guarantee dies: side effects land in nondeterministic order and no
 // equivalence test covers them. New pool packages join the allowlist
 // here, with the same merge obligations.
@@ -17,11 +16,10 @@ import "go/ast"
 const ruleGoroutine = "goroutine"
 
 // goroutinePkgs are the packages allowed to spawn goroutines: the
-// deterministic worker pools, plus the job-server pool whose routing
+// deterministic cell harness, plus the job-server pool whose routing
 // work is single-goroutine per job (TestServeSoakByteIdentical holds it
 // to the byte-identical-to-serial bar).
 var goroutinePkgs = map[string]bool{
-	"internal/sched": true,
 	"internal/bench": true,
 	"internal/serve": true,
 }
@@ -29,7 +27,7 @@ var goroutinePkgs = map[string]bool{
 func init() {
 	register(ruleDef{
 		name: ruleGoroutine,
-		doc:  "go statements in internal/ only inside the blessed pools (internal/sched, internal/bench, internal/serve)",
+		doc:  "go statements in internal/ only inside the blessed pools (internal/bench, internal/serve)",
 		file: checkGoroutine,
 	})
 }
@@ -41,7 +39,7 @@ func checkGoroutine(c *pass) {
 	ast.Inspect(c.file, func(n ast.Node) bool {
 		if g, ok := n.(*ast.GoStmt); ok {
 			c.report(g.Pos(), ruleGoroutine,
-				"go statement outside the blessed worker pools (internal/sched, internal/bench, internal/serve): stray goroutines break the byte-identical-to-serial guarantee")
+				"go statement outside the blessed worker pools (internal/bench, internal/serve): stray goroutines break the byte-identical-to-serial guarantee")
 		}
 		return true
 	})

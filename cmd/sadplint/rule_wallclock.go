@@ -8,7 +8,7 @@ import (
 
 // wallclock: internal/ packages must not read wall-clock time or import
 // math/rand. The determinism contract behind every equivalence proof in
-// this repo (byte-identical traces across -jobs and -net-workers, the
+// this repo (byte-identical traces across -jobs values, the
 // golden tables, the decomp cache on/off diffs) is that nothing in
 // internal/ depends on when or where it runs: trace events carry a
 // monotonic sequence number, never a timestamp, and all randomness flows

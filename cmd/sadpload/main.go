@@ -3,9 +3,9 @@
 // routing jobs over HTTP with bounded client concurrency, follows each job
 // to a terminal state (polling or SSE), and reports the outcome tally.
 // The soak recipe in docs/operations.md drives it against a -race build
-// of sadpd to prove N concurrent jobs × M net_workers compose.
+// of sadpd to prove N concurrent jobs compose.
 //
-//	sadpload -addr http://127.0.0.1:8080 -n 16 -c 4 -nets 150 -net-workers 4
+//	sadpload -addr http://127.0.0.1:8080 -n 16 -c 4 -nets 150
 //	sadpload -addr http://127.0.0.1:8080 -n 4 -sse      # follow via SSE
 package main
 
@@ -44,16 +44,15 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("sadpload", flag.ContinueOnError)
 	fs.SetOutput(stdout)
 	var (
-		addr       = fs.String("addr", "http://127.0.0.1:8080", "sadpd base URL")
-		n          = fs.Int("n", 8, "total jobs to submit")
-		c          = fs.Int("c", 4, "concurrent client workers")
-		nets       = fs.Int("nets", 120, "nets per generated benchmark")
-		tracks     = fs.Int("tracks", 48, "die width/height in tracks")
-		layers     = fs.Int("layers", 3, "routing layers")
-		seed       = fs.Int64("seed", 1, "base PRNG seed; job i uses seed+i")
-		netWorkers = fs.Int("net-workers", 0, "per-job net_workers option")
-		useSSE     = fs.Bool("sse", false, "follow jobs over SSE instead of polling")
-		timeout    = fs.Duration("timeout", 5*time.Minute, "per-job completion deadline")
+		addr    = fs.String("addr", "http://127.0.0.1:8080", "sadpd base URL")
+		n       = fs.Int("n", 8, "total jobs to submit")
+		c       = fs.Int("c", 4, "concurrent client workers")
+		nets    = fs.Int("nets", 120, "nets per generated benchmark")
+		tracks  = fs.Int("tracks", 48, "die width/height in tracks")
+		layers  = fs.Int("layers", 3, "routing layers")
+		seed    = fs.Int64("seed", 1, "base PRNG seed; job i uses seed+i")
+		useSSE  = fs.Bool("sse", false, "follow jobs over SSE instead of polling")
+		timeout = fs.Duration("timeout", 5*time.Minute, "per-job completion deadline")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -85,8 +84,7 @@ func run(args []string, stdout io.Writer) error {
 				}
 				if err := oneJob(client, *addr, i, jobSpec{
 					nets: *nets, tracks: *tracks, layers: *layers,
-					seed: *seed + int64(i), netWorkers: *netWorkers,
-					sse: *useSSE, timeout: *timeout,
+					seed: *seed + int64(i), sse: *useSSE, timeout: *timeout,
 				}, &tally); err != nil {
 					tally.errored.Add(1)
 					fmt.Fprintf(stdout, "job %d: %v\n", i, err)
@@ -97,8 +95,8 @@ func run(args []string, stdout io.Writer) error {
 	wg.Wait()
 	wall := time.Since(start)
 
-	fmt.Fprintf(stdout, "submitted %d jobs (%d workers, %d nets x %d tracks, net_workers=%d)\n",
-		*n, workers, *nets, *tracks, *netWorkers)
+	fmt.Fprintf(stdout, "submitted %d jobs (%d workers, %d nets x %d tracks)\n",
+		*n, workers, *nets, *tracks)
 	fmt.Fprintf(stdout, "done %d failed %d canceled %d rejected-retried %d client-errors %d\n",
 		tally.done.Load(), tally.failed.Load(), tally.canceled.Load(),
 		tally.rejected.Load(), tally.errored.Load())
@@ -112,7 +110,6 @@ func run(args []string, stdout io.Writer) error {
 type jobSpec struct {
 	nets, tracks, layers int
 	seed                 int64
-	netWorkers           int
 	sse                  bool
 	timeout              time.Duration
 }
@@ -132,10 +129,6 @@ func oneJob(client *http.Client, addr string, i int, spec jobSpec, tally *outcom
 	req := serve.Request{
 		Name:    nl.Name,
 		Netlist: nltext.String(),
-	}
-	if spec.netWorkers > 0 {
-		nw := spec.netWorkers
-		req.Options = &serve.OptionsPayload{NetWorkers: &nw}
 	}
 	body, err := json.Marshal(req)
 	if err != nil {

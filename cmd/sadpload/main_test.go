@@ -20,7 +20,7 @@ func TestLoadPolling(t *testing.T) {
 	var out strings.Builder
 	err := run([]string{
 		"-addr", ts.URL, "-n", "3", "-c", "2",
-		"-nets", "8", "-tracks", "16", "-net-workers", "2",
+		"-nets", "8", "-tracks", "16",
 	}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())

@@ -41,9 +41,8 @@ func run(args []string, stdout io.Writer) (err error) {
 		in         = fs.String("in", "", "netlist file (see package netlist for the format)")
 		svgDir     = fs.String("svg", "", "directory for per-layer SVG renderings (optional)")
 		noFlip     = fs.Bool("no-flip", false, "disable the color-flipping DP")
-		netWorkers = fs.Int("net-workers", 0, "concurrent nets within the routing run (internal/sched); <2 = serial, result byte-identical either way")
 		dcache     = fs.Bool("decomp-cache", true, "memoize the decomposition oracle by layout content (internal/decomp); result byte-identical either way")
-		sparseOn   = fs.Bool("sparse", false, "route long nets on the corridor graph (internal/sparse); serial runs only, adopted paths are dense-cost-optimal")
+		sparseOn   = fs.Bool("sparse", false, "route long nets on the corridor graph (internal/sparse); adopted paths are dense-cost-optimal")
 		noGamma    = fs.Bool("no-gamma", false, "disable the type-2-b routing penalty")
 		traceFile  = fs.String("trace", "", "write a deterministic JSONL trace of the run to this file")
 		resultFile = fs.String("result", "", "write the canonical deterministic result dump (summary, paths, colors, counters; no wall-clock) to this file — byte-identical to the sadpd daemon's result_text for the same input")
@@ -84,7 +83,6 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 
 	opt := sadp.Defaults()
-	opt.NetWorkers = *netWorkers
 	opt.DecompCache = *dcache
 	opt.SparseSearch = *sparseOn
 	if *noFlip {

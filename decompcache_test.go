@@ -8,34 +8,45 @@ import (
 	"sadproute/internal/obs"
 )
 
-// cacheDump routes one spec with the given cache setting and worker count
-// and returns the canonical run dump plus the raw JSONL trace bytes (see
-// routeDump). Both the sched.* family (absent in serial runs) and the
-// decomp.* family (a cache hit returns the stored Result without
-// re-running the oracle, so the work counters legitimately differ) are
-// zeroed; every other counter must match across configurations.
-func cacheDump(t *testing.T, sp Spec, cache bool, workers int) (string, string) {
+// cacheSpecs are the benchmarks of the decomposition cache equivalence
+// suite: varied density, pin multiplicity and blockage count, small enough
+// that each routes twice in seconds.
+var cacheSpecs = []Spec{
+	{Name: "eqA", Nets: 140, Tracks: 56, Layers: 3, Seed: 301, PinCandidates: 1, AvgHPWL: 5, Blockages: 2},
+	{Name: "eqB", Nets: 120, Tracks: 48, Layers: 3, Seed: 302, PinCandidates: 2, AvgHPWL: 6, Blockages: 3},
+	{Name: "eqC", Nets: 200, Tracks: 72, Layers: 3, Seed: 303, PinCandidates: 3, AvgHPWL: 7, Blockages: 4},
+}
+
+// routeDump routes one spec under opt and returns a canonical dump of
+// everything observable about the run — paths, colors, wirelength,
+// decomposition totals, obs counters, per-net attribution — plus the raw
+// JSONL trace bytes. Stage times and CPU are wall-clock and excluded. The
+// decomp.* family is zeroed (a cache hit returns the stored Result without
+// re-running the oracle, so the work counters legitimately differ); every
+// other counter must match across configurations. Failures are reported
+// with t.Errorf, so concurrent callers may share t.
+func routeDump(t *testing.T, sp Spec, opt Options) (string, string) {
 	t.Helper()
 	nl := Generate(sp)
-	opt := Defaults()
-	opt.DecompCache = cache
-	opt.NetWorkers = workers
 	rec := NewRecorder()
 	var tr bytes.Buffer
 	rec.SetTrace(&tr)
 	opt.Obs = rec
 	res := Route(nl, Node10nm(), opt)
 	if err := rec.TraceErr(); err != nil {
-		t.Fatal(err)
+		t.Errorf("%s: %v", sp.Name, err)
+	}
+	// Paranoid mode kept a deep copy of every cached Result; nil otherwise.
+	if err := res.DecompCacheCheck(); err != nil {
+		t.Errorf("%s: %v", sp.Name, err)
 	}
 	snap := rec.Snapshot()
-	snap.ZeroFamily("sched.")
 	snap.ZeroFamily("decomp.")
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "routed=%d failed=%d wl=%d vias=%d\n",
 		res.Routed, res.Failed, res.WirelengthCells, res.Vias)
 	b.WriteString(snap.CountersString())
-	// Per-net attribution happens in the serial commit phase and never in
+	// Per-net attribution happens in the router's commit loop and never in
 	// the oracle, so the table must be identical with the cache on or off.
 	b.WriteString(obs.NetStatsString(rec.NetStats()))
 	fmt.Fprintf(&b, "paths=%v\n", res.Paths)
@@ -49,36 +60,41 @@ func cacheDump(t *testing.T, sp Spec, cache bool, workers int) (string, string) 
 	return b.String(), tr.String()
 }
 
+// cacheOpts returns the defaults with the decomposition cache set.
+func cacheOpts(cache bool) Options {
+	opt := Defaults()
+	opt.DecompCache = cache
+	return opt
+}
+
+// traceDiff reports the first byte at which two traces diverge, with
+// context on both sides.
+func traceDiff(want, got string) string {
+	i := 0
+	for i < len(want) && i < len(got) && want[i] == got[i] {
+		i++
+	}
+	lo := max(i-120, 0)
+	return fmt.Sprintf("first divergence at byte %d:\n--- want\n...%s\n--- got\n...%s",
+		i, want[lo:min(i+120, len(want))], got[lo:min(i+120, len(got))])
+}
+
 // TestDecompCacheMatchesUncached is the tentpole's equivalence guarantee:
 // routing with the decomposition memo cache (Options.DecompCache, the
 // default) produces a byte-identical result — paths, colors, overlay
-// totals, every non-decomp/non-sched counter, and the JSONL trace stream
-// — to the uncached oracle, serially and under intra-instance
-// parallelism. CI also diffs the experiment harness's golden tables with
-// the cache off against the committed (cached) goldens.
+// totals, every non-decomp counter, and the JSONL trace stream — to the
+// uncached oracle. CI also diffs the experiment harness's golden tables
+// with the cache off against the committed (cached) goldens.
 func TestDecompCacheMatchesUncached(t *testing.T) {
-	for _, sp := range intraparSpecs {
+	for _, sp := range cacheSpecs {
 		t.Run(sp.Name, func(t *testing.T) {
-			want, wantTr := cacheDump(t, sp, false, 0)
-			for _, cfg := range []struct {
-				cache   bool
-				workers int
-			}{{true, 0}, {false, 4}, {true, 4}} {
-				got, gotTr := cacheDump(t, sp, cfg.cache, cfg.workers)
-				if got != want {
-					t.Fatalf("cache=%v workers=%d diverges from uncached serial:\n--- uncached\n%s\n--- got\n%s",
-						cfg.cache, cfg.workers, want, got)
-				}
-				if gotTr != wantTr {
-					i := 0
-					for i < len(wantTr) && i < len(gotTr) && wantTr[i] == gotTr[i] {
-						i++
-					}
-					lo := max(i-120, 0)
-					t.Fatalf("cache=%v workers=%d trace diverges at byte %d:\n--- uncached\n...%s\n--- got\n...%s",
-						cfg.cache, cfg.workers, i, wantTr[lo:min(i+120, len(wantTr))],
-						gotTr[lo:min(i+120, len(gotTr))])
-				}
+			want, wantTr := routeDump(t, sp, cacheOpts(false))
+			got, gotTr := routeDump(t, sp, cacheOpts(true))
+			if got != want {
+				t.Fatalf("cached run diverges from uncached:\n--- uncached\n%s\n--- cached\n%s", want, got)
+			}
+			if gotTr != wantTr {
+				t.Fatalf("cached trace diverges from uncached: %s", traceDiff(wantTr, gotTr))
 			}
 		})
 	}
@@ -90,7 +106,7 @@ func TestDecompCacheMatchesUncached(t *testing.T) {
 // equivalence test above proves nothing about the hit path.
 func TestDecompCacheEngages(t *testing.T) {
 	var hits, misses int64
-	for _, sp := range intraparSpecs {
+	for _, sp := range cacheSpecs {
 		nl := Generate(sp)
 		opt := Defaults()
 		rec := NewRecorder()
@@ -117,7 +133,7 @@ func TestDecompCacheEngages(t *testing.T) {
 // stored — no router or metrics code wrote through shared cache data —
 // and the check itself provably detects such a write.
 func TestDecompCacheResultsImmutable(t *testing.T) {
-	sp := intraparSpecs[0]
+	sp := cacheSpecs[0]
 	nl := Generate(sp)
 	opt := Defaults()
 	opt.DecompParanoid = true

@@ -108,9 +108,7 @@ func min(a, b int) int {
 // across a worker pool must merge into the same canonical-order Metrics,
 // the same per-cell JSONL traces and the same per-net attribution as the
 // serial run — workers get private recorders, so concurrency can reorder
-// only wall-clock, never results. The net-workers axis joins the matrix
-// too: intra-instance parallelism may only populate the sched.* metric
-// family, which the dump zeroes.
+// only wall-clock, never results.
 func TestRouteDeterminismParallel(t *testing.T) {
 	specs := []bench.Spec{
 		{Name: "detP1", Nets: 90, Tracks: 40, Layers: 3, Seed: 101, PinCandidates: 2, AvgHPWL: 5, Blockages: 2},
@@ -125,18 +123,12 @@ func TestRouteDeterminismParallel(t *testing.T) {
 	type traceFile struct {
 		bytes.Buffer
 	}
-	run := func(jobs, netWorkers int) (string, map[string]*traceFile) {
+	run := func(jobs int) (string, map[string]*traceFile) {
 		traces := map[string]*traceFile{}
 		var mu sync.Mutex
-		cfg := bench.RunConfig{Rules: Node10nm()}
-		if netWorkers > 1 {
-			opt := Defaults()
-			opt.NetWorkers = netWorkers
-			cfg.RouterOptions = &opt
-		}
 		h := bench.Harness{
 			Jobs: jobs,
-			Cfg:  cfg,
+			Cfg:  bench.RunConfig{Rules: Node10nm()},
 			TraceWriter: func(c bench.Cell) (io.WriteCloser, error) {
 				mu.Lock()
 				defer mu.Unlock()
@@ -158,14 +150,13 @@ func TestRouteDeterminismParallel(t *testing.T) {
 			for j := range m.Obs.StageNS {
 				m.Obs.StageNS[j] = 0
 			}
-			m.Obs.ZeroFamily("sched.")
 			// NetStats rows must emerge in canonical net order at ANY jobs
-			// and net-workers setting: attribution happens in the serial
-			// commit phase, so the table is invariant, not just sorted.
+			// setting: attribution happens in the serial router, so the
+			// table is invariant, not just sorted.
 			for i := 1; i < len(m.NetStats); i++ {
 				if m.NetStats[i-1].Net >= m.NetStats[i].Net {
-					t.Fatalf("jobs=%d workers=%d %s: NetStats out of canonical order (net %d before net %d)",
-						jobs, netWorkers, m.Bench, m.NetStats[i-1].Net, m.NetStats[i].Net)
+					t.Fatalf("jobs=%d %s: NetStats out of canonical order (net %d before net %d)",
+						jobs, m.Bench, m.NetStats[i-1].Net, m.NetStats[i].Net)
 				}
 			}
 			fmt.Fprintf(&b, "%s/%s rout=%.2f so=%.1f conf=%d wl=%d vias=%d ripups=%d\n%s%s",
@@ -175,14 +166,10 @@ func TestRouteDeterminismParallel(t *testing.T) {
 		}
 		return b.String(), traces
 	}
-	serial, serialTr := run(1, 1)
-	parallel, parallelTr := run(4, 1)
+	serial, serialTr := run(1)
+	parallel, parallelTr := run(4)
 	if serial != parallel {
 		t.Fatalf("parallel harness is not deterministic:\n--- jobs=1\n%s\n--- jobs=4\n%s", serial, parallel)
-	}
-	netpar, netparTr := run(4, 4)
-	if serial != netpar {
-		t.Fatalf("net-workers=4 run diverges from serial:\n--- workers=1\n%s\n--- workers=4\n%s", serial, netpar)
 	}
 	if len(serialTr) != 2 {
 		t.Fatalf("want 2 traces (one per ours-cell), got %d", len(serialTr))
@@ -194,9 +181,6 @@ func TestRouteDeterminismParallel(t *testing.T) {
 		}
 		if !bytes.Equal(s.Bytes(), p.Bytes()) {
 			t.Fatalf("trace %s is not byte-identical between serial and parallel runs", name)
-		}
-		if n, ok := netparTr[name]; !ok || !bytes.Equal(s.Bytes(), n.Bytes()) {
-			t.Fatalf("trace %s is not byte-identical under net-workers=4 (present: %v)", name, ok)
 		}
 	}
 }

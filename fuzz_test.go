@@ -1,25 +1,25 @@
 package sadp
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
 	"sadproute/internal/grid"
-	"sadproute/internal/obs"
 )
 
-// FuzzScheduleCommitOrder drives the parallel net scheduler with fuzzed
-// benchmark shapes and worker counts and checks the tentpole's contract
-// from the outside: the committed result equals the serial run exactly
-// (commit order is the canonical order, so every path, failure, counter
-// and color matches), and no two nets' committed paths ever share a grid
-// cell. The decoding is total — every byte string yields a routable
+// FuzzScheduleCommitOrder checks the router's commit contract from the
+// outside on fuzzed benchmark shapes. Nets commit one at a time in
+// canonical order, so the routed result is a pure function of the input:
+// a second run — with the decomposition cache toggled by the last input
+// byte and Paranoid copies on — matches the default run exactly (totals,
+// paths, colors, per-net attribution in canonical net order) and leaves
+// every cached Result intact; and no two nets' committed paths ever share
+// a grid cell. The decoding is total — every byte string yields a routable
 // instance small enough to route twice per input.
 func FuzzScheduleCommitOrder(f *testing.F) {
 	f.Add([]byte{40, 18, 7, 1, 5, 2, 4})
 	f.Add([]byte{12, 12, 3, 2, 3, 0, 2})
-	f.Add([]byte{90, 28, 11, 3, 6, 3, 8})
+	f.Add([]byte{90, 28, 11, 3, 6, 3, 9})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pos := 0
@@ -41,51 +41,57 @@ func FuzzScheduleCommitOrder(f *testing.F) {
 			AvgHPWL:       3 + next()%5,
 			Blockages:     next() % 4,
 		}
-		workers := 2 + next()%7
 		nl := Generate(sp)
 		ds := Node10nm()
 
-		serial := Route(nl, ds, Defaults())
-
-		opt := Defaults()
-		opt.NetWorkers = workers
 		rec := NewRecorder()
+		opt := Defaults()
 		opt.Obs = rec
-		par := Route(nl, ds, opt)
+		first := Route(nl, ds, opt)
 
-		if par.Routed != serial.Routed || par.Failed != serial.Failed ||
-			par.WirelengthCells != serial.WirelengthCells || par.Vias != serial.Vias {
-			t.Fatalf("workers=%d totals diverge: serial routed=%d failed=%d wl=%d vias=%d, parallel routed=%d failed=%d wl=%d vias=%d",
-				workers, serial.Routed, serial.Failed, serial.WirelengthCells, serial.Vias,
-				par.Routed, par.Failed, par.WirelengthCells, par.Vias)
+		rec2 := NewRecorder()
+		opt2 := Defaults()
+		opt2.DecompCache = next()%2 == 1
+		opt2.DecompParanoid = true
+		opt2.Obs = rec2
+		second := Route(nl, ds, opt2)
+
+		if err := second.DecompCacheCheck(); err != nil {
+			t.Fatalf("cache=%v: %v", opt2.DecompCache, err)
 		}
-		if !reflect.DeepEqual(par.Paths, serial.Paths) {
-			t.Fatalf("workers=%d paths diverge from the serial commit order", workers)
+		if second.Routed != first.Routed || second.Failed != first.Failed ||
+			second.WirelengthCells != first.WirelengthCells || second.Vias != first.Vias {
+			t.Fatalf("cache=%v totals diverge: first routed=%d failed=%d wl=%d vias=%d, second routed=%d failed=%d wl=%d vias=%d",
+				opt2.DecompCache, first.Routed, first.Failed, first.WirelengthCells, first.Vias,
+				second.Routed, second.Failed, second.WirelengthCells, second.Vias)
 		}
-		if !reflect.DeepEqual(par.Colors, serial.Colors) {
-			t.Fatalf("workers=%d colors diverge from the serial run", workers)
+		if !reflect.DeepEqual(second.Paths, first.Paths) {
+			t.Fatalf("cache=%v paths diverge between runs of the same input", opt2.DecompCache)
+		}
+		if !reflect.DeepEqual(second.Colors, first.Colors) {
+			t.Fatalf("cache=%v colors diverge between runs of the same input", opt2.DecompCache)
+		}
+		stats := rec.NetStats()
+		if !reflect.DeepEqual(rec2.NetStats(), stats) {
+			t.Fatalf("cache=%v per-net attribution (attempts/rip-ups/fails) diverges between runs", opt2.DecompCache)
+		}
+		for i := 1; i < len(stats); i++ {
+			if stats[i-1].Net >= stats[i].Net {
+				t.Fatalf("per-net attribution out of canonical order: net %d before net %d", stats[i-1].Net, stats[i].Net)
+			}
 		}
 
-		// No committed path may overlap a previously committed one: cells
-		// are exclusive per net (a net may legitimately revisit its own
-		// cells around via stacks).
+		// No committed path may overlap another net's: cells are exclusive
+		// per net (a net may legitimately revisit its own cells around via
+		// stacks).
 		owner := make(map[grid.Cell]int)
-		for id, path := range par.Paths {
+		for id, path := range first.Paths {
 			for _, c := range path {
 				if prev, taken := owner[c]; taken && prev != id {
 					t.Fatalf("nets %d and %d both committed cell %+v", prev, id, c)
 				}
 				owner[c] = id
 			}
-		}
-
-		snap := rec.Snapshot()
-		hits := snap.Counter(obs.CtrSchedSpecHits)
-		retries := snap.Counter(obs.CtrSchedSpecRetries)
-		searches := snap.Counter(obs.CtrSchedSpecSearches)
-		if hits+retries > searches {
-			t.Fatalf("sched counters inconsistent: hits=%d retries=%d searches=%d (%s)",
-				hits, retries, searches, fmt.Sprint(sp))
 		}
 	})
 }

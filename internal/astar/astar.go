@@ -10,7 +10,6 @@ package astar
 import (
 	"sync"
 
-	"sadproute/internal/geom"
 	"sadproute/internal/grid"
 	"sadproute/internal/obs"
 )
@@ -79,10 +78,6 @@ type Engine struct {
 	Pushes   int // heap pushes of the last search
 	Pops     int // heap pops of the last search
 	HeapPeak int // open-list high-water mark of the last search
-	// Read-region tracking for speculative routing (ReadBBox): the XY
-	// bounding box of every source, target and expanded cell of the last
-	// search. Maintained unconditionally — four compares per expansion.
-	rx0, ry0, rx1, ry1 int
 	// Rec, when non-nil, receives the per-search statistics (counters plus
 	// the heap-peak gauge) in one flush at the end of every search.
 	Rec *obs.Recorder
@@ -239,13 +234,6 @@ func (e *Engine) Search(id int32, sources, targets []grid.Cell, cfg Config) ([]g
 	}
 	e.queue = e.queue[:0]
 	e.Expand, e.Pushes, e.Pops, e.HeapPeak = 0, 0, 0, 0
-	e.rx0, e.ry0, e.rx1, e.ry1 = int(^uint(0)>>1), int(^uint(0)>>1), -1<<30, -1<<30
-	for _, s := range sources {
-		e.note(s)
-	}
-	for _, t := range targets {
-		e.note(t)
-	}
 	defer e.flushObs()
 	if !cfg.nonNegative() || e.begin(sources, targets, cfg) == 0 {
 		return nil, false
@@ -279,7 +267,6 @@ func (e *Engine) Search(id int32, sources, targets []grid.Cell, cfg Config) ([]g
 			return e.trace(i), true
 		}
 		c := e.cell(i)
-		e.note(c)
 		e.stepCosts(id, i, c, &costs)
 		for d, m := range &moves {
 			if costs[d] >= 0 {
@@ -373,8 +360,7 @@ func (e *Engine) stepCosts(id int32, i int, c grid.Cell, out *[6]int) {
 // cfg charges for path, a source→target chain of unit moves. ok is false
 // when a step is not a unit move inside the grid or enters a cell the net
 // may not enter, and when cfg has a negative weight. Price starts a new
-// search id but leaves the statistics and read region of the last Search
-// untouched.
+// search id but leaves the statistics of the last Search untouched.
 func (e *Engine) Price(id int32, sources, targets, path []grid.Cell, cfg Config) (int, bool) {
 	if !cfg.nonNegative() {
 		return 0, false
@@ -441,37 +427,6 @@ func (e *Engine) pushNode(i int, c grid.Cell, gcost int, parent int32) {
 	if n := len(e.queue); n > e.HeapPeak {
 		e.HeapPeak = n
 	}
-}
-
-// note grows the read-region bounding box to cover c.
-func (e *Engine) note(c grid.Cell) {
-	if c.X < e.rx0 {
-		e.rx0 = c.X
-	}
-	if c.X > e.rx1 {
-		e.rx1 = c.X
-	}
-	if c.Y < e.ry0 {
-		e.ry0 = c.Y
-	}
-	if c.Y > e.ry1 {
-		e.ry1 = c.Y
-	}
-}
-
-// ReadBBox over-approximates, as an XY bounding box in cell coordinates,
-// the set of grid cells whose occupancy or penalty the last Search may have
-// read: every expanded cell, every source and target candidate, plus a
-// two-cell margin covering neighbor probes and the type-2-b one-cell
-// lookahead. Any cell outside the box provably did not influence
-// the search result, which is exactly the property the speculative net
-// scheduler (internal/sched) needs to validate a concurrently computed
-// path at commit time.
-func (e *Engine) ReadBBox() geom.Rect {
-	if e.rx1 < e.rx0 {
-		return geom.Rect{}
-	}
-	return geom.Rect{X0: e.rx0, Y0: e.ry0, X1: e.rx1 + 1, Y1: e.ry1 + 1}.Expand(2)
 }
 
 // flushObs reports the last search's statistics to the attached Recorder

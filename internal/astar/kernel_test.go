@@ -82,7 +82,6 @@ type refResult struct {
 	path                           []grid.Cell
 	ok                             bool
 	expand, pushes, pops, heapPeak int
-	read                           geom.Rect
 }
 
 // refSearch is the reference the kernel is differentially checked
@@ -94,24 +93,12 @@ func refSearch(g *grid.Grid, id int32, sources, targets []grid.Cell, cfg Config,
 	if len(sources) == 0 || len(targets) == 0 {
 		return r, 0
 	}
-	x0, y0, x1, y1 := int(^uint(0)>>1), int(^uint(0)>>1), -1<<30, -1<<30
-	note := func(c grid.Cell) {
-		x0, y0 = min(x0, c.X), min(y0, c.Y)
-		x1, y1 = max(x1, c.X), max(y1, c.Y)
-	}
-	defer func() {
-		if x1 >= x0 {
-			r.read = geom.Rect{X0: x0, Y0: y0, X1: x1 + 1, Y1: y1 + 1}.Expand(2)
-		}
-	}()
 	pins := map[grid.Cell]bool{}
 	goals := map[grid.Cell]bool{}
 	for _, s := range sources {
-		note(s)
 		pins[s] = true
 	}
 	for _, t := range targets {
-		note(t)
 		pins[t] = true
 		if g.In(t) {
 			goals[t] = true
@@ -179,7 +166,6 @@ func refSearch(g *grid.Grid, id int32, sources, targets []grid.Cell, cfg Config,
 			return r, it.g
 		}
 		c := it.c
-		note(c)
 		for _, m := range moves {
 			nc := grid.Cell{X: c.X + m.X, Y: c.Y + m.Y, L: c.L + m.L}
 			if !g.In(nc) {
@@ -254,7 +240,7 @@ func kernelQuery(rng *rand.Rand, g *grid.Grid) (int32, []grid.Cell, []grid.Cell,
 }
 
 // checkKernel runs one search on the kernel and on the reference and fails
-// on any difference in path, statistics or read region; for found paths it
+// on any difference in path or statistics; for found paths it
 // also checks Price against the search cost and, without an expansion
 // budget, the cost against Dijkstra.
 func checkKernel(t *testing.T, e *Engine, g *grid.Grid, id int32, src, tgt []grid.Cell, cfg Config) {
@@ -264,7 +250,6 @@ func checkKernel(t *testing.T, e *Engine, g *grid.Grid, id int32, src, tgt []gri
 	got := refResult{
 		path: path, ok: ok,
 		expand: e.Expand, pushes: e.Pushes, pops: e.Pops, heapPeak: e.HeapPeak,
-		read: e.ReadBBox(),
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("kernel and reference disagree on %dx%dx%d grid, net %d, %v -> %v, cfg %+v:\nkernel    %+v\nreference %+v",
@@ -310,7 +295,7 @@ func TestKernelMatchesReference(t *testing.T) {
 // FuzzAstarKernel is the differential bar for the inline-priced kernel:
 // on random grids with blockages, foreign and own cells, penalty planes,
 // multi-candidate pins and random cost weights, it must return the
-// reference search's path, Expand/Pushes/Pops/HeapPeak and ReadBBox.
+// reference search's path and Expand/Pushes/Pops/HeapPeak.
 func FuzzAstarKernel(f *testing.F) {
 	for s := int64(0); s < 16; s++ {
 		f.Add(s)

@@ -7,14 +7,13 @@
 // The schema separates three trust levels per cell, and consumers must not
 // mix them:
 //
-//   - "det" is byte-identical across runs, machines, -jobs and
-//     -net-workers for a fixed spec: result metrics, counters, gauges,
-//     histograms and the per-net attribution top list. The determinism
-//     tests compare ledgers on this section alone (DeterministicBytes).
-//   - "sched" is deterministic only for a fixed NetWorkers configuration
-//     (empty on serial runs, identical for every NetWorkers >= 2): the
-//     sched.* counter and histogram family, plus the ripup.* episode
-//     speculation family, which likewise engages only with spare workers.
+//   - "det" is byte-identical across runs, machines and -jobs for a
+//     fixed spec: result metrics, counters, gauges, histograms and the
+//     per-net attribution top list. The determinism tests compare
+//     ledgers on this section alone (DeterministicBytes).
+//   - "sched" is deterministic only for a fixed execution strategy: the
+//     sparse.* corridor-search family, empty unless Options.SparseSearch
+//     is on.
 //   - "timing" is wall-clock and allocation measurement — never
 //     reproducible, compared only with noise thresholds (cmd/benchdiff).
 //
@@ -29,6 +28,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"time"
 
 	"sadproute/internal/obs"
@@ -62,7 +62,7 @@ type LedgerCell struct {
 func (c *LedgerCell) Key() string { return c.Exp + "/" + c.Bench + "/" + c.Algo }
 
 // LedgerDet is the deterministic section: byte-identical across runs,
-// machines, -jobs and -net-workers for a fixed spec and rules set.
+// machines and -jobs for a fixed spec and rules set.
 type LedgerDet struct {
 	Nets         int     `json:"nets"`
 	NA           bool    `json:"na,omitempty"`
@@ -78,19 +78,18 @@ type LedgerDet struct {
 	// (encoding/json emits map keys sorted, so the bytes are stable).
 	Counters map[string]int64 `json:"counters,omitempty"`
 	Gauges   map[string]int64 `json:"gauges,omitempty"`
-	// Hists holds each non-empty, non-sched histogram's full bucket-count
-	// array plus its inclusive upper bounds (the last bucket is overflow).
+	// Hists holds each non-empty histogram's full bucket-count array plus
+	// its inclusive upper bounds (the last bucket is overflow).
 	Hists map[string]LedgerHist `json:"hists,omitempty"`
 	// TopNets is the head of the per-net work attribution table, ranked by
 	// expanded nodes descending (net id ascending on ties).
 	TopNets []LedgerNet `json:"top_nets,omitempty"`
 }
 
-// LedgerSched is the configuration-dependent section: the sched.* family,
-// empty on serial runs and identical for every NetWorkers >= 2.
+// LedgerSched is the configuration-dependent section: the sparse.*
+// family, empty unless Options.SparseSearch is on.
 type LedgerSched struct {
-	Counters map[string]int64      `json:"counters,omitempty"`
-	Hists    map[string]LedgerHist `json:"hists,omitempty"`
+	Counters map[string]int64 `json:"counters,omitempty"`
 }
 
 // LedgerHist is one serialized histogram.
@@ -232,13 +231,6 @@ func makeCell(exp string, m *Metrics) LedgerCell {
 		}
 		bounds := id.Bounds()
 		h := LedgerHist{Le: append([]int64(nil), bounds[:]...), Counts: append([]int64(nil), counts[:]...)}
-		if isSchedMetric(name) {
-			if c.Sched.Hists == nil {
-				c.Sched.Hists = map[string]LedgerHist{}
-			}
-			c.Sched.Hists[name] = h
-			return
-		}
 		if c.Det.Hists == nil {
 			c.Det.Hists = map[string]LedgerHist{}
 		}
@@ -257,15 +249,12 @@ func makeCell(exp string, m *Metrics) LedgerCell {
 	return c
 }
 
-// isSchedMetric reports whether a metric belongs to an execution-strategy
-// family (see package comment): sched.* varies with NetWorkers, ripup.*
-// with Options.RipupSpec, sparse.* with Options.SparseSearch. All describe
-// how the result was computed, not what was computed, so the det section
-// excludes them.
+// isSchedMetric reports whether a metric belongs to the execution-strategy
+// family (see package comment): sparse.* varies with Options.SparseSearch.
+// It describes how the result was computed, not what was computed, so the
+// det section excludes it.
 func isSchedMetric(name string) bool {
-	return (len(name) >= 6 && name[:6] == "sched.") ||
-		(len(name) >= 6 && name[:6] == "ripup.") ||
-		(len(name) >= 7 && name[:7] == "sparse.")
+	return strings.HasPrefix(name, "sparse.")
 }
 
 // topNets ranks the attribution table by expanded nodes descending, net id
@@ -341,8 +330,8 @@ func ReadLedger(path string) (*Ledger, error) {
 
 // DeterministicBytes serializes only the invariant identity of the ledger:
 // rev, and each cell's key plus "det" section. Two runs of the same
-// revision and specs must produce identical bytes at any -jobs or
-// -net-workers — the determinism tests enforce exactly this.
+// revision and specs must produce identical bytes at any -jobs — the
+// determinism tests enforce exactly this.
 func (l *Ledger) DeterministicBytes() ([]byte, error) {
 	type detCell struct {
 		Key string    `json:"key"`

@@ -12,16 +12,11 @@ import (
 	"sadproute/internal/rules"
 )
 
-// ledgerRows routes the harness suite at the given jobs/net-workers and
-// returns the rows.
-func ledgerRows(t *testing.T, jobs, netWorkers int) []Metrics {
+// ledgerRows routes the harness suite at the given jobs with the given
+// router options (nil = defaults) and returns the rows.
+func ledgerRows(t *testing.T, jobs int, opt *router.Options) []Metrics {
 	t.Helper()
-	cfg := RunConfig{Rules: rules.Node10nm()}
-	if netWorkers > 1 {
-		opt := router.Defaults()
-		opt.NetWorkers = netWorkers
-		cfg.RouterOptions = &opt
-	}
+	cfg := RunConfig{Rules: rules.Node10nm(), RouterOptions: opt}
 	rows, err := Harness{Jobs: jobs, Cfg: cfg}.Run(harnessCells())
 	if err != nil {
 		t.Fatal(err)
@@ -31,15 +26,13 @@ func ledgerRows(t *testing.T, jobs, netWorkers int) []Metrics {
 
 // TestLedgerDeterministicBytes is the ledger half of the byte-identity
 // acceptance criterion: the "det" section of BENCH_*.json is identical
-// across runs, -jobs 1/4 and -net-workers 1/4; wall-clock lives only in
-// the timing/env sections.
+// across runs and -jobs 1/4; wall-clock lives only in the timing/env
+// sections.
 func TestLedgerDeterministicBytes(t *testing.T) {
 	var want []byte
-	for _, cfg := range []struct{ jobs, workers int }{
-		{1, 1}, {4, 1}, {1, 4}, {4, 4}, {1, 1},
-	} {
-		l := NewLedger("test", cfg.jobs)
-		l.Add("suite", ledgerRows(t, cfg.jobs, cfg.workers))
+	for _, jobs := range []int{1, 4, 1} {
+		l := NewLedger("test", jobs)
+		l.Add("suite", ledgerRows(t, jobs, nil))
 		got, err := l.DeterministicBytes()
 		if err != nil {
 			t.Fatal(err)
@@ -54,17 +47,19 @@ func TestLedgerDeterministicBytes(t *testing.T) {
 				i++
 			}
 			lo := max(i-200, 0)
-			t.Fatalf("jobs=%d workers=%d: deterministic ledger bytes diverge at %d:\n--- want\n...%s\n--- got\n...%s",
-				cfg.jobs, cfg.workers, i, want[lo:min(i+200, len(want))], got[lo:min(i+200, len(got))])
+			t.Fatalf("jobs=%d: deterministic ledger bytes diverge at %d:\n--- want\n...%s\n--- got\n...%s",
+				jobs, i, want[lo:min(i+200, len(want))], got[lo:min(i+200, len(got))])
 		}
 	}
 }
 
-// TestLedgerSections checks the three-section split: sched.* metrics land
+// TestLedgerSections checks the three-section split: sparse.* metrics land
 // in "sched" (never "det"), wall time and allocs in "timing", and the det
 // section carries counters, histograms and the attribution head.
 func TestLedgerSections(t *testing.T) {
-	rows := ledgerRows(t, 1, 4)
+	opt := router.Defaults()
+	opt.SparseSearch, opt.SparseMinHPWL = true, 0
+	rows := ledgerRows(t, 1, &opt)
 	l := NewLedger("sections", 1)
 	l.Add("suite", rows)
 	var ours *LedgerCell
@@ -78,12 +73,12 @@ func TestLedgerSections(t *testing.T) {
 		t.Fatal("no AlgoOurs cell in ledger")
 	}
 	for name := range ours.Det.Counters {
-		if strings.HasPrefix(name, "sched.") {
-			t.Errorf("sched counter %q leaked into det section", name)
+		if strings.HasPrefix(name, "sparse.") {
+			t.Errorf("sparse counter %q leaked into det section", name)
 		}
 	}
 	if len(ours.Sched.Counters) == 0 {
-		t.Error("net-workers run has no sched counters in sched section")
+		t.Error("sparse run has no sparse counters in sched section")
 	}
 	if len(ours.Det.Counters) == 0 || len(ours.Det.Hists) == 0 {
 		t.Errorf("det section missing metrics: %+v", ours.Det)
@@ -118,7 +113,7 @@ func TestLedgerRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "BENCH_test.json")
 	l := NewLedger("roundtrip", 2)
-	l.Add("suite", ledgerRows(t, 1, 1))
+	l.Add("suite", ledgerRows(t, 1, nil))
 	if err := l.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ const DefaultCacheCap = 4096
 // prove nobody wrote to them.
 //
 // A Cache is single-goroutine state, like the Engine: the router's window
-// checks and repair passes run serially even under Options.NetWorkers.
+// checks and repair passes run serially.
 // Methods are nil-safe; a nil *Cache degrades to the uncached oracle.
 type Cache struct {
 	// Paranoid retains a private deep copy of every stored Result;
@@ -92,13 +92,10 @@ func (c *Cache) DecomposeCut(ly Layout, rec *obs.Recorder) *Result {
 		}
 	}
 	rec.Inc(obs.CtrDecompCacheMisses)
-	// Copy the key bytes BEFORE running the oracle, not after: c.key is
-	// shared serialization scratch, and a caller layered on this cache
-	// (the incremental decomposition engine computes sub-layouts through
-	// it) may re-enter DecomposeCut while the miss is being filled. The
-	// copy pins this entry's key so a nested buildKey cannot clobber it —
-	// and the entry is stored from the copy, never re-serialized
-	// (BenchmarkDecompCacheMiss asserts exactly one build per lookup).
+	// c.key is shared serialization scratch that the next lookup
+	// overwrites, so the entry keeps its own copy — stored from the copy,
+	// never re-serialized (BenchmarkDecompCacheMiss asserts exactly one
+	// build per lookup).
 	key := append([]byte(nil), c.key...)
 	res := c.eng.DecomposeCut(ly, rec)
 	ent := &cacheEntry{hash: h, key: key, res: res}
@@ -176,9 +173,7 @@ func (c *Cache) buildKey(ly Layout) uint64 {
 
 // layoutKey appends the canonical byte serialization of ly to k: rules,
 // die, assist mode, then the patterns sorted by net id (stable for
-// duplicates) with colors and rects. Shared by the memo cache (entry
-// keys) and the incremental engine (unchanged-layout detection and delta
-// keys, which are simply the canonical keys of sub-layouts). order is
+// duplicates) with colors and rects: the memo cache's entry key. order is
 // sort scratch; the (possibly regrown) key and scratch are returned for
 // reuse.
 func layoutKey(k []byte, order []int, ly Layout) ([]byte, []int) {

@@ -10,14 +10,21 @@ import (
 	"sadproute/internal/rules"
 )
 
+// Incremental edits through the memo cache. The router's repair loop
+// re-decomposes a layer after every reroute, so consecutive layouts
+// differ by one net: a moved rect, a dropped net, a net put back where it
+// was. These tests hold the cache to the full oracle across such edit
+// sequences: an edited layout must never be served the entry of the
+// layout it was edited from, and undoing an edit must hit again.
+
 // wire returns a one-rect pattern for net at (x, y) with size w x h.
 func wire(net int, c decomp.Color, x, y, w, h int) decomp.Pattern {
 	return decomp.Pattern{Net: net, Color: c, Rects: []geom.Rect{{X0: x, Y0: y, X1: x + w, Y1: y + h}}}
 }
 
-// twoClusters builds a layout with two groups of nets far enough apart
-// (1000 nm on a 40 nm pitch) that mutating one group can never dirty the
-// other: the guaranteed-splice fixture.
+// twoClusters builds a layout with two groups of nets far apart (1000 nm
+// on a 40 nm pitch), so an edit to one group leaves the other group's
+// geometry and verdict untouched: the smallest edit a reroute makes.
 func twoClusters() decomp.Layout {
 	return decomp.Layout{
 		Rules: rules.Node10nm(),
@@ -31,274 +38,103 @@ func twoClusters() decomp.Layout {
 	}
 }
 
-// assertSameVerdict compares every exported field of a spliced result
-// against a fresh full recompute; materials are compared by count only
-// (their canonical-order equality is what Paranoid mode proves).
-func assertSameVerdict(t *testing.T, got, want *decomp.Result) {
-	t.Helper()
-	if got.SideOverlayNM != want.SideOverlayNM || got.TipOverlayNM != want.TipOverlayNM ||
-		got.HardOverlays != want.HardOverlays || got.SideOverlayUnits != want.SideOverlayUnits {
-		t.Fatalf("aggregates diverge: got %d/%d/%d want %d/%d/%d",
-			got.SideOverlayNM, got.TipOverlayNM, got.HardOverlays,
-			want.SideOverlayNM, want.TipOverlayNM, want.HardOverlays)
-	}
-	if got.Blobs != want.Blobs {
-		t.Fatalf("blob count diverges: got %d want %d", got.Blobs, want.Blobs)
-	}
-	if !reflect.DeepEqual(got.Overlays, want.Overlays) {
-		t.Fatalf("overlays diverge:\ngot  %+v\nwant %+v", got.Overlays, want.Overlays)
-	}
-	if !reflect.DeepEqual(got.Conflicts, want.Conflicts) {
-		t.Fatalf("conflicts diverge:\ngot  %+v\nwant %+v", got.Conflicts, want.Conflicts)
-	}
-	if !reflect.DeepEqual(got.Violations, want.Violations) || !reflect.DeepEqual(got.BadNets, want.BadNets) {
-		t.Fatalf("violations diverge: got %v/%v want %v/%v", got.Violations, got.BadNets, want.Violations, want.BadNets)
-	}
-	if len(got.Materials) != len(want.Materials) {
-		t.Fatalf("material count diverges: got %d want %d", len(got.Materials), len(want.Materials))
-	}
-}
-
-func incCounters(rec *obs.Recorder) (hits, splices, fallbacks int64) {
+// editCounters returns the cache hit and miss counts plus the number of
+// real oracle runs recorded so far.
+func editCounters(rec *obs.Recorder) (hits, misses, runs int64) {
 	s := rec.Snapshot()
-	return s.Counter(obs.CtrDecompIncHits), s.Counter(obs.CtrDecompIncSplices), s.Counter(obs.CtrDecompIncFallbacks)
+	return s.Counter(obs.CtrDecompCacheHits), s.Counter(obs.CtrDecompCacheMisses), s.Counter(obs.CtrDecompositions)
 }
 
-func TestIncrementalUnchangedLayoutHits(t *testing.T) {
-	ly := twoClusters()
-	rec := obs.New()
-	inc := decomp.NewIncremental(nil)
-	inc.Paranoid = true
-	r1 := inc.DecomposeCut(ly, rec)
-	r2 := inc.DecomposeCut(ly, rec)
-	if r1 != r2 {
-		t.Fatal("unchanged layout did not return the memoized Result")
+// assertEdit decomposes base then edited through one Paranoid cache and
+// checks the edit missed, ran the oracle, and matches a fresh full
+// recompute in every field; it returns both cached Results.
+func assertEdit(t *testing.T, c *decomp.Cache, rec *obs.Recorder, base, edited decomp.Layout) (*decomp.Result, *decomp.Result) {
+	t.Helper()
+	r0 := c.DecomposeCut(base, rec)
+	r1 := c.DecomposeCut(edited, rec)
+	if r1 == r0 {
+		t.Fatal("edited layout was served the cached Result of the layout it was edited from")
 	}
-	if h, s, f := incCounters(rec); h != 1 || s != 0 || f != 0 {
-		t.Fatalf("counters hits/splices/fallbacks = %d/%d/%d, want 1/0/0", h, s, f)
+	if h, m, n := editCounters(rec); h != 0 || m != 2 || n != 2 {
+		t.Fatalf("hits/misses/oracle runs = %d/%d/%d, want 0/2/2", h, m, n)
 	}
-	if err := inc.Check(); err != nil {
+	if want := decomp.DecomposeCut(edited); !reflect.DeepEqual(r1, want) {
+		t.Fatalf("cached verdict of the edit diverges from a full recompute\ngot  %+v\nwant %+v", r1, want)
+	}
+	if err := c.CheckIntegrity(); err != nil {
 		t.Fatal(err)
 	}
+	return r0, r1
 }
 
+// TestIncrementalSpliceOnIsolatedChange: moving one net of the far
+// cluster is invisible to the near cluster, yet the edited layout must
+// miss the cache, match the full oracle, and then be the entry a repeat
+// of the same layout hits.
 func TestIncrementalSpliceOnIsolatedChange(t *testing.T) {
 	lyA := twoClusters()
 	lyB := twoClusters()
-	// Move the far cluster's core net right by five pitches; its second
-	// pattern joins the dirty region, the near cluster must not.
 	lyB.Pats[2].Rects[0] = lyB.Pats[2].Rects[0].Translate(geom.Pt{X: 200})
+	c := decomp.NewCache(0)
+	c.Paranoid = true
 	rec := obs.New()
-	inc := decomp.NewIncremental(nil)
-	inc.Paranoid = true
-	inc.DecomposeCut(lyA, rec)
-	got := inc.DecomposeCut(lyB, rec)
-	if h, s, f := incCounters(rec); s != 1 || f != 0 {
-		t.Fatalf("counters hits/splices/fallbacks = %d/%d/%d, want splice without fallback", h, s, f)
-	}
-	assertSameVerdict(t, got, decomp.DecomposeCut(lyB))
-	if err := inc.Check(); err != nil {
-		t.Fatal(err)
-	}
-	// A third call with the same layout hits the new baseline.
-	if again := inc.DecomposeCut(lyB, rec); again != got {
-		t.Fatal("spliced result was not memoized as the new baseline")
+	_, got := assertEdit(t, c, rec, lyA, lyB)
+	if again := c.DecomposeCut(lyB, rec); again != got {
+		t.Fatal("edited layout's Result was not memoized")
 	}
 }
 
+// TestIncrementalSpliceOnNetRemoval: ripping up a net drops its pattern
+// from the layer; the shorter layout must miss and match the full oracle.
 func TestIncrementalSpliceOnNetRemoval(t *testing.T) {
 	lyA := twoClusters()
 	lyB := twoClusters()
 	lyB.Pats = lyB.Pats[:3] // drop net 3 (far cluster's second pattern)
-	rec := obs.New()
-	inc := decomp.NewIncremental(nil)
-	inc.Paranoid = true
-	inc.DecomposeCut(lyA, rec)
-	got := inc.DecomposeCut(lyB, rec)
-	if _, s, f := incCounters(rec); s != 1 || f != 0 {
-		t.Fatalf("splices/fallbacks = %d/%d, want 1/0", s, f)
-	}
-	assertSameVerdict(t, got, decomp.DecomposeCut(lyB))
-	if err := inc.Check(); err != nil {
-		t.Fatal(err)
-	}
+	c := decomp.NewCache(0)
+	c.Paranoid = true
+	assertEdit(t, c, obs.New(), lyA, lyB)
 }
 
-func TestIncrementalFallbackWhenRegionSwallowsLayer(t *testing.T) {
-	// All four nets within one influence radius: any change dirties
-	// everything and the splice must fall back.
-	dense := decomp.Layout{
-		Rules: rules.Node10nm(),
-		Die:   geom.Rect{X0: -400, Y0: -400, X1: 1600, Y1: 1600},
-		Pats: []decomp.Pattern{
-			wire(0, decomp.Core, 0, 0, 200, 20),
-			wire(1, decomp.Second, 0, 40, 200, 20),
-			wire(2, decomp.Core, 0, 80, 200, 20),
-			wire(3, decomp.Second, 0, 120, 200, 20),
-		},
-	}
-	mut := dense
-	mut.Pats = append([]decomp.Pattern(nil), dense.Pats...)
-	mut.Pats[0] = wire(0, decomp.Core, 40, 0, 200, 20)
-	rec := obs.New()
-	inc := decomp.NewIncremental(nil)
-	inc.Paranoid = true
-	got := inc.DecomposeCut(dense, rec)
-	assertSameVerdict(t, got, decomp.DecomposeCut(dense))
-	got = inc.DecomposeCut(mut, rec)
-	if _, s, f := incCounters(rec); s != 0 || f != 1 {
-		t.Fatalf("splices/fallbacks = %d/%d, want 0/1", s, f)
-	}
-	assertSameVerdict(t, got, decomp.DecomposeCut(mut))
-	if err := inc.Check(); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestIncrementalFallbackOnViolations: a layer whose verdict carries
+// violations (an unassigned pattern) is cached like any other — an edit
+// to it misses, keeps the violations the full oracle reports, and the
+// unedited layout still hits its own entry.
 func TestIncrementalFallbackOnViolations(t *testing.T) {
 	ly := twoClusters()
-	ly.Pats[0].Color = decomp.Unassigned // poisons the baseline verdict
+	ly.Pats[0].Color = decomp.Unassigned // poisons the verdict
 	mut := twoClusters()
 	mut.Pats[0].Color = decomp.Unassigned
 	mut.Pats[2].Rects[0] = mut.Pats[2].Rects[0].Translate(geom.Pt{X: 200})
+	c := decomp.NewCache(0)
+	c.Paranoid = true
 	rec := obs.New()
-	inc := decomp.NewIncremental(nil)
-	inc.Paranoid = true
-	inc.DecomposeCut(ly, rec)
-	got := inc.DecomposeCut(mut, rec)
-	if _, s, f := incCounters(rec); s != 0 || f != 1 {
-		t.Fatalf("splices/fallbacks = %d/%d, want 0/1 (violations cannot splice)", s, f)
+	r0, r1 := assertEdit(t, c, rec, ly, mut)
+	if len(r0.Violations) == 0 || len(r1.Violations) == 0 {
+		t.Fatalf("unassigned pattern reported no violations (base %v, edit %v)", r0.Violations, r1.Violations)
 	}
-	assertSameVerdict(t, got, decomp.DecomposeCut(mut))
-	if err := inc.Check(); err != nil {
-		t.Fatal(err)
+	if again := c.DecomposeCut(ly, rec); again != r0 {
+		t.Fatal("violating baseline was not memoized")
 	}
 }
 
-func TestIncrementalNilReceiver(t *testing.T) {
-	var inc *decomp.Incremental
-	ly := twoClusters()
-	got := inc.DecomposeCut(ly, nil)
-	assertSameVerdict(t, got, decomp.DecomposeCut(ly))
-	if err := inc.Check(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestIncrementalDeltaKeysHitCache: sub-layouts are decomposed through the
-// attached memo cache, so flipping a net back and forth re-uses the cached
-// delta verdicts instead of re-running the oracle.
+// TestIncrementalDeltaKeysHitCache: a net ripped up and rerouted back and
+// forth between two placements re-uses both cached verdicts instead of
+// re-running the oracle.
 func TestIncrementalDeltaKeysHitCache(t *testing.T) {
 	lyA := twoClusters()
 	lyB := twoClusters()
 	lyB.Pats[2].Rects[0] = lyB.Pats[2].Rects[0].Translate(geom.Pt{X: 200})
-	cache := decomp.NewCache(0)
+	c := decomp.NewCache(0)
+	c.Paranoid = true
 	rec := obs.New()
-	inc := decomp.NewIncremental(cache)
-	inc.Paranoid = true
-	inc.DecomposeCut(lyA, rec)
-	inc.DecomposeCut(lyB, rec)
-	snap := rec.Snapshot()
-	before := snap.Counter(obs.CtrDecompCacheHits)
-	inc.DecomposeCut(lyA, rec) // same dirty region as before, reversed
-	inc.DecomposeCut(lyB, rec)
-	if _, s, f := incCounters(rec); s != 3 || f != 0 {
-		t.Fatalf("splices/fallbacks = %d/%d, want 3/0", s, f)
+	rA, rB := assertEdit(t, c, rec, lyA, lyB)
+	if c.DecomposeCut(lyA, rec) != rA || c.DecomposeCut(lyB, rec) != rB {
+		t.Fatal("undoing and redoing the edit did not return the cached Results")
 	}
-	snap = rec.Snapshot()
-	after := snap.Counter(obs.CtrDecompCacheHits)
-	if after <= before {
-		t.Fatalf("delta keys never hit the cache (hits %d -> %d)", before, after)
+	if h, m, n := editCounters(rec); h != 2 || m != 2 || n != 2 {
+		t.Fatalf("hits/misses/oracle runs = %d/%d/%d, want 2/2/2", h, m, n)
 	}
-	if err := inc.Check(); err != nil {
+	if err := c.CheckIntegrity(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// mutateLayout applies a few byte-driven edits to a deep copy of ly: move
-// a rect, recolor a pattern, delete a pattern, or add one under a fresh
-// net id. Total: every byte string yields a valid layout.
-func mutateLayout(ly decomp.Layout, data []byte) decomp.Layout {
-	pos := 0
-	next := func() int {
-		if pos >= len(data) {
-			return 0
-		}
-		b := data[pos]
-		pos++
-		return int(b)
-	}
-	out := translateLayout(ly, 0, 0) // deep copy
-	maxNet := 0
-	for _, p := range out.Pats {
-		if p.Net > maxNet {
-			maxNet = p.Net
-		}
-	}
-	for op := 1 + next()%3; op > 0; op-- {
-		if len(out.Pats) == 0 {
-			break
-		}
-		switch next() % 4 {
-		case 0:
-			p := &out.Pats[next()%len(out.Pats)]
-			r := &p.Rects[next()%len(p.Rects)]
-			*r = r.Translate(geom.Pt{X: next()*5 - 320, Y: next()*5 - 320})
-		case 1:
-			out.Pats[next()%len(out.Pats)].Color = decomp.Color(next() % 3)
-		case 2:
-			i := next() % len(out.Pats)
-			out.Pats = append(out.Pats[:i], out.Pats[i+1:]...)
-		case 3:
-			x0, y0 := next()*5-200, next()*5-200
-			maxNet++
-			out.Pats = append(out.Pats, decomp.Pattern{
-				Net:   maxNet,
-				Color: decomp.Color(next() % 3),
-				Rects: []geom.Rect{{X0: x0, Y0: y0, X1: x0 + 10 + next()%61, Y1: y0 + 10 + next()%61}},
-			})
-		}
-	}
-	return out
-}
-
-// FuzzIncrementalDecompEquivalence drives the incremental engine through a
-// fuzzed baseline layout, a fuzzed mutation, and the reverse edit, and
-// requires the spliced verdicts to match full recomputes exactly — both
-// through the exported fields and through Paranoid mode's canonical
-// material comparison. Splice-or-fallback is the engine's own choice; the
-// result must be right either way.
-func FuzzIncrementalDecompEquivalence(f *testing.F) {
-	f.Add([]byte{2, 1, 0, 10, 10, 5, 5, 2, 1, 60, 10, 5, 5}, []byte{1, 0, 0, 0, 200, 10})
-	f.Add([]byte{5, 0, 1, 3, 3, 7, 9, 1, 1, 100, 100, 30, 30, 2, 0, 50, 50, 20, 20}, []byte{2, 2, 1, 3, 2, 40, 200, 1, 9})
-	f.Add([]byte{}, []byte{3, 3, 0, 0, 255, 255})
-	f.Fuzz(func(t *testing.T, a, b []byte) {
-		ly1 := fuzzLayout(a)
-		ly2 := mutateLayout(ly1, b)
-		rec := obs.New()
-		inc := decomp.NewIncremental(decomp.NewCache(0))
-		inc.Paranoid = true
-		for _, ly := range []decomp.Layout{ly1, ly2, ly1} {
-			got := inc.DecomposeCut(ly, rec)
-			want := decomp.DecomposeCut(ly)
-			if got.SideOverlayNM != want.SideOverlayNM || got.TipOverlayNM != want.TipOverlayNM ||
-				got.HardOverlays != want.HardOverlays || got.SideOverlayUnits != want.SideOverlayUnits ||
-				got.Blobs != want.Blobs ||
-				!reflect.DeepEqual(got.Overlays, want.Overlays) ||
-				!reflect.DeepEqual(got.Conflicts, want.Conflicts) ||
-				!reflect.DeepEqual(got.Violations, want.Violations) ||
-				!reflect.DeepEqual(got.BadNets, want.BadNets) ||
-				len(got.Materials) != len(want.Materials) {
-				t.Fatalf("incremental verdict diverges from full recompute\ngot  %+v\nwant %+v", got, want)
-			}
-			if err := inc.Check(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s := rec.Snapshot()
-		if n := s.Counter(obs.CtrDecompIncHits) + s.Counter(obs.CtrDecompIncSplices) +
-			s.Counter(obs.CtrDecompIncFallbacks); n != 2 {
-			t.Fatalf("hit+splice+fallback = %d after two incremental calls, want 2", n)
-		}
-	})
 }

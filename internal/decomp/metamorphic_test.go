@@ -6,7 +6,6 @@ import (
 	"sadproute/internal/bench"
 	"sadproute/internal/decomp"
 	"sadproute/internal/geom"
-	"sadproute/internal/obs"
 	"sadproute/internal/router"
 	"sadproute/internal/rules"
 )
@@ -143,16 +142,12 @@ func TestDecompMirrorInvariance(t *testing.T) {
 	}
 }
 
-// TestIncrementalMetamorphicInvariance runs the incremental engine over a
-// remove-one-net edit of every routed layout (baseline = layout minus its
-// best-isolated pattern, next = full layout) and asserts two things: the
-// incremental verdict equals the full recompute's, and it is invariant
-// under pitch-multiple translation and mirroring — the same transforms the
-// plain oracle is checked against above. The engine is free to splice or
-// fall back per layout; the suite as a whole must splice at least once so
-// the invariance claim actually covers the splice path (twoClusters from
-// the unit tests is appended to guarantee that even if every routed layer
-// is too dense to splice).
+// TestIncrementalMetamorphicInvariance replays the repair loop's edit
+// through the memo cache for every routed layout — first the layout minus
+// one net, then the full layout — and asserts the cached verdict of the
+// edited layout equals the full oracle's and is invariant under
+// pitch-multiple translation and mirroring, the transforms the plain
+// oracle is checked against above.
 func TestIncrementalMetamorphicInvariance(t *testing.T) {
 	p := rules.Node10nm().Pitch()
 	transforms := []struct {
@@ -163,72 +158,32 @@ func TestIncrementalMetamorphicInvariance(t *testing.T) {
 		{"translate", func(l decomp.Layout) decomp.Layout { return translateLayout(l, 3*p, -2*p) }},
 		{"mirror", mirrorLayout},
 	}
-	layouts := append(metamorphicLayouts(t), twoClusters())
-	var splices int64
-	for i, ly := range layouts {
+	for i, ly := range append(metamorphicLayouts(t), twoClusters()) {
 		if len(ly.Pats) < 2 {
 			continue
 		}
-		drop := isolatedPattern(ly)
 		base := verdictOf(decomp.DecomposeCut(ly))
+		drop := len(ly.Pats) / 2
 		for _, tr := range transforms {
 			full := tr.f(ly)
 			prev := full
 			prev.Pats = append(append([]decomp.Pattern(nil), full.Pats[:drop]...), full.Pats[drop+1:]...)
-			rec := obs.New()
-			inc := decomp.NewIncremental(decomp.NewCache(0))
-			inc.Paranoid = true
-			inc.DecomposeCut(prev, rec)
-			got := verdictOf(inc.DecomposeCut(full, rec))
-			if got != base {
-				t.Errorf("layout %d %s: incremental verdict changed\nbase: %+v\ngot:  %+v", i, tr.name, base, got)
+			c := decomp.NewCache(0)
+			c.Paranoid = true
+			before := c.DecomposeCut(prev, nil)
+			res := c.DecomposeCut(full, nil)
+			if res == before {
+				t.Errorf("layout %d %s: full layout was served the cached Result of the layout minus net %d",
+					i, tr.name, full.Pats[drop].Net)
 			}
-			if err := inc.Check(); err != nil {
+			if got := verdictOf(res); got != base {
+				t.Errorf("layout %d %s: cached verdict changed\nbase: %+v\ngot:  %+v", i, tr.name, base, got)
+			}
+			if err := c.CheckIntegrity(); err != nil {
 				t.Errorf("layout %d %s: %v", i, tr.name, err)
 			}
-			snap := rec.Snapshot()
-			splices += snap.Counter(obs.CtrDecompIncSplices)
 		}
 	}
-	if splices == 0 {
-		t.Error("incremental path never spliced; the invariance claim covered only fallbacks")
-	}
-}
-
-// isolatedPattern returns the index of the pattern with the largest
-// minimum bounding-box gap to every other pattern — the edit most likely
-// to keep the dirty region local.
-func isolatedPattern(ly decomp.Layout) int {
-	bbox := func(p *decomp.Pattern) geom.Rect {
-		b := p.Rects[0]
-		for _, r := range p.Rects[1:] {
-			b = b.Union(r)
-		}
-		return b
-	}
-	best, bestGap := 0, -1
-	for i := range ly.Pats {
-		bi := bbox(&ly.Pats[i])
-		gap := int(^uint(0) >> 1)
-		for j := range ly.Pats {
-			if j == i {
-				continue
-			}
-			bj := bbox(&ly.Pats[j])
-			gx, gy := bi.GapX(bj), bi.GapY(bj)
-			g := gx
-			if gy > g {
-				g = gy
-			}
-			if g < gap {
-				gap = g
-			}
-		}
-		if gap > bestGap {
-			best, bestGap = i, gap
-		}
-	}
-	return best
 }
 
 // TestDecompNaiveAssistsInvariance repeats both transforms with the

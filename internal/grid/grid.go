@@ -76,16 +76,6 @@ func (g *Grid) Release(c Cell) {
 	}
 }
 
-// Clone returns an independent copy of the grid: same dimensions and
-// rules, private occupancy array. The router's episode speculation clones
-// the grid at a rip-up episode boundary so concurrent pre-searches read a
-// frozen view while the serial commit phase keeps mutating the original.
-func (g *Grid) Clone() *Grid {
-	cp := *g
-	cp.occ = append([]int32(nil), g.occ...)
-	return &cp
-}
-
 // Block marks a rectangle of cells on layer l as routing blockage.
 func (g *Grid) Block(l int, r geom.Rect) {
 	for y := maxi(0, r.Y0); y < mini(g.H, r.Y1); y++ {

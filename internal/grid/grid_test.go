@@ -93,26 +93,37 @@ func TestIndexOrder(t *testing.T) {
 	}
 }
 
-func TestCloneIsIndependent(t *testing.T) {
-	g := New(8, 8, 2, rules.Node10nm())
-	g.Occupy(Cell{X: 1, Y: 1, L: 0}, 5)
-	g.Block(1, geom.Rect{X0: 2, Y0: 2, X1: 4, Y1: 4})
+func TestBlockClipsToGridAndStat(t *testing.T) {
+	g := New(4, 3, 2, rules.Node10nm())
+	// A blockage hanging off every edge blocks only the in-grid cells.
+	g.Block(1, geom.Rect{X0: -2, Y0: -1, X1: 9, Y1: 2})
+	g.Occupy(Cell{X: 0, Y: 2, L: 1}, 7)
+	want := Stats{Cells: 24, FreeCells: 15, BlockedCells: 8, UsedCells: 1}
+	if got := g.Stat(); got != want {
+		t.Fatalf("Stat() = %+v, want %+v", got, want)
+	}
+	if g.At(Cell{X: 3, Y: 1, L: 1}) != Blocked || g.At(Cell{X: 3, Y: 1, L: 0}) != Free {
+		t.Fatal("blockage landed on the wrong cells")
+	}
+}
 
-	cp := g.Clone()
-	if cp.At(Cell{X: 1, Y: 1, L: 0}) != 5 || cp.At(Cell{X: 3, Y: 3, L: 1}) != Blocked {
-		t.Fatal("clone lost occupancy or blockage")
+func TestDieAndCellString(t *testing.T) {
+	ds := rules.Node10nm()
+	g := New(5, 3, 1, ds)
+	p := ds.Pitch()
+	if got, want := g.DieNM(), (geom.Rect{X0: -p, Y0: -p, X1: 6 * p, Y1: 4 * p}); got != want {
+		t.Fatalf("DieNM() = %v, want %v", got, want)
 	}
-	// Mutating the clone must leave the original untouched, and vice versa.
-	cp.Occupy(Cell{X: 6, Y: 6, L: 0}, 9)
-	cp.Release(Cell{X: 1, Y: 1, L: 0})
-	if g.At(Cell{X: 6, Y: 6, L: 0}) != Free || g.At(Cell{X: 1, Y: 1, L: 0}) != 5 {
-		t.Fatal("clone mutation leaked into the original")
+	if got := (Cell{X: 1, Y: 2, L: 0}).String(); got != "(1,2,0)" {
+		t.Fatalf("Cell.String() = %q", got)
 	}
-	g.Occupy(Cell{X: 7, Y: 0, L: 1}, 3)
-	if cp.At(Cell{X: 7, Y: 0, L: 1}) != Free {
-		t.Fatal("original mutation leaked into the clone")
-	}
-	if g.Stat().BlockedCells != cp.Stat().BlockedCells {
-		t.Fatal("blockage stats diverged")
-	}
+}
+
+func TestNewRejectsEmptyGrid(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New(0, 1, 1) did not panic")
+		}
+	}()
+	New(0, 1, 1, rules.Node10nm())
 }

@@ -16,9 +16,7 @@ import (
 type HistID uint8
 
 const (
-	// A* engine (internal/astar): nodes expanded per search. The parallel
-	// scheduler replays validated speculative searches at their canonical
-	// commit slot, so the distribution is byte-identical at any NetWorkers.
+	// A* engine (internal/astar): nodes expanded per search.
 	HistAstarExpanded HistID = iota
 	// Router (internal/router): attempts consumed per routing episode (one
 	// routeNet call; a net ripped as a blocker starts a new episode when it
@@ -32,10 +30,6 @@ const (
 	// counters — equivalence tests comparing cached vs uncached runs zero
 	// the decomp.* histogram family before diffing snapshots.
 	HistDecompBlobs
-	// Intra-instance parallel scheduler (internal/sched): speculated subset
-	// size per wave. Exists only in parallel runs (like the sched.*
-	// counters); identical for every NetWorkers >= 2.
-	HistSchedSpecWave
 
 	numHists
 )
@@ -49,7 +43,6 @@ var histNames = [numHists]string{
 	HistNetAttempts:   "router.attempts_per_episode",
 	HistWindowNets:    "window.nets_per_window",
 	HistDecompBlobs:   "decomp.blobs_per_decomposition",
-	HistSchedSpecWave: "sched.spec_per_wave",
 }
 
 // histBounds are the inclusive upper bounds of the first HistBuckets-1
@@ -61,7 +54,6 @@ var histBounds = [numHists][HistBuckets - 1]int64{
 	HistNetAttempts:   {1, 2, 3, 4, 5, 6, 8},
 	HistWindowNets:    {1, 2, 4, 8, 16, 32, 64},
 	HistDecompBlobs:   {1, 2, 4, 8, 16, 32, 64},
-	HistSchedSpecWave: {1, 2, 4, 8, 16, 32, 64},
 }
 
 func (h HistID) String() string {

@@ -75,7 +75,7 @@ func TestHistogramInCountersString(t *testing.T) {
 	}
 	// Empty histograms render a placeholder, not nothing, so dumps stay
 	// fixed-shape.
-	if !strings.Contains(out, "sched.spec_per_wave") {
+	if !strings.Contains(out, "window.nets_per_window") {
 		t.Fatalf("CountersString missing empty histogram line:\n%s", out)
 	}
 }

@@ -49,10 +49,10 @@ func (c RipCause) String() string {
 const NumRipCauses = int(numRipCauses)
 
 // NetStat is the accumulated work attribution for one net, keyed by its
-// canonical (input-order) id. Every field is driven by the serial commit
-// path of the router, so the table is byte-identical at any NetWorkers or
-// cache setting — unlike the sched.*/decomp.* counter families it never
-// needs zeroing in equivalence dumps.
+// canonical (input-order) id. Every field is driven by the router's
+// serial path, so the table is byte-identical at any -jobs or cache
+// setting — unlike the decomp.* counter family it never needs zeroing in
+// equivalence dumps.
 type NetStat struct {
 	Net       int   // canonical net id
 	Attempts  int64 // routing attempts (search + commit tries) across all episodes

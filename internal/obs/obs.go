@@ -79,38 +79,10 @@ const (
 	CtrDecompCacheHits
 	CtrDecompCacheMisses
 	CtrDecompCacheEvictions
-	// Intra-instance parallel net scheduler (internal/sched, driven by
-	// router.Options.NetWorkers). These counters exist only in parallel
-	// runs; equivalence tests comparing parallel vs serial results zero
-	// them before diffing snapshots (every other counter is byte-identical
-	// by construction).
-	CtrSchedWaves
-	CtrSchedSpecSearches
-	CtrSchedSpecHits
-	CtrSchedSpecRetries
-	// Incremental dirty-region decomposition (internal/decomp.Incremental,
-	// router.Options.IncrementalDecomp). Like the cache counters these are
-	// configuration-dependent: equivalence tests zero the decomp.* family.
-	// A hit returns the previous layer Result untouched; a splice re-derives
-	// only the dirty region and splices it into the previous Result; a
-	// fallback is a full recompute (first sighting of a layer is not
-	// counted — only an abandoned incremental attempt is).
-	CtrDecompIncHits
-	CtrDecompIncSplices
-	CtrDecompIncFallbacks
-	// Speculative rip-up pre-search (internal/router episode speculation,
-	// router.Options.RipupSpec). Exists only in NetWorkers >= 2 runs with
-	// the lever on; equivalence tests zero the ripup.* family (the bench
-	// ledger routes it beside sched.* in the nondeterministic section).
-	// spec_adopted + spec_wasted == spec_searches at the end of a run.
-	CtrRipupSpecSearches
-	CtrRipupSpecAdopted
-	CtrRipupSpecWasted
 	// Sparse corridor search (internal/sparse, router.Options.SparseSearch).
-	// Configuration-dependent like sched.*/ripup.*: the family exists only
-	// with the lever on, so equivalence tests zero it before diffing and
-	// the bench ledger routes it beside the other execution-strategy
-	// families. searches counts corridor-graph engagements, fallbacks the
+	// Configuration-dependent: the family exists only with the lever on, so
+	// equivalence tests zero it before diffing and the bench ledger routes
+	// it to its execution-strategy section. searches counts corridor-graph engagements, fallbacks the
 	// engagements whose result the exact repricing check rejected (the
 	// dense engine then ran as usual), nodes the corridor nodes expanded.
 	CtrSparseSearches
@@ -149,16 +121,6 @@ var counterNames = [numCounters]string{
 	CtrDecompCacheHits:      "decomp.cache_hits",
 	CtrDecompCacheMisses:    "decomp.cache_misses",
 	CtrDecompCacheEvictions: "decomp.cache_evictions",
-	CtrSchedWaves:           "sched.waves",
-	CtrSchedSpecSearches:    "sched.spec_searches",
-	CtrSchedSpecHits:        "sched.spec_hits",
-	CtrSchedSpecRetries:     "sched.spec_retries",
-	CtrDecompIncHits:        "decomp.incremental_hits",
-	CtrDecompIncSplices:     "decomp.incremental_splices",
-	CtrDecompIncFallbacks:   "decomp.incremental_fallbacks",
-	CtrRipupSpecSearches:    "ripup.spec_searches",
-	CtrRipupSpecAdopted:     "ripup.spec_adopted",
-	CtrRipupSpecWasted:      "ripup.spec_wasted",
 	CtrSparseSearches:       "sparse.searches",
 	CtrSparseFallbacks:      "sparse.fallbacks",
 	CtrSparseNodes:          "sparse.nodes",
@@ -204,39 +166,18 @@ const (
 	StageDecompose
 	StageEvaluate
 	StageTotal
-	// Intra-instance parallel routing (internal/sched). StageSpeculate is
-	// the wall time of the concurrent speculation phases (nested inside
-	// StageRoute); StageSpecSerial sums the individual speculative-search
-	// durations (their cost if run back to back); StageSpecMakespan is the
-	// LPT-scheduled makespan of those searches across NetWorkers engines —
-	// on a single-core box, wall - (serial - makespan) estimates the
-	// multi-core critical path (see EXPERIMENTS.md).
-	StageSpeculate
-	StageSpecSerial
-	StageSpecMakespan
-	// Speculative rip-up pre-search (router.Options.RipupSpec).
-	// StageRipupSerial sums the durations of the episode pre-searches;
-	// StageRipupMakespan is their LPT-scheduled makespan across NetWorkers
-	// engines — the same critical-path convention as the StageSpec* pair.
-	StageRipupSerial
-	StageRipupMakespan
 
 	numStages
 )
 
 var stageNames = [numStages]string{
-	StageRoute:         "route",
-	StageWindowCheck:   "window_check",
-	StageColorFlip:     "color_flip",
-	StageFinalRepair:   "final_repair",
-	StageDecompose:     "decompose",
-	StageEvaluate:      "evaluate",
-	StageTotal:         "total",
-	StageSpeculate:     "speculate",
-	StageSpecSerial:    "spec_serial",
-	StageSpecMakespan:  "spec_makespan",
-	StageRipupSerial:   "ripup_serial",
-	StageRipupMakespan: "ripup_makespan",
+	StageRoute:       "route",
+	StageWindowCheck: "window_check",
+	StageColorFlip:   "color_flip",
+	StageFinalRepair: "final_repair",
+	StageDecompose:   "decompose",
+	StageEvaluate:    "evaluate",
+	StageTotal:       "total",
 }
 
 func (s StageID) String() string {
@@ -450,10 +391,10 @@ func (s *Snapshot) Accumulate(o *Snapshot) {
 }
 
 // ZeroFamily zeroes every counter and histogram whose name starts with
-// prefix (e.g. "sched.", "decomp."). Equivalence tests use it to drop the
+// prefix (e.g. "sparse.", "decomp."). Equivalence tests use it to drop the
 // metric families that legitimately differ between configurations — the
-// sched.* family exists only in parallel runs, the decomp.* family shrinks
-// under the memo cache — before comparing snapshots byte for byte.
+// sparse.* family exists only with corridor search on, the decomp.* family
+// shrinks under the memo cache — before comparing snapshots byte for byte.
 func (s *Snapshot) ZeroFamily(prefix string) {
 	for i := CounterID(0); i < numCounters; i++ {
 		if strings.HasPrefix(i.String(), prefix) {
@@ -494,7 +435,7 @@ func (s *Snapshot) EachStage(f func(name string, d time.Duration)) {
 // lines in declaration order. It contains no durations, so for a
 // deterministic workload the string is identical across runs (used by the
 // determinism regression tests). Histogram names carry the same family
-// prefixes as counters ("sched.", "decomp."), so equivalence dumps that
+// prefixes as counters ("sparse.", "decomp."), so equivalence dumps that
 // zero a counter family by prefix zero its histograms the same way.
 func (s *Snapshot) CountersString() string {
 	var b strings.Builder

@@ -49,19 +49,15 @@ func TestRouteCtxPreCancelled(t *testing.T) {
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, nw := range []int{0, 4} {
-		opt := router.Defaults()
-		opt.NetWorkers = nw
-		res, err := router.RouteCtx(ctx, nl, rules.Node10nm(), opt)
-		if err != context.Canceled {
-			t.Errorf("NetWorkers=%d: err = %v, want context.Canceled", nw, err)
-		}
-		if res == nil {
-			t.Fatalf("NetWorkers=%d: partial result is nil", nw)
-		}
-		if len(res.Paths) != 0 {
-			t.Errorf("NetWorkers=%d: pre-cancelled run committed %d paths", nw, len(res.Paths))
-		}
+	res, err := router.RouteCtx(ctx, nl, rules.Node10nm(), router.Defaults())
+	if err != context.Canceled {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if res == nil {
+		t.Fatal("partial result is nil")
+	}
+	if len(res.Paths) != 0 {
+		t.Errorf("pre-cancelled run committed %d paths", len(res.Paths))
 	}
 }
 

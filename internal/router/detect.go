@@ -159,26 +159,12 @@ func sameColors(got, cur map[int]decomp.Color) bool {
 // that layer's memo cache when the run has one (Options.DecompCache).
 // Window checks, repair passes and final metrics all funnel through here,
 // so they share entries: a repeated window or an unchanged full layer is
-// a hit. Cache state is single-goroutine by construction — every caller
-// runs in the serial commit phase, even under Options.NetWorkers.
+// a hit. Cache state is single-goroutine: the router is serial.
 func (st *state) decompLayer(l int, ly decomp.Layout) *decomp.Result {
 	if st.caches == nil {
 		return decomp.DecomposeCutR(ly, st.rec)
 	}
 	return st.caches[l].DecomposeCut(ly, st.rec)
-}
-
-// decompFullLayer is decompLayer for the FULL per-layer layouts of the
-// repair loop: with Options.IncrementalDecomp the layer's incremental
-// engine splices the re-derived dirty-region verdict into the previous
-// full decomposition instead of recomputing the whole layer per pass.
-// Window layouts keep going through decompLayer — they are small, and
-// consecutive windows share no edit structure to splice over.
-func (st *state) decompFullLayer(l int, ly decomp.Layout) *decomp.Result {
-	if st.incs != nil {
-		return st.incs[l].DecomposeCut(ly, st.rec)
-	}
-	return st.decompLayer(l, ly)
 }
 
 // windowBadness scores a window decomposition by its forbidden artifacts:
@@ -251,22 +237,11 @@ func (st *state) repairConflicts() {
 		if len(offenders) == 0 {
 			return
 		}
-		ep := st.beginRepairEpisode(offenders)
 		for _, id := range offenders {
 			if _, routed := st.res.Paths[id]; !routed {
 				continue
 			}
 			path := st.res.Paths[id]
-			// When the episode's frozen clone pre-applied this rip-up and
-			// its penalty bumps, they are PREDICTED mutations: every
-			// pre-search already saw them, so they must not land in the
-			// episode's dirty set. Everything else routeNet does below —
-			// commits, blocker rips, window penalties — is unpredicted and
-			// marks st.dirty (= ep.dirty) as usual.
-			predicted := ep.hasSlot(id)
-			if predicted {
-				st.dirty = nil
-			}
 			st.ripup(id)
 			st.res.Routed--
 			st.rec.Inc(obs.CtrRepairRips)
@@ -274,13 +249,9 @@ func (st *state) repairConflicts() {
 			if st.rec.Tracing() {
 				st.rec.Trace("ripup", obs.I("net", id), obs.S("cause", "repair"))
 			}
-			st.inflate(st.pen, path, 6*st.opt.Alpha)
-			if predicted {
-				st.dirty = ep.dirty
-			}
+			st.inflate(path, 6*st.opt.Alpha)
 			st.routeNet(id)
 		}
-		st.endEpisode(ep)
 	}
 	// Terminal guarantee: if anything still conflicts after the repair
 	// budget, drop the offenders outright — the paper's router guarantees
@@ -305,7 +276,7 @@ func (st *state) repairConflicts() {
 func (st *state) offenders() []int {
 	bad := map[int]bool{}
 	for l, ly := range st.res.Layouts() {
-		res := st.decompFullLayer(l, ly)
+		res := st.decompLayer(l, ly)
 		for _, cf := range res.Conflicts {
 			bad[ly.Pats[cf.Pat].Net] = true
 		}

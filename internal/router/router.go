@@ -23,7 +23,6 @@ import (
 	"sadproute/internal/ocg"
 	"sadproute/internal/rules"
 	"sadproute/internal/scenario"
-	"sadproute/internal/sched"
 	"sadproute/internal/sparse"
 )
 
@@ -71,31 +70,6 @@ type Options struct {
 	// through shared cache data. Test/debug facility: costs one deep copy
 	// per cache miss. Implies nothing unless DecompCache is on.
 	DecompParanoid bool
-	// NetWorkers >= 2 routes waves of mutually independent nets with that
-	// many concurrent first-search workers (internal/sched). The result —
-	// paths, colors, counters, traces — is byte-identical to the serial
-	// router by construction: speculative searches are validated against
-	// the cells actually mutated since the wave froze and re-run serially
-	// at their canonical slot when stale. 0 or 1 routes serially.
-	NetWorkers int
-	// IncrementalDecomp routes full-layer oracle queries (repair-pass
-	// offender scans and the final-metrics evaluation) through an
-	// incremental engine (internal/decomp.Incremental): after a rip-up
-	// changes a few nets, only the dirty region is re-derived and spliced
-	// into the previous layer verdict. Output is byte-identical with the
-	// lever on or off; the decomp.* work counters differ (the oracle runs
-	// over sub-layouts), exactly as with DecompCache. Off by default.
-	IncrementalDecomp bool
-	// RipupSpec pre-searches the nets of the next rip-up episode (a repair
-	// pass's offender list, or the pending-reroute queue) on idle
-	// NetWorkers while the serial commit phase drains the episode, against
-	// a grid clone with the episode's predicted rip-ups applied. A
-	// pre-search substitutes for the serial search only when DirtySet
-	// validation proves the serial engine would have read the identical
-	// grid and penalty state, so paths, colors, counters and traces stay
-	// byte-identical to the serial run. Requires NetWorkers >= 2 to have
-	// any effect. Off by default.
-	RipupSpec bool
 	// SparseSearch answers eligible first searches on the corridor graph
 	// (internal/sparse) instead of the dense grid: the search expands
 	// corridor nodes derived from obstacle boundaries, snaps back to unit
@@ -103,9 +77,8 @@ type Options struct {
 	// cost proves the path dense-optimal (exact-or-fallback, see
 	// sparseSearch). Routed results stay DRC-equivalent but are not
 	// byte-identical to the dense run wherever several optimal paths tie —
-	// the engines break ties differently. Effective only in serial runs
-	// (NetWorkers < 2); off by default, so default behavior is
-	// byte-identical to previous releases.
+	// the engines break ties differently. Off by default, so default
+	// behavior is byte-identical to previous releases.
 	SparseSearch bool
 	// SparseMinHPWL is the minimum net half-perimeter (in tracks) for a
 	// search to engage the corridor graph under SparseSearch. Below it the
@@ -148,14 +121,14 @@ func Defaults() Options {
 // optimality and termination rest on non-negative step costs (with a
 // negative Alpha a path lowers its cost forever by stepping back and
 // forth), and the engine refuses a negative weight outright
-// (astar.Config). MaxRipup, MaxExpand and NetWorkers must be >= 0 too.
+// (astar.Config). MaxRipup and MaxExpand must be >= 0 too.
 func (o Options) Validate() error {
 	for _, f := range [...]struct {
 		name string
 		v    int
 	}{
 		{"Alpha", o.Alpha}, {"Beta", o.Beta}, {"Gamma2", o.Gamma2}, {"DirPenalty", o.DirPenalty},
-		{"MaxRipup", o.MaxRipup}, {"MaxExpand", o.MaxExpand}, {"NetWorkers", o.NetWorkers},
+		{"MaxRipup", o.MaxRipup}, {"MaxExpand", o.MaxExpand},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("options: %s is %d, must be >= 0", f.name, f.v)
@@ -177,8 +150,7 @@ type Result struct {
 	Grid            *grid.Grid
 	frags           []*fragstore.Store
 	nl              *netlist.Netlist
-	caches          []*decomp.Cache       // per-layer memo, nil when routed uncached
-	incs            []*decomp.Incremental // per-layer incremental engines (Options.IncrementalDecomp)
+	caches          []*decomp.Cache // per-layer memo, nil when routed uncached
 }
 
 // Routability returns the fraction of nets routed, in percent.
@@ -224,18 +196,6 @@ func (r *Result) Layouts() []decomp.Layout {
 // already paid for. A nil rec disables counter reporting.
 func (r *Result) DecomposeLayersR(rec *obs.Recorder) ([]*decomp.Result, decomp.Totals) {
 	layouts := r.Layouts()
-	if r.incs != nil {
-		// Incremental runs prefer the splice path: the repair passes left
-		// each layer's baseline behind, so an unchanged layer is a hit and
-		// a late edit re-derives only its dirty region.
-		out := make([]*decomp.Result, len(layouts))
-		var tot decomp.Totals
-		for l, ly := range layouts {
-			out[l] = r.incs[l].DecomposeCut(ly, rec)
-			tot.Accumulate(out[l])
-		}
-		return out, tot
-	}
 	if r.caches == nil {
 		return decomp.DecomposeLayersR(layouts, rec)
 	}
@@ -250,18 +210,11 @@ func (r *Result) DecomposeLayersR(rec *obs.Recorder) ([]*decomp.Result, decomp.T
 
 // DecompCacheCheck verifies the run's decomposition caches against the
 // deep copies retained under Options.DecompParanoid and reports the first
-// cached Result some caller mutated — and, for incremental runs, the
-// first spliced verdict that diverged from its full recompute. Nil when
-// consistent, when the run was routed uncached, or when DecompParanoid
-// was off.
+// cached Result some caller mutated. Nil when consistent, when the run was
+// routed uncached, or when DecompParanoid was off.
 func (r *Result) DecompCacheCheck() error {
 	for _, c := range r.caches {
 		if err := c.CheckIntegrity(); err != nil {
-			return err
-		}
-	}
-	for _, inc := range r.incs {
-		if err := inc.Check(); err != nil {
 			return err
 		}
 	}
@@ -280,12 +233,11 @@ type state struct {
 	locks  []map[int]decomp.Color // colors pinned by the cut-conflict check
 	pen    []int32                // rip-up cost inflation, grid index order
 	// sp/speng are the corridor graph and its pooled engine, live only
-	// when Options.SparseSearch is effective (serial run). sp mirrors g:
-	// commit and ripup forward every cell mutation.
+	// under Options.SparseSearch. sp mirrors g: commit and ripup forward
+	// every cell mutation.
 	sp     *sparse.Graph
 	speng  *sparse.Engine
-	caches []*decomp.Cache       // per-layer decomposition memo (Options.DecompCache)
-	incs   []*decomp.Incremental // per-layer incremental decomposition (Options.IncrementalDecomp)
+	caches []*decomp.Cache // per-layer decomposition memo (Options.DecompCache)
 	opt    Options
 	res    *Result
 	rec    *obs.Recorder // nil-safe observability recorder
@@ -296,16 +248,6 @@ type state struct {
 	// for rerouting.
 	blockerBudget int
 	pending       []int
-	// Speculative-routing state, live only inside routeWaves (NetWorkers
-	// >= 2): dirty records the cells mutated since the current wave's grid
-	// snapshot, spec holds the wave's unconsumed concurrent first searches.
-	// Both are nil in serial runs; DirtySet methods are nil-safe.
-	dirty *sched.DirtySet
-	spec  map[int]*specResult
-	// ep is the live rip-up episode speculation (Options.RipupSpec with
-	// NetWorkers >= 2): pre-searches of the episode's predicted rip-ups
-	// running against a frozen grid clone. Nil outside an episode.
-	ep *episode
 	// winNets and winIDs are windowResolve's per-window net set and sorted
 	// id list, cleared and reused across windows instead of reallocated.
 	winNets map[int]bool
@@ -330,8 +272,8 @@ func Route(nl *netlist.Netlist, ds rules.Set, opt Options) *Result {
 
 // RouteCtx is Route under a cancellable run context: the long-lived
 // serving path (internal/serve job cancellation, graceful drain) aborts a
-// route mid-run by cancelling ctx. Cancellation is observed at net,
-// wave and repair-pass boundaries — the cheapest points that still bound
+// route mid-run by cancelling ctx. Cancellation is observed at net and
+// repair-pass boundaries — the cheapest points that still bound
 // the abort latency by one net attempt — and the partial Result is
 // returned together with ctx.Err(). A run whose context is never
 // cancelled (including ctx == nil) is byte-identical to Route: the check
@@ -357,7 +299,7 @@ func RouteCtx(ctx context.Context, nl *netlist.Netlist, ds rules.Set, opt Option
 	st.eng = astar.Acquire(st.g)
 	defer st.eng.Release()
 	st.eng.Rec = rec
-	if opt.SparseSearch && opt.NetWorkers < 2 {
+	if opt.SparseSearch {
 		st.sp = sparse.NewGraph(st.g)
 		st.speng = sparse.Acquire(st.sp)
 		defer st.speng.Release()
@@ -379,17 +321,6 @@ func RouteCtx(ctx context.Context, nl *netlist.Netlist, ds rules.Set, opt Option
 			st.caches[l].Paranoid = opt.DecompParanoid
 		}
 	}
-	if opt.IncrementalDecomp {
-		st.incs = make([]*decomp.Incremental, nl.Layers)
-		for l := range st.incs {
-			var c *decomp.Cache
-			if st.caches != nil {
-				c = st.caches[l]
-			}
-			st.incs[l] = decomp.NewIncremental(c)
-			st.incs[l].Paranoid = opt.DecompParanoid
-		}
-	}
 	st.res = &Result{
 		Paths:  make(map[int][]grid.Cell),
 		Colors: st.colors,
@@ -397,7 +328,6 @@ func RouteCtx(ctx context.Context, nl *netlist.Netlist, ds rules.Set, opt Option
 		frags:  st.frags,
 		nl:     nl,
 		caches: st.caches,
-		incs:   st.incs,
 	}
 
 	// Net ordering: shortest HPWL first (standard detailed-routing order).
@@ -411,20 +341,13 @@ func RouteCtx(ctx context.Context, nl *netlist.Netlist, ds rules.Set, opt Option
 
 	st.blockerBudget = len(nl.Nets) / 2
 	stopRoute := rec.Span(obs.StageRoute)
-	if opt.NetWorkers > 1 && len(order) > 1 {
-		st.routeWaves(order)
-	} else {
-		for _, id := range order {
-			if st.canceled() {
-				break
-			}
-			st.routeNet(id)
+	for _, id := range order {
+		if st.canceled() {
+			break
 		}
+		st.routeNet(id)
 	}
-	// Reroute nets that were ripped up to free resources. With RipupSpec
-	// the queue is one episode: its nets are pre-searched on idle workers
-	// while the drain commits serially.
-	ep := st.beginPendingEpisode()
+	// Reroute nets that were ripped up to free resources.
 	for len(st.pending) > 0 && !st.canceled() {
 		id := st.pending[0]
 		st.pending = st.pending[1:]
@@ -433,7 +356,6 @@ func RouteCtx(ctx context.Context, nl *netlist.Netlist, ds rules.Set, opt Option
 		}
 		st.routeNet(id)
 	}
-	st.endEpisode(ep)
 	stopRoute()
 
 	// Final full-layout color flipping (line 16 of Fig. 19). A cancelled
@@ -568,10 +490,8 @@ func (st *state) routeNet(id int) {
 			}
 			return
 		}
-		st.dirty.MarkCells(path)
-		st.dirty.MarkCells(hot)
-		st.inflate(st.pen, path, 2*st.opt.Alpha*astar.Scale)
-		st.inflate(st.pen, hot, 16*st.opt.Alpha*astar.Scale)
+		st.inflate(path, 2*st.opt.Alpha*astar.Scale)
+		st.inflate(hot, 16*st.opt.Alpha*astar.Scale)
 	}
 }
 
@@ -588,17 +508,9 @@ func (st *state) ripupBlocker(b, id int) {
 	st.pending = append(st.pending, b)
 }
 
-// search runs overlay-aware A* (eq. (5)). Under routeWaves or a rip-up
-// episode a validated speculative result — computed by a concurrent
-// worker against the very grid and penalty state this call would read —
-// substitutes for the search; the serial engine runs otherwise.
+// search runs overlay-aware A* (eq. (5)), answering from the corridor
+// graph first when the net is eligible for it (Options.SparseSearch).
 func (st *state) search(id int, n netlist.Net) ([]grid.Cell, bool) {
-	if sp, ok := st.takeEpisodeSpec(id); ok {
-		return sp.path, sp.ok
-	}
-	if sp, ok := st.takeSpec(id); ok {
-		return sp.path, sp.ok
-	}
 	if st.sparseEligible(n) {
 		if path, ok, done := st.sparseSearch(id, n); done {
 			return path, ok
@@ -611,11 +523,9 @@ func (st *state) search(id int, n netlist.Net) ([]grid.Cell, bool) {
 }
 
 // searchCfg builds the eq. (5) cost model of a net's first search over the
-// penalty plane pen: st.pen for the serial engine and the wave workers,
-// the episode's frozen copy for rip-up episode workers. Shared by every
-// first search and by repriceDense, so all of them price steps
-// identically. The type-2-b lookahead reads the searching engine's own
-// grid, which is the episode clone for episode workers.
+// penalty plane pen: st.pen, or nil for the uniform terms alone (the
+// corridor engine's cost model). Shared by every first search and by
+// repriceDense, so all of them price steps identically.
 func (st *state) searchCfg(pen []int32) astar.Config {
 	return astar.Config{
 		WL:         st.opt.Alpha,
@@ -628,10 +538,10 @@ func (st *state) searchCfg(pen []int32) astar.Config {
 	}
 }
 
-// inflate adds delta to the penalty of every cell in cells.
-func (st *state) inflate(pen []int32, cells []grid.Cell, delta int) {
+// inflate adds delta to the rip-up penalty of every cell in cells.
+func (st *state) inflate(cells []grid.Cell, delta int) {
 	for _, c := range cells {
-		pen[st.g.Index(c)] += int32(delta)
+		st.pen[st.g.Index(c)] += int32(delta)
 	}
 }
 
@@ -683,7 +593,6 @@ func (st *state) findBlockers(id int, n netlist.Net) []int {
 
 // commit occupies the path and registers fragments.
 func (st *state) commit(id int, path []grid.Cell) {
-	st.dirty.MarkCells(path)
 	for _, c := range path {
 		st.g.Occupy(c, int32(id))
 		if st.sp != nil {
@@ -705,7 +614,6 @@ func (st *state) commit(id int, path []grid.Cell) {
 
 // ripup releases a net's cells, fragments, graph edges and colors.
 func (st *state) ripup(id int) {
-	st.dirty.MarkCells(st.res.Paths[id])
 	for _, c := range st.res.Paths[id] {
 		st.g.Release(c)
 		if st.sp != nil {

@@ -127,7 +127,6 @@ func TestOptionsValidate(t *testing.T) {
 		"DirPenalty": func(o *router.Options) { o.DirPenalty = -1 },
 		"MaxRipup":   func(o *router.Options) { o.MaxRipup = -1 },
 		"MaxExpand":  func(o *router.Options) { o.MaxExpand = -1 },
-		"NetWorkers": func(o *router.Options) { o.NetWorkers = -1 },
 	} {
 		opt := router.Defaults()
 		set(&opt)

@@ -132,28 +132,3 @@ func TestSparseGateKeepsSmallRunsIdentical(t *testing.T) {
 		t.Fatal("counters differ below the HPWL gate")
 	}
 }
-
-// TestSparseIneffectiveUnderNetWorkers documents the serial-only contract:
-// with the speculative scheduler active the corridor graph must stay off
-// and the result must equal the plain parallel run's.
-func TestSparseIneffectiveUnderNetWorkers(t *testing.T) {
-	spec := bench.Spec{Name: "nw-t", Nets: 40, Tracks: 80, Layers: 3, Seed: 9,
-		PinCandidates: 1, AvgHPWL: 30, Blockages: 2}
-	nl := bench.Generate(spec)
-	route := func(sparseOn bool) (*router.Result, obs.Snapshot) {
-		opt := router.Defaults()
-		opt.SparseSearch = sparseOn
-		opt.NetWorkers = 4
-		opt.Obs = obs.New()
-		res := router.Route(nl, rules.Node10nm(), opt)
-		return res, opt.Obs.Snapshot()
-	}
-	roff, _ := route(false)
-	ron, son := route(true)
-	if son.Counter(obs.CtrSparseSearches) != 0 {
-		t.Fatal("corridor graph engaged despite NetWorkers >= 2")
-	}
-	if !reflect.DeepEqual(roff.Paths, ron.Paths) {
-		t.Fatal("SparseSearch changed a NetWorkers run")
-	}
-}

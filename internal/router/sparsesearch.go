@@ -59,9 +59,8 @@ func (st *state) repriceDense(id int, n netlist.Net, path []grid.Cell) (int, boo
 }
 
 // sparseEligible gates corridor engagement per search: the lever must be
-// on, the run serial (the speculative schedulers validate dense reads, not
-// corridor snapshots), and the net large enough that skipping the dense
-// expansion pays for the snapshot. Small nets fall through to the dense
+// on and the net large enough that skipping the dense expansion pays for
+// the snapshot. Small nets fall through to the dense
 // engine untouched, which keeps standard-cell-scale runs — including the
 // CI equivalence smoke — byte-identical with -sparse on or off.
 func (st *state) sparseEligible(n netlist.Net) bool {

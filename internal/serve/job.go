@@ -75,7 +75,6 @@ type OptionsPayload struct {
 	DirPenalty      *int  `json:"dir_penalty,omitempty"`
 	MaxExpand       *int  `json:"max_expand,omitempty"`
 	DecompCache     *bool `json:"decomp_cache,omitempty"`
-	NetWorkers      *int  `json:"net_workers,omitempty"`
 }
 
 // apply overlays the non-nil fields onto opt.
@@ -104,7 +103,6 @@ func (p *OptionsPayload) apply(opt *router.Options) {
 	setInt(&opt.DirPenalty, p.DirPenalty)
 	setInt(&opt.MaxExpand, p.MaxExpand)
 	setBool(&opt.DecompCache, p.DecompCache)
-	setInt(&opt.NetWorkers, p.NetWorkers)
 }
 
 // SubmitResponse is the 202 body of POST /v1/jobs, snapshotted at

@@ -4,11 +4,10 @@ import "sync"
 
 // pool is the bounded FIFO routing-worker pool: a buffered channel is the
 // admission queue, a fixed set of goroutines drains it in order. It joins
-// internal/sched and internal/bench on the sadplint goroutine-rule
-// allowlist under the same discipline those pools follow — fixed worker
-// count, results attached to the job (never to scheduling order), and the
-// routing work itself single-goroutine per job (intra-job parallelism
-// goes through internal/sched's own deterministic pool).
+// internal/bench on the sadplint goroutine-rule allowlist under the same
+// discipline that pool follows — fixed worker count, results attached to
+// the job (never to scheduling order), and the routing work itself
+// single-goroutine per job.
 type pool struct {
 	queue chan *Job
 	wg    sync.WaitGroup

