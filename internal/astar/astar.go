@@ -227,7 +227,9 @@ func (q *pq) pop() item {
 // Occupied and blocked cells are impassable except cells owned by net id.
 // The returned path runs source→target inclusive; ok is false when no path
 // exists, and when the search gives up: MaxExpand reached, or a cost
-// outside the range Config documents.
+// outside the range Config documents. A search none of whose targets the
+// net may enter (see Config.mayEnter) ends before its first expansion:
+// it cannot reach a goal, however far its sources flood.
 func (e *Engine) Search(id int32, sources, targets []grid.Cell, cfg Config) ([]grid.Cell, bool) {
 	if len(sources) == 0 || len(targets) == 0 {
 		return nil, false
@@ -235,7 +237,7 @@ func (e *Engine) Search(id int32, sources, targets []grid.Cell, cfg Config) ([]g
 	e.queue = e.queue[:0]
 	e.Expand, e.Pushes, e.Pops, e.HeapPeak = 0, 0, 0, 0
 	defer e.flushObs()
-	if !cfg.nonNegative() || e.begin(sources, targets, cfg) == 0 {
+	if !cfg.nonNegative() || e.begin(id, sources, targets, cfg) == 0 {
 		return nil, false
 	}
 	e.targets = append(e.targets[:0], targets...)
@@ -279,8 +281,8 @@ func (e *Engine) Search(id int32, sources, targets []grid.Cell, cfg Config) ([]g
 
 // begin starts a new search id under cfg: it marks every in-grid source and
 // target as a pin and every in-grid target as a goal, and returns the
-// number of distinct goals.
-func (e *Engine) begin(sources, targets []grid.Cell, cfg Config) int {
+// number of distinct goals net id may enter.
+func (e *Engine) begin(id int32, sources, targets []grid.Cell, cfg Config) int {
 	e.cur++
 	e.cfg = cfg
 	e.overflow = false
@@ -295,9 +297,12 @@ func (e *Engine) begin(sources, targets []grid.Cell, cfg Config) int {
 		if !e.g.In(t) {
 			continue
 		}
-		if n := &e.nodes[e.g.Index(t)]; n.mark != target {
+		i := e.g.Index(t)
+		if n := &e.nodes[i]; n.mark != target {
 			n.mark = target
-			ntargets++
+			if cfg.mayEnter(e.g.AtIndex(i), id) {
+				ntargets++
+			}
 		}
 	}
 	return ntargets
@@ -306,6 +311,14 @@ func (e *Engine) begin(sources, targets []grid.Cell, cfg Config) int {
 // nonNegative reports whether every weight of c is >= 0.
 func (c *Config) nonNegative() bool {
 	return c.WL >= 0 && c.Via >= 0 && c.PinVia >= 0 && c.Gamma2 >= 0 && c.DirPenalty >= 0 && c.SoftOccupied >= 0
+}
+
+// mayEnter reports whether net id may enter a cell holding v under c: a
+// free cell, its own cell, or another net's cell when SoftOccupied is
+// positive — the rule stepCosts prices moves by. Every pushed cell passes
+// it, sources included (they must be free or the net's own).
+func (c *Config) mayEnter(v, id int32) bool {
+	return v == grid.Free || v == id || (c.SoftOccupied > 0 && v >= 0)
 }
 
 // stepCosts prices the six moves out of cell c (index i) for net id under
@@ -365,7 +378,7 @@ func (e *Engine) Price(id int32, sources, targets, path []grid.Cell, cfg Config)
 	if !cfg.nonNegative() {
 		return 0, false
 	}
-	e.begin(sources, targets, cfg)
+	e.begin(id, sources, targets, cfg)
 	total := 0
 	var costs [6]int
 	for k := 1; k < len(path); k++ {

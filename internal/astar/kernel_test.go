@@ -239,18 +239,44 @@ func kernelQuery(rng *rand.Rand, g *grid.Grid) (int32, []grid.Cell, []grid.Cell,
 	return id, src, tgt, cfg
 }
 
+// enterableTarget reports whether net id may enter any in-grid target
+// under cfg, by the reference's step rule.
+func enterableTarget(g *grid.Grid, id int32, targets []grid.Cell, cfg Config) bool {
+	for _, t := range targets {
+		if g.In(t) && (g.FreeOrNet(t, id) || cfg.SoftOccupied > 0 && g.At(t) >= 0) {
+			return true
+		}
+	}
+	return false
+}
+
 // checkKernel runs one search on the kernel and on the reference and fails
 // on any difference in path or statistics; for found paths it
 // also checks Price against the search cost and, without an expansion
-// budget, the cost against Dijkstra.
+// budget, the cost against Dijkstra. A search with no enterable target is
+// the exception: the kernel must end it before expanding, and the
+// reference, run without an expansion budget, must prove it has no path.
 func checkKernel(t *testing.T, e *Engine, g *grid.Grid, id int32, src, tgt []grid.Cell, cfg Config) {
 	t.Helper()
 	path, ok := e.Search(id, src, tgt, cfg)
-	want, cost := refSearch(g, id, src, tgt, cfg, false)
 	got := refResult{
 		path: path, ok: ok,
 		expand: e.Expand, pushes: e.Pushes, pops: e.Pops, heapPeak: e.HeapPeak,
 	}
+	if !enterableTarget(g, id, tgt, cfg) {
+		unbounded := cfg
+		unbounded.MaxExpand = 0
+		if want, _ := refSearch(g, id, src, tgt, unbounded, false); want.ok {
+			t.Fatalf("no enterable target on %dx%dx%d grid, net %d, %v -> %v, cfg %+v, yet the reference finds %v",
+				g.W, g.H, g.Layers, id, src, tgt, cfg, want.path)
+		}
+		if !reflect.DeepEqual(got, refResult{}) {
+			t.Fatalf("no enterable target on %dx%dx%d grid, net %d, %v -> %v, cfg %+v, yet the kernel searched: %+v",
+				g.W, g.H, g.Layers, id, src, tgt, cfg, got)
+		}
+		return
+	}
+	want, cost := refSearch(g, id, src, tgt, cfg, false)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("kernel and reference disagree on %dx%dx%d grid, net %d, %v -> %v, cfg %+v:\nkernel    %+v\nreference %+v",
 			g.W, g.H, g.Layers, id, src, tgt, cfg, got, want)
@@ -295,7 +321,10 @@ func TestKernelMatchesReference(t *testing.T) {
 // FuzzAstarKernel is the differential bar for the inline-priced kernel:
 // on random grids with blockages, foreign and own cells, penalty planes,
 // multi-candidate pins and random cost weights, it must return the
-// reference search's path and Expand/Pushes/Pops/HeapPeak.
+// reference search's path and Expand/Pushes/Pops/HeapPeak. The corpus
+// seeds 2066, 2164 and 2019 open with a target owned by another net, a
+// blocked target under SoftOccupied, and a target owned by the searching
+// net: the first two end before expanding, the third searches.
 func FuzzAstarKernel(f *testing.F) {
 	for s := int64(0); s < 16; s++ {
 		f.Add(s)

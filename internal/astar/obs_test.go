@@ -47,6 +47,16 @@ func TestSearchStats(t *testing.T) {
 	if s.Counter(obs.CtrAstarSearches) != 2 {
 		t.Errorf("searches = %d, want 2", s.Counter(obs.CtrAstarSearches))
 	}
+
+	// A search whose only target belongs to another net ends unexpanded
+	// and still counts as a search.
+	g.Occupy(grid.Cell{X: 15, Y: 8}, 9)
+	if _, ok := e.Search(0, []grid.Cell{{X: 0, Y: 8}}, []grid.Cell{{X: 15, Y: 8}}, Config{WL: 1, Via: 1}); ok || e.Expand != 0 {
+		t.Errorf("foreign target: ok=%v expand=%d, want no path after 0 expansions", ok, e.Expand)
+	}
+	if s = rec.Snapshot(); s.Counter(obs.CtrAstarSearches) != 3 {
+		t.Errorf("searches = %d, want 3", s.Counter(obs.CtrAstarSearches))
+	}
 }
 
 // benchGrid builds a 64x64x3 grid with scattered blockages — dense enough

@@ -61,11 +61,23 @@ type Netlist struct {
 	Blockages    []Blockage
 }
 
-// Validate checks that every pin candidate and blockage lies on the grid
-// and that nets have at least one candidate per pin.
+// MaxCells bounds a netlist's grid at W×H×Layers cells. Routing holds
+// about 40 bytes per cell (Huge3's 5.88M cells peak near 233 MB), so a
+// grid at the limit needs about 1.3 GB. Validate refuses a larger grid
+// before anything allocates it: an allocation that fails kills the whole
+// process, which no recover can catch.
+const MaxCells = 1 << 25
+
+// Validate checks that the grid has at most MaxCells cells, that every pin
+// candidate and blockage lies on it, and that nets have at least one
+// candidate per pin.
 func (nl *Netlist) Validate() error {
 	if nl.W <= 0 || nl.H <= 0 || nl.Layers <= 0 {
 		return fmt.Errorf("netlist: invalid grid %dx%dx%d", nl.W, nl.H, nl.Layers)
+	}
+	// Divide rather than multiply, so that no product can overflow.
+	if nl.W > MaxCells/nl.H || nl.Layers > MaxCells/(nl.W*nl.H) {
+		return fmt.Errorf("netlist: grid %dx%dx%d has more than %d cells", nl.W, nl.H, nl.Layers, MaxCells)
 	}
 	bounds := geom.Rect{X1: nl.W, Y1: nl.H}
 	for i, n := range nl.Nets {

@@ -54,6 +54,27 @@ func TestValidateRejectsOffGrid(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsHugeGrid pins MaxCells: the limit itself passes, one
+// layer more fails, and a two-line text netlist asking for a 480 GB grid is
+// refused by Read instead of reaching BuildGrid. Factors whose product
+// overflows int must not wrap past the check.
+func TestValidateRejectsHugeGrid(t *testing.T) {
+	nl := sample()
+	nl.W, nl.H, nl.Layers = 1<<12, 1<<12, 2
+	if err := nl.Validate(); err != nil {
+		t.Fatalf("grid of MaxCells cells rejected: %v", err)
+	}
+	for _, dims := range [][3]int{{1 << 12, 1 << 12, 3}, {200000, 200000, 3}, {1 << 40, 1 << 40, 1 << 40}, {16, 1 << 62, 16}} {
+		nl.W, nl.H, nl.Layers = dims[0], dims[1], dims[2]
+		if err := nl.Validate(); err == nil {
+			t.Errorf("grid %dx%dx%d passed validation", dims[0], dims[1], dims[2])
+		}
+	}
+	if _, err := Read(strings.NewReader("grid 200000 200000 3\nnet a (0,0,0) -> (1,1,0)\n")); err == nil || !strings.Contains(err.Error(), "cells") {
+		t.Fatalf("Read accepted a 1.2e11-cell grid (err %v)", err)
+	}
+}
+
 func TestValidateRejectsSparseIDs(t *testing.T) {
 	nl := sample()
 	nl.Nets[1].ID = 5

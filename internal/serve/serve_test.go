@@ -184,7 +184,7 @@ func TestSubmitRouteResult(t *testing.T) {
 }
 
 // TestSubmitValidation covers the 400 paths: bad JSON, empty netlist,
-// malformed netlist, bad rules, bad options.
+// malformed netlist, a grid over netlist.MaxCells, bad rules, bad options.
 func TestSubmitValidation(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueDepth: 2})
 	ts := httptest.NewServer(srv)
@@ -211,6 +211,9 @@ func TestSubmitValidation(t *testing.T) {
 		// forever, pinning a worker past cancellation and drain.
 		"negative alpha":  `{"netlist":"name x\ngrid 8 8 2\nnet a (0,0,0) -> (2,2,0)\n","options":{"alpha":-1,"max_expand":0}}`,
 		"negative gamma2": `{"netlist":"name x\ngrid 8 8 2\nnet a (0,0,0) -> (2,2,0)\n","options":{"gamma2":-3}}`,
+		// A grid past netlist.MaxCells used to reach BuildGrid, whose
+		// 480 GB allocation killed the daemon beyond any recover.
+		"huge grid": `{"netlist":"grid 200000 200000 3\nnet a (0,0,0) -> (2,2,0)\n"}`,
 	} {
 		code, ae := post(body)
 		if code != http.StatusBadRequest || ae.Code != "bad_request" {
