@@ -197,58 +197,6 @@ func BenchmarkDecomposeOracle(b *testing.B) {
 	}
 }
 
-// BenchmarkDecompCacheMiss measures the memo cache's miss path — key
-// serialization, oracle run, entry store — on a stream of distinct
-// layouts, and doubles as a regression guard: the miss path must
-// serialize the canonical key exactly once per lookup (the stored entry
-// reuses the bytes built for the probe). Rebuilding the key to store the
-// entry would double KeyBuilds and fail the assertion, not just slow the
-// benchmark down.
-func BenchmarkDecompCacheMiss(b *testing.B) {
-	res := router.Route(smallInstance(23, 1), rules.Node10nm(), router.Defaults())
-	layouts := res.Layouts()
-	var nonEmpty []decomp.Layout
-	for _, ly := range layouts {
-		if len(ly.Pats) > 0 {
-			nonEmpty = append(nonEmpty, ly)
-		}
-	}
-	if len(nonEmpty) == 0 {
-		b.Fatal("routed instance produced no layouts")
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	var lookups int64
-	c := decomp.NewCache(0)
-	for i := 0; i < b.N; i++ {
-		// The per-iteration deep copy is setup, not cache work: shift the
-		// die by one pitch per iteration — same workload shape, distinct
-		// canonical key, so every lookup is a miss until the FIFO wraps
-		// (and wrap evictions are part of the measured path).
-		b.StopTimer()
-		ly := nonEmpty[i%len(nonEmpty)]
-		d := geom.Pt{X: (i + 1) * rules.Node10nm().Pitch()}
-		shifted := ly
-		shifted.Die = ly.Die.Translate(d)
-		shifted.Pats = make([]decomp.Pattern, len(ly.Pats))
-		for j, p := range ly.Pats {
-			q := p
-			q.Rects = make([]geom.Rect, len(p.Rects))
-			for k, r := range p.Rects {
-				q.Rects[k] = r.Translate(d)
-			}
-			shifted.Pats[j] = q
-		}
-		b.StartTimer()
-		c.DecomposeCut(shifted, nil)
-		lookups++
-	}
-	b.StopTimer()
-	if got := c.KeyBuilds(); got != lookups {
-		b.Fatalf("miss path regression: %d key serializations for %d lookups (want exactly one each)", got, lookups)
-	}
-}
-
 // BenchmarkAStar measures the search engine on an empty grid.
 func BenchmarkAStar(b *testing.B) {
 	nl := smallInstance(19, 1)

@@ -9,7 +9,6 @@
 //	experiments -which appendix               # Figs. 24-34 enumeration
 //	experiments -which ablation               # design-choice ablations
 //	experiments -which stages                 # per-stage timing breakdown
-//	experiments -which decompcache            # decomposition memo on/off
 //	experiments -which sparsehuge             # corridor search on the huge family
 //
 // -scale small shrinks the benchmark sizes for quick runs; -scale paper
@@ -50,12 +49,11 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stdout)
 	var (
-		which  = fs.String("which", "table2", "comma list: table2,table3,table4,fig20,fig21,fig22,stages,decompcache,sparsehuge,golden,appendix,ablation,all")
+		which  = fs.String("which", "table2", "comma list: table2,table3,table4,fig20,fig21,fig22,stages,sparsehuge,golden,appendix,ablation,all")
 		scale  = fs.String("scale", "small", "benchmark scale: tiny | small | medium | paper")
 		outDir = fs.String("out", "results", "output directory")
 		budget = fs.Duration("budget", 30*time.Minute, "per-run time budget for the exhaustive baseline")
 		jobs   = fs.Int("jobs", runtime.NumCPU(), "parallel (benchmark x algorithm) cells; 1 = serial")
-		dcache = fs.Bool("decomp-cache", true, "memoize the decomposition oracle by layout content (internal/decomp); result byte-identical either way")
 		sparse = fs.Bool("sparse", false, "route ours-cells with the corridor routing graph (router.Options.SparseSearch); below the HPWL gate the result is byte-identical")
 		trDir  = fs.String("tracedir", "", "write one JSONL trace per ours-cell into this directory")
 		bjson  = fs.String("bench-json", "", "write a benchmark ledger: a *.json path is used verbatim, anything else is a directory for BENCH_<rev>.json")
@@ -100,7 +98,7 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 
-	h := harness{jobs: *jobs, noCache: !*dcache, sparse: *sparse, budget: *budget, traceDir: *trDir}
+	h := harness{jobs: *jobs, sparse: *sparse, budget: *budget, traceDir: *trDir}
 	var ledgerPath string
 	if *bjson != "" {
 		h.ledger = bench.NewLedger(*rev, *jobs)
@@ -122,7 +120,6 @@ func run(args []string, stdout io.Writer) error {
 		{"table4", func() (string, error) { return table4(ds, *scale, h) }},
 		{"fig20", func() (string, error) { return fig20(ds, *scale, h) }},
 		{"stages", func() (string, error) { return stages(ds, *scale, h) }},
-		{"decompcache", func() (string, error) { return decompcache(ds, *scale) }},
 		{"sparsehuge", func() (string, error) { return sparsehuge(ds, *scale, h) }},
 		{"golden", func() (string, error) { return golden(ds, *outDir, h) }},
 		{"fig21", func() (string, error) { return fig21(ds, *outDir) }},

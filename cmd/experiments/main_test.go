@@ -90,30 +90,6 @@ func TestBenchLedger(t *testing.T) {
 	}
 }
 
-// TestDecompCacheExperiment runs the memo-cache experiment at the CI
-// smoke scale: it routes the largest tiny benchmark with the cache off
-// and on, and errors out by itself if the two runs are not
-// byte-identical, so a pass here is also an equivalence check.
-func TestDecompCacheExperiment(t *testing.T) {
-	dir := t.TempDir()
-	var b strings.Builder
-	if err := run([]string{"-which", "decompcache", "-scale", "tiny", "-out", dir}, &b); err != nil {
-		t.Fatalf("decompcache failed: %v\n%s", err, b.String())
-	}
-	out := b.String()
-	for _, w := range []string{"hits", "identical", "decompcache —"} {
-		if !strings.Contains(out, w) {
-			t.Fatalf("decompcache output missing %q:\n%s", w, out)
-		}
-	}
-	if strings.Contains(out, "NO") {
-		t.Fatalf("decompcache reported a divergent run:\n%s", out)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "decompcache.txt")); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSparsehugeExperiment runs the corridor-search experiment on the
 // smallest huge instance (tiny scale): both configs route, every sparse
 // run is DRC-checked inside the experiment, and the ledger carries both

@@ -21,7 +21,6 @@ import (
 // experiments and builds one bench.Harness per (specs × algos) matrix.
 type harness struct {
 	jobs     int
-	noCache  bool // route with the decomposition memo cache disabled
 	sparse   bool // route ours-cells with the corridor routing graph
 	budget   time.Duration
 	traceDir string
@@ -43,10 +42,9 @@ func (h harness) runCells(exp string, ds rules.Set, specs []bench.Spec, algos []
 		Jobs: h.jobs,
 		Cfg:  bench.RunConfig{Rules: ds, Budget: h.budget},
 	}
-	if h.noCache || h.sparse {
+	if h.sparse {
 		opt := router.Defaults()
-		opt.DecompCache = !h.noCache
-		opt.SparseSearch = h.sparse
+		opt.SparseSearch = true
 		bh.Cfg.RouterOptions = &opt
 	}
 	if h.traceDir != "" {

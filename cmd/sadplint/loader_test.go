@@ -199,50 +199,3 @@ func BareDirective() string {
 		}
 	}
 }
-
-// TestMarkerParsing covers the //sadp:immutable grammar: bare marker,
-// marker with trailing text, marker in a TypeSpec doc of a grouped decl,
-// and near-miss comments that must NOT register.
-func TestMarkerParsing(t *testing.T) {
-	root := writeModule(t, map[string]string{
-		"go.mod": "module example.com/m\n",
-		"internal/y/y.go": `// Package y exercises marker parsing.
-package y
-
-//sadp:immutable
-type Bare struct{ N int }
-
-//sadp:immutable — cached and shared.
-type WithText struct{ N int }
-
-type (
-	// Grouped has a spec-level doc marker.
-	//sadp:immutable
-	Grouped struct{ N int }
-
-	Plain struct{ N int }
-)
-
-// sadp:immutable — leading space disqualifies the marker line.
-type NearMiss struct{ N int }
-
-//sadp:immutableish
-type Prefix struct{ N int }
-`,
-	})
-	l, err := newLoader(root)
-	if err != nil {
-		t.Fatalf("newLoader: %v", err)
-	}
-	m := collectMarkers(l)
-	want := map[string]bool{
-		"Bare": true, "WithText": true, "Grouped": true,
-		"Plain": false, "NearMiss": false, "Prefix": false,
-	}
-	for name, marked := range want {
-		got := m.immutable[typeKey{"example.com/m/internal/y", name}]
-		if got != marked {
-			t.Errorf("marker on %s = %v, want %v", name, got, marked)
-		}
-	}
-}

@@ -16,9 +16,6 @@
 //     trace and table guarantees.
 //   - goroutine: `go` statements in internal/ only inside the blessed
 //     worker pools (internal/bench, internal/serve).
-//   - immutable: no writes through fields of `//sadp:immutable`-marked
-//     types outside their home package (the memo-cache sharing contract;
-//     generalizes the former resultwrite rule).
 //   - float: no floating point in internal/geom, internal/decomp,
 //     internal/grid — the paper's model is integer-grid.
 //   - panic: no panic in library packages (internal/...) outside

@@ -52,15 +52,6 @@ func TestFixtureFindings(t *testing.T) {
 		"internal/lib/lib.go:69:15: [stderr] os.Stderr in library code",
 		// pkgdoc rule: internal/ package without a package comment
 		"internal/nodoc/nodoc.go:1:9: [pkgdoc] package internal/nodoc has no package comment",
-		// immutable rule via the //sadp:immutable marker on the decomp
-		// fixture's Result (the retired resultwrite special case) ...
-		"internal/consumer/consumer.go:10:2: [immutable] write through decomp.Result field SideOverlayNM",
-		"internal/consumer/consumer.go:11:2: [immutable] write through decomp.Result field Overlays",
-		"internal/consumer/consumer.go:12:2: [immutable] ++ through decomp.Result field SideOverlayNM",
-		// ... and on an unrelated marked type, proving it is marker-driven
-		"internal/immutuser/immutuser.go:10:2: [immutable] write through immut.Snapshot field Count",
-		"internal/immutuser/immutuser.go:11:2: [immutable] write through immut.Snapshot field Tags",
-		"internal/immutuser/immutuser.go:12:2: [immutable] ++ through immut.Snapshot field Count",
 		// poolleak rule: early return, panic edge, conditional defer
 		"internal/pooluser/pooluser.go:9:7: [poolleak] pool handle e acquired here is not Released on every path",
 		"internal/pooluser/pooluser.go:19:7: [poolleak] pool handle e acquired here is not Released on every path",
@@ -83,38 +74,34 @@ func TestFixtureFindings(t *testing.T) {
 		}
 	}
 	donts := []string{
-		"geom.go:23",                // whitelisted percentage signature line
-		"geom.go:25",                // whitelisted percentage body line
-		"lib.go:19",                 // panic inside NewCounter is constructor validation
-		"lib.go:36",                 // sorted map collection is the clean idiom
-		"lib.go:57",                 // whitelisted getenv
-		"lib.go:74",                 // whitelisted stderr write
-		"lib.go:99",                 // Sum: numeric accumulation is order-independent
-		"lib.go:103",                // Sum's Fprintf of the untainted total
-		"lib.go:110",                // Tally: constant emission per entry
-		"lib.go:121",                // EmitSorted: append into a sorted slice
-		"lib.go:125",                // EmitSorted: emission after the sort killed the taint
-		"obs.go",                    // internal/obs owns the sanctioned os.Stderr default
-		"cmd/tool",                  // panic rule does not apply to commands
-		"consumer.go:19",            // whitelisted immutable write
-		"internal/decomp/decomp.go", // the owning package may write Result fields
-		"immut.go",                  // home package builds Snapshots before publication
-		"immutuser.go:17",           // whitelisted immutable write
-		"pooluser.go:37",            // OKDefer
-		"pooluser.go:46",            // OKAllPaths
-		"pooluser.go:57",            // OKLoop
-		"pooluser.go:65",            // OKDeferClosure
-		"pooluser.go:73",            // OKSliceDefer: transfer at birth
-		"pooluser.go:86",            // OKReturnTransfer
-		"pooluser.go:92",            // OKArgTransfer
-		"pooluser.go:98",            // whitelisted poolleak
-		"pooluser.go:118",           // OKReturnReceiver: defer + receiver-use return
-		"pooluser.go:126",           // OKIntermediateReceiver: receiver call then Release
-		"clock.go:26",               // whitelisted wallclock reads
-		"clock.go:27",               // whitelisted wallclock reads
-		"clock.go:31",               // Duration arithmetic is not a clock read
-		"gorout.go:12",              // whitelisted goroutine
-		"internal/serve/serve.go",   // allowlisted job-server pool may spawn
+		"geom.go:23",              // whitelisted percentage signature line
+		"geom.go:25",              // whitelisted percentage body line
+		"lib.go:19",               // panic inside NewCounter is constructor validation
+		"lib.go:36",               // sorted map collection is the clean idiom
+		"lib.go:57",               // whitelisted getenv
+		"lib.go:74",               // whitelisted stderr write
+		"lib.go:99",               // Sum: numeric accumulation is order-independent
+		"lib.go:103",              // Sum's Fprintf of the untainted total
+		"lib.go:110",              // Tally: constant emission per entry
+		"lib.go:121",              // EmitSorted: append into a sorted slice
+		"lib.go:125",              // EmitSorted: emission after the sort killed the taint
+		"obs.go",                  // internal/obs owns the sanctioned os.Stderr default
+		"cmd/tool",                // panic rule does not apply to commands
+		"pooluser.go:37",          // OKDefer
+		"pooluser.go:46",          // OKAllPaths
+		"pooluser.go:57",          // OKLoop
+		"pooluser.go:65",          // OKDeferClosure
+		"pooluser.go:73",          // OKSliceDefer: transfer at birth
+		"pooluser.go:86",          // OKReturnTransfer
+		"pooluser.go:92",          // OKArgTransfer
+		"pooluser.go:98",          // whitelisted poolleak
+		"pooluser.go:118",         // OKReturnReceiver: defer + receiver-use return
+		"pooluser.go:126",         // OKIntermediateReceiver: receiver call then Release
+		"clock.go:26",             // whitelisted wallclock reads
+		"clock.go:27",             // whitelisted wallclock reads
+		"clock.go:31",             // Duration arithmetic is not a clock read
+		"gorout.go:12",            // whitelisted goroutine
+		"internal/serve/serve.go", // allowlisted job-server pool may spawn
 	}
 	for _, d := range donts {
 		if strings.Contains(out, d) {
@@ -135,19 +122,6 @@ func TestPatternSelection(t *testing.T) {
 	}
 	if !strings.Contains(out, "geom.go") {
 		t.Errorf("pattern ./internal/geom produced no geom findings:\n%s", out)
-	}
-}
-
-// TestMarkerCrossesPatterns proves the //sadp:immutable marker table is
-// built module-wide: linting only the consumer package still sees the
-// marker declared in the (unselected) decomp fixture package.
-func TestMarkerCrossesPatterns(t *testing.T) {
-	out, err := runLint(t, "-dir", "testdata/mod", "./internal/consumer")
-	if err == nil {
-		t.Fatalf("expected immutable findings, got clean run:\n%s", out)
-	}
-	if !strings.Contains(out, "[immutable] write through decomp.Result field SideOverlayNM") {
-		t.Errorf("marker from unselected package not honored:\n%s", out)
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 // The rule engine. Every rule is a self-registering pass: its file calls
 // register() from init() with a name, a one-line doc string, and a file-
 // and/or package-level run function. The engine owns everything shared —
-// loading, the `//lint:allow` directive index, the `//sadp:immutable`
-// marker table, CFG construction and caching — so a rule is only its
-// domain logic. docs/lint-rules.md catalogues the rules themselves.
+// loading, the `//lint:allow` directive index, CFG construction and
+// caching — so a rule is only its domain logic. docs/lint-rules.md
+// catalogues the rules themselves.
 
 // finding is one reported violation.
 type finding struct {
@@ -57,25 +57,10 @@ func knownRules() map[string]bool {
 	return out
 }
 
-// typeKey identifies a named type across the module.
-type typeKey struct {
-	pkgPath string
-	name    string
-}
-
-// markerTable is the module-wide result of the marker pre-pass: types
-// whose declarations carry a `//sadp:immutable` doc-comment line.
-type markerTable struct {
-	immutable map[typeKey]bool
-}
-
 // lintModule runs every registered rule over the packages selected by
-// patterns and returns the surviving findings sorted by position. Markers
-// are collected from ALL packages first, so a rule can see a marked type
-// declared in a package the patterns did not select.
+// patterns and returns the surviving findings sorted by position.
 func lintModule(l *loader, patterns []string) []finding {
 	sort.Slice(registry, func(i, j int) bool { return registry[i].name < registry[j].name })
-	markers := collectMarkers(l)
 	known := knownRules()
 	var out []finding
 	for _, p := range l.sorted() {
@@ -90,7 +75,7 @@ func lintModule(l *loader, patterns []string) []finding {
 			continue
 		}
 		for _, file := range p.files {
-			out = append(out, lintFile(l, p, file, markers, known)...)
+			out = append(out, lintFile(l, p, file, known)...)
 		}
 		for _, r := range registry {
 			if r.pkg != nil {
@@ -119,65 +104,15 @@ func lintModule(l *loader, patterns []string) []finding {
 	return out
 }
 
-// collectMarkers scans every package for `//sadp:immutable` lines in type
-// declaration doc comments. The marker claims the type's values are
-// shared after publication: writes through their fields outside the home
-// package trip the immutable rule.
-func collectMarkers(l *loader) *markerTable {
-	m := &markerTable{immutable: map[typeKey]bool{}}
-	for _, p := range l.sorted() {
-		for _, file := range p.files {
-			for _, decl := range file.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok || gd.Tok != token.TYPE {
-					continue
-				}
-				for _, spec := range gd.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					if hasMarker(gd.Doc, "sadp:immutable") || hasMarker(ts.Doc, "sadp:immutable") ||
-						hasMarker(ts.Comment, "sadp:immutable") {
-						m.immutable[typeKey{p.importPath, ts.Name.Name}] = true
-					}
-				}
-			}
-		}
-	}
-	return m
-}
-
-// hasMarker reports whether a comment group contains a `//<marker>` line
-// (optionally followed by explanatory text after whitespace). Like Go's
-// own directives, the marker must follow `//` immediately: `// sadp:...`
-// with a space is prose, not a directive.
-func hasMarker(cg *ast.CommentGroup, marker string) bool {
-	if cg == nil {
-		return false
-	}
-	for _, cm := range cg.List {
-		text, ok := strings.CutPrefix(cm.Text, "//"+marker)
-		if !ok {
-			continue
-		}
-		if text == "" || text[0] == ' ' || text[0] == '\t' {
-			return true
-		}
-	}
-	return false
-}
-
 // lintFile runs every file-level rule over one file and filters the
 // findings through the lint:allow directives.
-func lintFile(l *loader, p *lintPkg, file *ast.File, markers *markerTable, known map[string]bool) []finding {
+func lintFile(l *loader, p *lintPkg, file *ast.File, known map[string]bool) []finding {
 	ps := &pass{
-		l:       l,
-		p:       p,
-		file:    file,
-		markers: markers,
-		allow:   map[int]map[string]bool{},
-		cfgs:    map[*ast.BlockStmt]*funcCFG{},
+		l:     l,
+		p:     p,
+		file:  file,
+		allow: map[int]map[string]bool{},
+		cfgs:  map[*ast.BlockStmt]*funcCFG{},
 	}
 	ps.collectDirectives(known)
 	for _, r := range registry {
@@ -200,7 +135,6 @@ type pass struct {
 	l        *loader
 	p        *lintPkg
 	file     *ast.File
-	markers  *markerTable
 	allow    map[int]map[string]bool // line -> rules allowed on that line
 	findings []finding
 	cfgs     map[*ast.BlockStmt]*funcCFG // shared CFG cache across rules

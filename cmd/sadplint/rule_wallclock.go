@@ -9,7 +9,7 @@ import (
 // wallclock: internal/ packages must not read wall-clock time or import
 // math/rand. The determinism contract behind every equivalence proof in
 // this repo (byte-identical traces across -jobs values, the
-// golden tables, the decomp cache on/off diffs) is that nothing in
+// golden tables, the verdict memo at any capacity) is that nothing in
 // internal/ depends on when or where it runs: trace events carry a
 // monotonic sequence number, never a timestamp, and all randomness flows
 // from explicit seeds (internal/bench's seeded generator).

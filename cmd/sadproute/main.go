@@ -41,7 +41,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		in         = fs.String("in", "", "netlist file (see package netlist for the format)")
 		svgDir     = fs.String("svg", "", "directory for per-layer SVG renderings (optional)")
 		noFlip     = fs.Bool("no-flip", false, "disable the color-flipping DP")
-		dcache     = fs.Bool("decomp-cache", true, "memoize the decomposition oracle by layout content (internal/decomp); result byte-identical either way")
 		sparseOn   = fs.Bool("sparse", false, "route long nets on the corridor graph (internal/sparse); adopted paths are dense-cost-optimal")
 		noGamma    = fs.Bool("no-gamma", false, "disable the type-2-b routing penalty")
 		traceFile  = fs.String("trace", "", "write a deterministic JSONL trace of the run to this file")
@@ -83,7 +82,6 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 
 	opt := sadp.Defaults()
-	opt.DecompCache = *dcache
 	opt.SparseSearch = *sparseOn
 	if *noFlip {
 		opt.ColorFlip = false

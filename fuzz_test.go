@@ -10,12 +10,11 @@ import (
 // FuzzScheduleCommitOrder checks the router's commit contract from the
 // outside on fuzzed benchmark shapes. Nets commit one at a time in
 // canonical order, so the routed result is a pure function of the input:
-// a second run — with the decomposition cache toggled by the last input
-// byte and Paranoid copies on — matches the default run exactly (totals,
-// paths, colors, per-net attribution in canonical net order) and leaves
-// every cached Result intact; and no two nets' committed paths ever share
-// a grid cell. The decoding is total — every byte string yields a routable
-// instance small enough to route twice per input.
+// a second run in the same process, on engines the first run returned to
+// the pools, matches the first exactly (totals, paths, colors, per-net
+// attribution in canonical net order); and no two nets' committed paths
+// ever share a grid cell. The decoding is total — every byte string yields
+// a routable instance small enough to route twice per input.
 func FuzzScheduleCommitOrder(f *testing.F) {
 	f.Add([]byte{40, 18, 7, 1, 5, 2, 4})
 	f.Add([]byte{12, 12, 3, 2, 3, 0, 2})
@@ -50,30 +49,24 @@ func FuzzScheduleCommitOrder(f *testing.F) {
 		first := Route(nl, ds, opt)
 
 		rec2 := NewRecorder()
-		opt2 := Defaults()
-		opt2.DecompCache = next()%2 == 1
-		opt2.DecompParanoid = true
-		opt2.Obs = rec2
-		second := Route(nl, ds, opt2)
+		opt.Obs = rec2
+		second := Route(nl, ds, opt)
 
-		if err := second.DecompCacheCheck(); err != nil {
-			t.Fatalf("cache=%v: %v", opt2.DecompCache, err)
-		}
 		if second.Routed != first.Routed || second.Failed != first.Failed ||
 			second.WirelengthCells != first.WirelengthCells || second.Vias != first.Vias {
-			t.Fatalf("cache=%v totals diverge: first routed=%d failed=%d wl=%d vias=%d, second routed=%d failed=%d wl=%d vias=%d",
-				opt2.DecompCache, first.Routed, first.Failed, first.WirelengthCells, first.Vias,
+			t.Fatalf("totals diverge: first routed=%d failed=%d wl=%d vias=%d, second routed=%d failed=%d wl=%d vias=%d",
+				first.Routed, first.Failed, first.WirelengthCells, first.Vias,
 				second.Routed, second.Failed, second.WirelengthCells, second.Vias)
 		}
 		if !reflect.DeepEqual(second.Paths, first.Paths) {
-			t.Fatalf("cache=%v paths diverge between runs of the same input", opt2.DecompCache)
+			t.Fatal("paths diverge between runs of the same input")
 		}
 		if !reflect.DeepEqual(second.Colors, first.Colors) {
-			t.Fatalf("cache=%v colors diverge between runs of the same input", opt2.DecompCache)
+			t.Fatal("colors diverge between runs of the same input")
 		}
 		stats := rec.NetStats()
 		if !reflect.DeepEqual(rec2.NetStats(), stats) {
-			t.Fatalf("cache=%v per-net attribution (attempts/rip-ups/fails) diverges between runs", opt2.DecompCache)
+			t.Fatal("per-net attribution (attempts/rip-ups/fails) diverges between runs")
 		}
 		for i := 1; i < len(stats); i++ {
 			if stats[i-1].Net >= stats[i].Net {

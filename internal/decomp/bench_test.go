@@ -5,7 +5,6 @@ import (
 
 	"sadproute/internal/bench"
 	"sadproute/internal/decomp"
-	"sadproute/internal/obs"
 	"sadproute/internal/router"
 	"sadproute/internal/rules"
 )
@@ -57,7 +56,7 @@ func BenchmarkDecomposeWindow(b *testing.B) {
 }
 
 // BenchmarkDecomposeWindowEngine is the same call on a held engine — the
-// loop shape of DecomposeLayersR and the cache's miss path.
+// loop shape of DecomposeLayersR.
 func BenchmarkDecomposeWindowEngine(b *testing.B) {
 	ly := windowOf(benchLayouts(b)[0], 8)
 	e := decomp.Acquire()
@@ -66,19 +65,6 @@ func BenchmarkDecomposeWindowEngine(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.DecomposeCut(ly, nil)
-	}
-}
-
-// BenchmarkDecomposeWindowCached is the memoized window check: every
-// iteration after the first is a content-addressed hit.
-func BenchmarkDecomposeWindowCached(b *testing.B) {
-	ly := windowOf(benchLayouts(b)[0], 8)
-	c := decomp.NewCache(0)
-	rec := obs.New()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.DecomposeCut(ly, rec)
 	}
 }
 

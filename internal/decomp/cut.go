@@ -30,9 +30,7 @@ func DecomposeCutR(ly Layout, rec *obs.Recorder) *Result {
 }
 
 // DecomposeCut runs the cut-process oracle on the engine's scratch state.
-// The returned Result shares nothing with the engine and must be treated
-// as immutable once handed to a Cache (the sadplint immutable rule
-// enforces this outside the package).
+// The returned Result shares nothing with the engine.
 func (e *Engine) DecomposeCut(ly Layout, rec *obs.Recorder) *Result {
 	defer rec.Span(obs.StageDecompose)()
 	res := &Result{}

@@ -154,11 +154,7 @@ type CutConflict struct {
 	Tips bool // conflict between the two tip cuts of a short wire
 }
 
-// Result summarizes one layer's decomposition. The memo cache (Cache)
-// shares one *Result among every caller asking about the same layout;
-// consumers must clone before mutating.
-//
-//sadp:immutable — shared via the decomposition memo cache.
+// Result summarizes one layer's decomposition.
 type Result struct {
 	// SideOverlayNM is the total length of non-tip overlays in nm.
 	// SideOverlayUnits is the same in w_line units (the paper's metric).

@@ -15,8 +15,7 @@ import (
 //
 // An Engine is single-goroutine state: Acquire one, run any number of
 // decompositions, Release it. Results returned by engine methods never
-// alias engine scratch, so they stay valid (and immutable — see Cache)
-// after Release.
+// alias engine scratch, so they stay valid after Release.
 type Engine struct {
 	// Targets and their spatial index (collectTargets).
 	ts  []tgt

@@ -142,50 +142,6 @@ func TestDecompMirrorInvariance(t *testing.T) {
 	}
 }
 
-// TestIncrementalMetamorphicInvariance replays the repair loop's edit
-// through the memo cache for every routed layout — first the layout minus
-// one net, then the full layout — and asserts the cached verdict of the
-// edited layout equals the full oracle's and is invariant under
-// pitch-multiple translation and mirroring, the transforms the plain
-// oracle is checked against above.
-func TestIncrementalMetamorphicInvariance(t *testing.T) {
-	p := rules.Node10nm().Pitch()
-	transforms := []struct {
-		name string
-		f    func(decomp.Layout) decomp.Layout
-	}{
-		{"identity", func(l decomp.Layout) decomp.Layout { return l }},
-		{"translate", func(l decomp.Layout) decomp.Layout { return translateLayout(l, 3*p, -2*p) }},
-		{"mirror", mirrorLayout},
-	}
-	for i, ly := range append(metamorphicLayouts(t), twoClusters()) {
-		if len(ly.Pats) < 2 {
-			continue
-		}
-		base := verdictOf(decomp.DecomposeCut(ly))
-		drop := len(ly.Pats) / 2
-		for _, tr := range transforms {
-			full := tr.f(ly)
-			prev := full
-			prev.Pats = append(append([]decomp.Pattern(nil), full.Pats[:drop]...), full.Pats[drop+1:]...)
-			c := decomp.NewCache(0)
-			c.Paranoid = true
-			before := c.DecomposeCut(prev, nil)
-			res := c.DecomposeCut(full, nil)
-			if res == before {
-				t.Errorf("layout %d %s: full layout was served the cached Result of the layout minus net %d",
-					i, tr.name, full.Pats[drop].Net)
-			}
-			if got := verdictOf(res); got != base {
-				t.Errorf("layout %d %s: cached verdict changed\nbase: %+v\ngot:  %+v", i, tr.name, base, got)
-			}
-			if err := c.CheckIntegrity(); err != nil {
-				t.Errorf("layout %d %s: %v", i, tr.name, err)
-			}
-		}
-	}
-}
-
 // TestDecompNaiveAssistsInvariance repeats both transforms with the
 // ref.-[16]-style naive assist synthesis, which exercises the merge-heavy
 // code paths the optimized synthesis avoids.

@@ -26,9 +26,6 @@ const (
 	// one checked window, including the net under test.
 	HistWindowNets
 	// Decomposition oracle (internal/decomp): blobs per decomposition.
-	// Cache hits skip the oracle, so — exactly like the decomp.* work
-	// counters — equivalence tests comparing cached vs uncached runs zero
-	// the decomp.* histogram family before diffing snapshots.
 	HistDecompBlobs
 
 	numHists

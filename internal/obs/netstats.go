@@ -50,9 +50,7 @@ const NumRipCauses = int(numRipCauses)
 
 // NetStat is the accumulated work attribution for one net, keyed by its
 // canonical (input-order) id. Every field is driven by the router's
-// serial path, so the table is byte-identical at any -jobs or cache
-// setting — unlike the decomp.* counter family it never needs zeroing in
-// equivalence dumps.
+// serial path, so the table is byte-identical at any -jobs setting.
 type NetStat struct {
 	Net       int   // canonical net id
 	Attempts  int64 // routing attempts (search + commit tries) across all episodes

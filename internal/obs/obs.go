@@ -71,14 +71,13 @@ const (
 	CtrDecompBridges
 	CtrDecompAssists
 	CtrDecompOverlayFrags
-	// Decomposition memo cache (internal/decomp, router.Options.DecompCache).
-	// A cache hit returns the stored Result without re-running the oracle,
-	// so it increments only cache_hits — none of the decomp.* work counters
-	// above. Equivalence tests comparing cached vs uncached runs therefore
-	// zero the whole decomp.* family before diffing snapshots.
-	CtrDecompCacheHits
-	CtrDecompCacheMisses
-	CtrDecompCacheEvictions
+	// The router's per-layer memo of oracle verdicts (internal/router). A
+	// hit answers a window check or repair pass without running the
+	// oracle, so it increments only cache_hits — none of the decomp.* work
+	// counters above. The final evaluation is not memoized.
+	CtrDecompMemoHits
+	CtrDecompMemoMisses
+	CtrDecompMemoEvictions
 	// Sparse corridor search (internal/sparse, router.Options.SparseSearch).
 	// Configuration-dependent: the family exists only with the lever on, so
 	// equivalence tests zero it before diffing and the bench ledger routes
@@ -93,37 +92,37 @@ const (
 )
 
 var counterNames = [numCounters]string{
-	CtrAstarSearches:        "astar.searches",
-	CtrAstarExpanded:        "astar.expanded",
-	CtrAstarPushes:          "astar.pushes",
-	CtrAstarPops:            "astar.pops",
-	CtrRouteAttempts:        "router.route_attempts",
-	CtrRouteRipups:          "router.ripups",
-	CtrRipOddCycle:          "router.rip_odd_cycle",
-	CtrRipInfeasible:        "router.rip_infeasible",
-	CtrRipWindow:            "router.rip_window",
-	CtrBlockerRips:          "router.blocker_rips",
-	CtrNoPath:               "router.no_path",
-	CtrRepairPasses:         "router.repair_passes",
-	CtrRepairRips:           "router.repair_rips",
-	CtrWindowChecks:         "window.checks",
-	CtrWindowResolved:       "window.resolved",
-	CtrWindowFailed:         "window.failed",
-	CtrFlipRuns:             "colorflip.dp_runs",
-	CtrFlipInfeasible:       "colorflip.dp_infeasible",
-	CtrFlipsApplied:         "colorflip.flips_applied",
-	CtrFlipsRejected:        "colorflip.flips_rejected",
-	CtrDecompositions:       "decomp.decompositions",
-	CtrDecompBlobs:          "decomp.blobs",
-	CtrDecompBridges:        "decomp.bridges",
-	CtrDecompAssists:        "decomp.assists",
-	CtrDecompOverlayFrags:   "decomp.overlay_frags",
-	CtrDecompCacheHits:      "decomp.cache_hits",
-	CtrDecompCacheMisses:    "decomp.cache_misses",
-	CtrDecompCacheEvictions: "decomp.cache_evictions",
-	CtrSparseSearches:       "sparse.searches",
-	CtrSparseFallbacks:      "sparse.fallbacks",
-	CtrSparseNodes:          "sparse.nodes",
+	CtrAstarSearches:       "astar.searches",
+	CtrAstarExpanded:       "astar.expanded",
+	CtrAstarPushes:         "astar.pushes",
+	CtrAstarPops:           "astar.pops",
+	CtrRouteAttempts:       "router.route_attempts",
+	CtrRouteRipups:         "router.ripups",
+	CtrRipOddCycle:         "router.rip_odd_cycle",
+	CtrRipInfeasible:       "router.rip_infeasible",
+	CtrRipWindow:           "router.rip_window",
+	CtrBlockerRips:         "router.blocker_rips",
+	CtrNoPath:              "router.no_path",
+	CtrRepairPasses:        "router.repair_passes",
+	CtrRepairRips:          "router.repair_rips",
+	CtrWindowChecks:        "window.checks",
+	CtrWindowResolved:      "window.resolved",
+	CtrWindowFailed:        "window.failed",
+	CtrFlipRuns:            "colorflip.dp_runs",
+	CtrFlipInfeasible:      "colorflip.dp_infeasible",
+	CtrFlipsApplied:        "colorflip.flips_applied",
+	CtrFlipsRejected:       "colorflip.flips_rejected",
+	CtrDecompositions:      "decomp.decompositions",
+	CtrDecompBlobs:         "decomp.blobs",
+	CtrDecompBridges:       "decomp.bridges",
+	CtrDecompAssists:       "decomp.assists",
+	CtrDecompOverlayFrags:  "decomp.overlay_frags",
+	CtrDecompMemoHits:      "decomp.cache_hits",
+	CtrDecompMemoMisses:    "decomp.cache_misses",
+	CtrDecompMemoEvictions: "decomp.cache_evictions",
+	CtrSparseSearches:      "sparse.searches",
+	CtrSparseFallbacks:     "sparse.fallbacks",
+	CtrSparseNodes:         "sparse.nodes",
 }
 
 func (c CounterID) String() string {
@@ -391,10 +390,8 @@ func (s *Snapshot) Accumulate(o *Snapshot) {
 }
 
 // ZeroFamily zeroes every counter and histogram whose name starts with
-// prefix (e.g. "sparse.", "decomp."). Equivalence tests use it to drop the
-// metric families that legitimately differ between configurations — the
-// sparse.* family exists only with corridor search on, the decomp.* family
-// shrinks under the memo cache — before comparing snapshots byte for byte.
+// prefix (e.g. "decomp."), so a fingerprint over the snapshot can leave a
+// metric family out.
 func (s *Snapshot) ZeroFamily(prefix string) {
 	for i := CounterID(0); i < numCounters; i++ {
 		if strings.HasPrefix(i.String(), prefix) {

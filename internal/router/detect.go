@@ -1,6 +1,7 @@
 package router
 
 import (
+	"encoding/binary"
 	"os"
 	"sort"
 
@@ -56,12 +57,11 @@ func (st *state) windowResolve(id int) (bad bool, hot []grid.Cell) {
 		st.rec.Observe(obs.HistWindowNets, int64(len(ids)))
 
 		// Baseline: the window without the new net.
-		base := st.decompLayer(l, st.windowLayout(l, ids, id))
-		baseBad := windowBadness(base)
+		baseBad := st.verdictOf(l, st.windowLayout(l, ids, id)).bad
 
 		// Current coloring.
-		cur := st.decompLayer(l, st.windowLayout(l, ids, -1))
-		curBad := windowBadness(cur)
+		cur := st.verdictOf(l, st.windowLayout(l, ids, -1))
+		curBad := cur.bad
 		if curBad <= baseBad {
 			if st.rec.Tracing() {
 				st.rec.Trace("window_check", obs.I("net", id), obs.I("layer", l),
@@ -96,8 +96,7 @@ func (st *state) windowResolve(id int) (bad bool, hot []grid.Cell) {
 			for n, col := range r.Colors {
 				st.colors[l][n] = col
 			}
-			res := st.decompLayer(l, st.windowLayout(l, ids, -1))
-			if windowBadness(res) <= baseBad {
+			if st.verdictOf(l, st.windowLayout(l, ids, -1)).bad <= baseBad {
 				resolved = true
 				break
 			}
@@ -134,7 +133,7 @@ func (st *state) windowResolve(id int) (bad bool, hot []grid.Cell) {
 			st.rec.Debugf("WIN net=%d l=%d base=%d cur=%d comp=%d\n",
 				id, l, baseBad, curBad, len(comp))
 		}
-		hot = append(hot, st.conflictCells(cur, l)...)
+		hot = append(hot, st.conflictCells(cur.conflicts, l)...)
 		bad = true
 	}
 	return bad, hot
@@ -155,22 +154,84 @@ func sameColors(got, cur map[int]decomp.Color) bool {
 	return true
 }
 
-// decompLayer runs the cut-process oracle on one layer's layout, through
-// that layer's memo cache when the run has one (Options.DecompCache).
-// Window checks, repair passes and final metrics all funnel through here,
-// so they share entries: a repeated window or an unchanged full layer is
-// a hit. Cache state is single-goroutine: the router is serial.
-func (st *state) decompLayer(l int, ly decomp.Layout) *decomp.Result {
-	if st.caches == nil {
-		return decomp.DecomposeCutR(ly, st.rec)
-	}
-	return st.caches[l].DecomposeCut(ly, st.rec)
+// memoCap bounds each layer's verdict memo. When it is full, the oldest
+// entry leaves first (FIFO), whatever the hit pattern, so two runs with the
+// same call sequence keep the same entries. Tests lower it: at 0 every
+// lookup misses.
+var memoCap = 4096
+
+// verdict is what the router reads from one oracle run on a layer layout:
+// the window badness (cut conflicts, violations and hard overlays), the
+// conflict rects conflictCells inflates, and the nets offenders rips up.
+type verdict struct {
+	bad       int
+	conflicts []geom.Rect
+	nets      []int
 }
 
-// windowBadness scores a window decomposition by its forbidden artifacts:
-// cut conflicts, violations and hard overlays.
-func windowBadness(r *decomp.Result) int {
-	return len(r.Conflicts) + len(r.Violations) + r.HardOverlays
+// layerMemo maps a layer layout's pattern serialization to its verdict.
+// Rules and die are fixed for the run, so the patterns alone key it.
+type layerMemo struct {
+	m    map[string]*verdict
+	ring []string // keys of the stored verdicts, oldest at head
+	head int
+	key  []byte // serialization scratch
+}
+
+// verdictOf runs the cut-process oracle on one layer's layout, or answers
+// from the layer's memo. Window checks and repair passes ask about many
+// layouts more than once (a window without the new net, an unchanged full
+// layer), so they share one memo per layer, keyed by net, color and rects
+// of the patterns in the order given. The oracle's Result is dropped once
+// its verdict is taken.
+func (st *state) verdictOf(l int, ly decomp.Layout) *verdict {
+	mm := &st.memo[l]
+	k := mm.key[:0]
+	for _, p := range ly.Pats {
+		k = binary.AppendVarint(k, int64(p.Net))
+		k = append(k, byte(p.Color))
+		k = binary.AppendUvarint(k, uint64(len(p.Rects)))
+		for _, r := range p.Rects {
+			for _, v := range [4]int{r.X0, r.Y0, r.X1, r.Y1} {
+				k = binary.AppendVarint(k, int64(v))
+			}
+		}
+	}
+	mm.key = k
+	if v, ok := mm.m[string(k)]; ok {
+		st.rec.Inc(obs.CtrDecompMemoHits)
+		return v
+	}
+	st.rec.Inc(obs.CtrDecompMemoMisses)
+	res := decomp.DecomposeCutR(ly, st.rec)
+	v := &verdict{bad: len(res.Conflicts) + len(res.Violations) + res.HardOverlays}
+	for _, cf := range res.Conflicts {
+		v.conflicts = append(v.conflicts, cf.Rect)
+		v.nets = append(v.nets, ly.Pats[cf.Pat].Net)
+	}
+	for _, ov := range res.Overlays {
+		if ov.Hard {
+			v.nets = append(v.nets, ly.Pats[ov.Pat].Net)
+		}
+	}
+	v.nets = append(v.nets, res.BadNets...)
+	if memoCap == 0 {
+		return v
+	}
+	if mm.m == nil {
+		mm.m = make(map[string]*verdict)
+	}
+	key := string(k)
+	if len(mm.ring) < memoCap {
+		mm.ring = append(mm.ring, key)
+	} else {
+		delete(mm.m, mm.ring[mm.head])
+		mm.ring[mm.head] = key
+		mm.head = (mm.head + 1) % memoCap
+		st.rec.Inc(obs.CtrDecompMemoEvictions)
+	}
+	mm.m[key] = v
+	return v
 }
 
 // windowLayout assembles the oracle input for one layer window. Nets listed
@@ -194,9 +255,9 @@ func (st *state) windowLayout(l int, ids []int, skip int) decomp.Layout {
 	return ly
 }
 
-// conflictCells maps oracle conflict locations back to grid cells on layer
-// l for cost inflation.
-func (st *state) conflictCells(res *decomp.Result, l int) []grid.Cell {
+// conflictCells maps oracle conflict rects back to grid cells on layer l
+// for cost inflation.
+func (st *state) conflictCells(conflicts []geom.Rect, l int) []grid.Cell {
 	var out []grid.Cell
 	p := st.ds.Pitch()
 	addRect := func(r geom.Rect) {
@@ -211,8 +272,8 @@ func (st *state) conflictCells(res *decomp.Result, l int) []grid.Cell {
 			}
 		}
 	}
-	for _, cf := range res.Conflicts {
-		addRect(cf.Rect.Expand(p))
+	for _, r := range conflicts {
+		addRect(r.Expand(p))
 	}
 	return out
 }
@@ -276,16 +337,7 @@ func (st *state) repairConflicts() {
 func (st *state) offenders() []int {
 	bad := map[int]bool{}
 	for l, ly := range st.res.Layouts() {
-		res := st.decompLayer(l, ly)
-		for _, cf := range res.Conflicts {
-			bad[ly.Pats[cf.Pat].Net] = true
-		}
-		for _, ov := range res.Overlays {
-			if ov.Hard {
-				bad[ly.Pats[ov.Pat].Net] = true
-			}
-		}
-		for _, n := range res.BadNets {
+		for _, n := range st.verdictOf(l, ly).nets {
 			bad[n] = true
 		}
 	}

@@ -56,20 +56,6 @@ type Options struct {
 	DirPenalty int
 	// MaxExpand bounds A* node expansions per attempt (0 = unbounded).
 	MaxExpand int
-	// DecompCache memoizes the decomposition oracle per layer by layout
-	// content (internal/decomp.Cache): window checks, repair passes and the
-	// final-metrics evaluation reuse the stored Result whenever they ask
-	// about a layout already decomposed this run. Cached Results are shared
-	// and immutable (Result carries the //sadp:immutable marker the
-	// sadplint immutable rule enforces). Routing
-	// output is byte-identical with the cache on or off; turning it off
-	// selects the uncached oracle for ablation or debugging.
-	DecompCache bool
-	// DecompParanoid makes the caches retain a private deep copy of every
-	// stored Result so Result.DecompCacheCheck can prove no caller wrote
-	// through shared cache data. Test/debug facility: costs one deep copy
-	// per cache miss. Implies nothing unless DecompCache is on.
-	DecompParanoid bool
 	// SparseSearch answers eligible first searches on the corridor graph
 	// (internal/sparse) instead of the dense grid: the search expands
 	// corridor nodes derived from obstacle boundaries, snaps back to unit
@@ -111,7 +97,6 @@ func Defaults() Options {
 		FinalRepair:     true,
 		DirPenalty:      2,
 		MaxExpand:       400000,
-		DecompCache:     true,
 		SparseMinHPWL:   40,
 	}
 }
@@ -150,7 +135,6 @@ type Result struct {
 	Grid            *grid.Grid
 	frags           []*fragstore.Store
 	nl              *netlist.Netlist
-	caches          []*decomp.Cache // per-layer memo, nil when routed uncached
 }
 
 // Routability returns the fraction of nets routed, in percent.
@@ -190,35 +174,10 @@ func (r *Result) Layouts() []decomp.Layout {
 }
 
 // DecomposeLayersR decomposes every routed layer with the cut-process
-// oracle and merges the results, going through the run's per-layer memo
-// caches when it was routed with Options.DecompCache — the final-metrics
-// evaluation then reuses entries the window checks and repair passes
-// already paid for. A nil rec disables counter reporting.
+// oracle (decomp.DecomposeLayersR) and merges the results; the Results
+// belong to the caller. A nil rec disables counter reporting.
 func (r *Result) DecomposeLayersR(rec *obs.Recorder) ([]*decomp.Result, decomp.Totals) {
-	layouts := r.Layouts()
-	if r.caches == nil {
-		return decomp.DecomposeLayersR(layouts, rec)
-	}
-	out := make([]*decomp.Result, len(layouts))
-	var tot decomp.Totals
-	for l, ly := range layouts {
-		out[l] = r.caches[l].DecomposeCut(ly, rec)
-		tot.Accumulate(out[l])
-	}
-	return out, tot
-}
-
-// DecompCacheCheck verifies the run's decomposition caches against the
-// deep copies retained under Options.DecompParanoid and reports the first
-// cached Result some caller mutated. Nil when consistent, when the run was
-// routed uncached, or when DecompParanoid was off.
-func (r *Result) DecompCacheCheck() error {
-	for _, c := range r.caches {
-		if err := c.CheckIntegrity(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return decomp.DecomposeLayersR(r.Layouts(), rec)
 }
 
 // state carries the per-run working set.
@@ -235,12 +194,12 @@ type state struct {
 	// sp/speng are the corridor graph and its pooled engine, live only
 	// under Options.SparseSearch. sp mirrors g: commit and ripup forward
 	// every cell mutation.
-	sp     *sparse.Graph
-	speng  *sparse.Engine
-	caches []*decomp.Cache // per-layer decomposition memo (Options.DecompCache)
-	opt    Options
-	res    *Result
-	rec    *obs.Recorder // nil-safe observability recorder
+	sp    *sparse.Graph
+	speng *sparse.Engine
+	memo  []layerMemo // per-layer oracle verdicts (verdictOf)
+	opt   Options
+	res   *Result
+	rec   *obs.Recorder // nil-safe observability recorder
 	// inRepair enables the window conflict check during the final repair
 	// passes regardless of Options.WindowCheck.
 	inRepair bool
@@ -314,20 +273,13 @@ func RouteCtx(ctx context.Context, nl *netlist.Netlist, ds rules.Set, opt Option
 		st.colors[l] = make(map[int]decomp.Color)
 		st.locks[l] = make(map[int]decomp.Color)
 	}
-	if opt.DecompCache {
-		st.caches = make([]*decomp.Cache, nl.Layers)
-		for l := range st.caches {
-			st.caches[l] = decomp.NewCache(0)
-			st.caches[l].Paranoid = opt.DecompParanoid
-		}
-	}
+	st.memo = make([]layerMemo, nl.Layers)
 	st.res = &Result{
 		Paths:  make(map[int][]grid.Cell),
 		Colors: st.colors,
 		Grid:   st.g,
 		frags:  st.frags,
 		nl:     nl,
-		caches: st.caches,
 	}
 
 	// Net ordering: shortest HPWL first (standard detailed-routing order).

@@ -74,7 +74,6 @@ type OptionsPayload struct {
 	FinalRepair     *bool `json:"final_repair,omitempty"`
 	DirPenalty      *int  `json:"dir_penalty,omitempty"`
 	MaxExpand       *int  `json:"max_expand,omitempty"`
-	DecompCache     *bool `json:"decomp_cache,omitempty"`
 }
 
 // apply overlays the non-nil fields onto opt.
@@ -102,7 +101,6 @@ func (p *OptionsPayload) apply(opt *router.Options) {
 	setBool(&opt.FinalRepair, p.FinalRepair)
 	setInt(&opt.DirPenalty, p.DirPenalty)
 	setInt(&opt.MaxExpand, p.MaxExpand)
-	setBool(&opt.DecompCache, p.DecompCache)
 }
 
 // SubmitResponse is the 202 body of POST /v1/jobs, snapshotted at

@@ -229,9 +229,9 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 // TestRetiredOptionIgnored pins the compatibility contract for the
-// retired net_workers option: submit decoding ignores unknown fields, so an
-// old client's request that still carries it is accepted and served the
-// same result_text as the request without it.
+// retired net_workers and decomp_cache options: submit decoding ignores
+// unknown fields, so an old client's request that still carries one is
+// accepted and served the same result_text as the request without it.
 func TestRetiredOptionIgnored(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueDepth: 2})
 	ts := httptest.NewServer(srv)
@@ -263,9 +263,11 @@ func TestRetiredOptionIgnored(t *testing.T) {
 		return res.ResultText
 	}
 	plain := resultText(`{"name":"compat","netlist":` + string(nltext) + `}`)
-	old := resultText(`{"name":"compat","netlist":` + string(nltext) + `,"options":{"net_workers":4}}`)
-	if old != plain {
-		t.Errorf("net_workers changed result_text: %d bytes with it, %d without", len(old), len(plain))
+	for _, opts := range []string{`{"net_workers":4}`, `{"decomp_cache":false}`} {
+		old := resultText(`{"name":"compat","netlist":` + string(nltext) + `,"options":` + opts + `}`)
+		if old != plain {
+			t.Errorf("%s changed result_text: %d bytes with it, %d without", opts, len(old), len(plain))
+		}
 	}
 }
 

@@ -105,16 +105,13 @@ func RouteCtx(ctx context.Context, nl *Netlist, ds Rules, opt Options) (*Result,
 }
 
 // Evaluate decomposes a routing result with the cut-process oracle and
-// returns per-layer results plus aggregate totals. Runs routed with
-// Options.DecompCache (the default) answer from the run's decomposition
-// memo, reusing entries the router's own conflict checks already paid
-// for; the returned results are shared with the cache and must not be
-// mutated.
+// returns per-layer results plus aggregate totals. The results belong to
+// the caller.
 func Evaluate(res *Result) ([]*DecompResult, Totals) {
 	return res.DecomposeLayersR(nil)
 }
 
-// EvaluateR is Evaluate reporting oracle and cache counters to rec.
+// EvaluateR is Evaluate reporting oracle counters to rec.
 func EvaluateR(res *Result, rec *Recorder) ([]*DecompResult, Totals) {
 	return res.DecomposeLayersR(rec)
 }
