@@ -54,7 +54,6 @@ func run(args []string, stdout io.Writer) error {
 		outDir = fs.String("out", "results", "output directory")
 		budget = fs.Duration("budget", 30*time.Minute, "per-run time budget for the exhaustive baseline")
 		jobs   = fs.Int("jobs", runtime.NumCPU(), "parallel (benchmark x algorithm) cells; 1 = serial")
-		sparse = fs.Bool("sparse", false, "route ours-cells with the corridor routing graph (router.Options.SparseSearch); below the HPWL gate the result is byte-identical")
 		trDir  = fs.String("tracedir", "", "write one JSONL trace per ours-cell into this directory")
 		bjson  = fs.String("bench-json", "", "write a benchmark ledger: a *.json path is used verbatim, anything else is a directory for BENCH_<rev>.json")
 		rev    = fs.String("rev", "dev", "revision label stamped into the benchmark ledger")
@@ -98,7 +97,7 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 
-	h := harness{jobs: *jobs, sparse: *sparse, budget: *budget, traceDir: *trDir}
+	h := harness{jobs: *jobs, budget: *budget, traceDir: *trDir}
 	var ledgerPath string
 	if *bjson != "" {
 		h.ledger = bench.NewLedger(*rev, *jobs)

@@ -17,14 +17,14 @@ import (
 
 // sparsehuge measures Options.SparseSearch on the huge benchmark family
 // (bench.HugeSpecs): every cell dense, then every cell with the corridor
-// graph, one run at a time on one core. The sparse run
-// of each instance is additionally decomposed and DRC-checked end to end
-// — the corridor engine must not cost any of the paper's guarantees.
+// graph, one run at a time. The sparse run of each instance is
+// additionally decomposed and DRC-checked end to end — the corridor engine
+// must not cost any of the paper's guarantees.
 //
 // Output discipline: "det" lines are deterministic for a fixed spec —
 // result shape, guarantee counters and a fingerprint over route shape,
-// per-net attribution and all counters outside the execution-strategy
-// families. Dense and sparse fingerprints legitimately differ (the
+// per-net attribution and every counter outside the decomp.* family.
+// Dense and sparse fingerprints legitimately differ (the
 // corridor engine adopts equal-cost, not identical, paths); each line is
 // stable run to run, which is what CI diffs. Timing lines carry
 // wall-clock noise and are reported, never compared.
@@ -130,7 +130,7 @@ func sparsehuge(ds rules.Set, scale string, h harness) (string, error) {
 	}
 
 	var b strings.Builder
-	b.WriteString("sparsehuge — corridor search on the huge family (1 core, one run at a time)\n\n")
+	b.WriteString("sparsehuge — corridor search on the huge family (one run at a time)\n\n")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "det %-6s %-6s rt=%.1f wl=%d vias=%d conf=%d hard=%d viol=%d fingerprint=%s\n",
 			r.spec.Name, r.label, r.routedPct, r.wl, r.vias, r.conf, r.hard, r.viol, r.fingerprint)

@@ -12,7 +12,6 @@ import (
 	"sadproute/internal/decomp"
 	"sadproute/internal/geom"
 	"sadproute/internal/report"
-	"sadproute/internal/router"
 	"sadproute/internal/rules"
 	"sadproute/internal/scenario"
 )
@@ -21,7 +20,6 @@ import (
 // experiments and builds one bench.Harness per (specs × algos) matrix.
 type harness struct {
 	jobs     int
-	sparse   bool // route ours-cells with the corridor routing graph
 	budget   time.Duration
 	traceDir string
 	ledger   *bench.Ledger // nil unless -bench-json; rows append per experiment
@@ -41,11 +39,6 @@ func (h harness) runCells(exp string, ds rules.Set, specs []bench.Spec, algos []
 	bh := bench.Harness{
 		Jobs: h.jobs,
 		Cfg:  bench.RunConfig{Rules: ds, Budget: h.budget},
-	}
-	if h.sparse {
-		opt := router.Defaults()
-		opt.SparseSearch = true
-		bh.Cfg.RouterOptions = &opt
 	}
 	if h.traceDir != "" {
 		bh.TraceWriter = func(c bench.Cell) (io.WriteCloser, error) {

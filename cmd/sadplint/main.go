@@ -6,7 +6,7 @@
 // docs/lint-rules.md; in brief:
 //
 //   - maprange: map-range-derived values must not reach appends or
-//     ordered output (fmt print families, Write*, obs Trace/Debugf)
+//     ordered output (fmt print families, Write*, Trace/Debugf calls)
 //     without an intervening sort — a taint-style dataflow check.
 //   - poolleak: pool handles (astar.Acquire, decomp.Acquire, any
 //     internal Acquire) bound to locals must reach a Release on every

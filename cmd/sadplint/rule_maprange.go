@@ -24,7 +24,7 @@ import (
 //     accumulates values in random order (reported whether the append is
 //     inside the loop or downstream of it), and
 //   - ordered emission: fmt Print/Fprint families, Write/WriteString
-//     method calls, and obs trace/debug emission (Trace, Debugf) with a
+//     method calls, and Trace or Debugf calls (obs trace emission) with a
 //     tainted argument — the trace sink's byte-identical contract dies
 //     the moment a map-ordered value lands in it.
 //

@@ -99,8 +99,8 @@ func checkGetenv(c *pass) {
 
 // checkStderr flags os.Stderr references in library packages (internal/...):
 // diagnostics must flow through the internal/obs recorder so callers control
-// the destination and tests can capture it. internal/obs itself is exempt —
-// it holds the one sanctioned os.Stderr default (Recorder.EnsureDebug).
+// the destination and tests can capture it. internal/obs itself is exempt,
+// as the observability substrate.
 func checkStderr(c *pass) {
 	if !c.inInternal() || c.p.relDir == "internal/obs" {
 		return
@@ -115,7 +115,7 @@ func checkStderr(c *pass) {
 			return true
 		}
 		c.report(sel.Pos(), ruleStderr,
-			"os.Stderr in library code: route diagnostics through internal/obs (Recorder.Debugf / trace events)")
+			"os.Stderr in library code: route diagnostics through internal/obs (counters / trace events)")
 		return true
 	})
 }

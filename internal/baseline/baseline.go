@@ -21,13 +21,11 @@
 package baseline
 
 import (
-	"sort"
 	"time"
 
 	"sadproute/internal/astar"
 	"sadproute/internal/decomp"
 	"sadproute/internal/fragstore"
-	"sadproute/internal/geom"
 	"sadproute/internal/grid"
 	"sadproute/internal/netlist"
 	"sadproute/internal/rules"
@@ -62,7 +60,6 @@ func (o *Out) Routability() float64 {
 // common carries the shared baseline state.
 type common struct {
 	nl     *netlist.Netlist
-	ds     rules.Set
 	g      *grid.Grid
 	eng    *astar.Engine
 	frags  []*fragstore.Store
@@ -74,7 +71,6 @@ type common struct {
 func newCommon(nl *netlist.Netlist, ds rules.Set) *common {
 	c := &common{
 		nl:  nl,
-		ds:  ds,
 		g:   nl.BuildGrid(ds),
 		out: &Out{},
 	}
@@ -111,14 +107,8 @@ func (c *common) commit(id int, path []grid.Cell) {
 	for _, cell := range path {
 		c.g.Occupy(cell, int32(id))
 	}
-	byLayer := splitLayers(path, c.nl.Layers)
-	for l, cells := range byLayer {
-		if len(cells) == 0 {
-			continue
-		}
-		c.frags[l].Add(id, geom.FragmentCells(cells))
-	}
-	wl, vias := pathStats(path)
+	fragstore.AddPath(c.frags, id, path)
+	wl, vias := grid.PathLen(path)
 	c.out.WirelengthCells += wl
 	c.out.Vias += vias
 }
@@ -127,68 +117,11 @@ func (c *common) ripup(id int, path []grid.Cell) {
 	for _, cell := range path {
 		c.g.Release(cell)
 	}
-	wl, vias := pathStats(path)
+	wl, vias := grid.PathLen(path)
 	c.out.WirelengthCells -= wl
 	c.out.Vias -= vias
 	for l := 0; l < c.nl.Layers; l++ {
 		c.frags[l].RemoveNet(id)
 		delete(c.colors[l], id)
 	}
-}
-
-// layouts exports the colored result.
-func (c *common) layouts() []decomp.Layout {
-	out := make([]decomp.Layout, c.nl.Layers)
-	for l := 0; l < c.nl.Layers; l++ {
-		ly := decomp.Layout{Rules: c.ds, Die: c.g.DieNM()}
-		for _, n := range c.frags[l].NetIDs() {
-			rects := c.frags[l].NetRects(n)
-			if len(rects) == 0 {
-				continue
-			}
-			nm := make([]geom.Rect, len(rects))
-			for i, cr := range rects {
-				nm[i] = c.g.CellsToNM(cr)
-			}
-			ly.Pats = append(ly.Pats, decomp.Pattern{Net: n, Color: c.colors[l][n], Rects: nm})
-		}
-		out[l] = ly
-	}
-	return out
-}
-
-func pathStats(path []grid.Cell) (wl, vias int) {
-	for i := 1; i < len(path); i++ {
-		if path[i].L != path[i-1].L {
-			vias++
-		} else {
-			wl++
-		}
-	}
-	return wl, vias
-}
-
-func splitLayers(path []grid.Cell, layers int) [][]geom.Pt {
-	out := make([][]geom.Pt, layers)
-	seen := make(map[grid.Cell]bool, len(path))
-	for _, cell := range path {
-		if seen[cell] {
-			continue
-		}
-		seen[cell] = true
-		out[cell.L] = append(out[cell.L], geom.Pt{X: cell.X, Y: cell.Y})
-	}
-	return out
-}
-
-// netOrder returns net ids sorted by ascending HPWL.
-func netOrder(nl *netlist.Netlist) []int {
-	order := make([]int, len(nl.Nets))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return nl.Nets[order[i]].HPWL() < nl.Nets[order[j]].HPWL()
-	})
-	return order
 }

@@ -3,6 +3,7 @@ package baseline
 import (
 	"time"
 
+	"sadproute/internal/fragstore"
 	"sadproute/internal/netlist"
 	"sadproute/internal/rules"
 )
@@ -25,10 +26,10 @@ func (t CutNoMerge) Run(nl *netlist.Netlist, ds rules.Set) *Out {
 	}
 	c := newCommon(nl, ds)
 	defer c.release()
-	for _, id := range netOrder(nl) {
+	for _, id := range nl.HPWLOrder() {
 		t.routeNet(c, id)
 	}
-	c.out.Layouts = c.layouts()
+	c.out.Layouts = fragstore.Layouts(c.frags, c.g, c.colors)
 	c.out.Trim = false
 	c.out.NaiveAssists = true
 	for i := range c.out.Layouts {

@@ -52,12 +52,12 @@ func (t TrimExhaustive) RunCtx(ctx context.Context, nl *netlist.Netlist, ds rule
 	}
 	c := newCommon(nl, ds)
 	defer c.release()
-	for _, id := range netOrder(nl) {
+	for _, id := range nl.HPWLOrder() {
 		if !t.routeNet(ctx, c, id) {
 			return nil
 		}
 	}
-	c.out.Layouts = c.layouts()
+	c.out.Layouts = fragstore.Layouts(c.frags, c.g, c.colors)
 	c.out.Trim = true
 	c.out.CPU = time.Since(start) //lint:allow wallclock CPU column of the paper's tables; reporting-only
 	return c.out
@@ -162,17 +162,5 @@ func (t TrimExhaustive) window(c *common, l, id int) decomp.Layout {
 		ids = append(ids, n)
 	}
 	sort.Ints(ids)
-	ly := decomp.Layout{Rules: c.ds, Die: c.g.DieNM()}
-	for _, n := range ids {
-		rects := c.frags[l].NetRects(n)
-		if len(rects) == 0 {
-			continue
-		}
-		nm := make([]geom.Rect, len(rects))
-		for i, cr := range rects {
-			nm[i] = c.g.CellsToNM(cr)
-		}
-		ly.Pats = append(ly.Pats, decomp.Pattern{Net: n, Color: c.colors[l][n], Rects: nm})
-	}
-	return ly
+	return c.frags[l].Layout(c.g, c.colors[l], ids, -1)
 }

@@ -31,10 +31,10 @@ func (t TrimGreedy) Run(nl *netlist.Netlist, ds rules.Set) *Out {
 	}
 	c := newCommon(nl, ds)
 	defer c.release()
-	for _, id := range netOrder(nl) {
+	for _, id := range nl.HPWLOrder() {
 		t.routeNet(c, id)
 	}
-	c.out.Layouts = c.layouts()
+	c.out.Layouts = fragstore.Layouts(c.frags, c.g, c.colors)
 	c.out.Trim = true
 	c.out.CPU = time.Since(start) //lint:allow wallclock CPU column of the paper's tables; reporting-only
 	return c.out

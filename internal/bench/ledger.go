@@ -4,16 +4,13 @@
 // so perf claims are diffable across revisions (cmd/benchdiff) instead of
 // hand-pasted into EXPERIMENTS.md.
 //
-// The schema separates three trust levels per cell, and consumers must not
+// The schema separates two trust levels per cell, and consumers must not
 // mix them:
 //
 //   - "det" is byte-identical across runs, machines and -jobs for a
-//     fixed spec: result metrics, counters, gauges, histograms and the
-//     per-net attribution top list. The determinism tests compare
-//     ledgers on this section alone (DeterministicBytes).
-//   - "sched" is deterministic only for a fixed execution strategy: the
-//     sparse.* corridor-search family, empty unless Options.SparseSearch
-//     is on.
+//     fixed spec and router options: result metrics, counters, gauges,
+//     histograms and the per-net attribution top list. The determinism
+//     tests compare ledgers on this section alone (DeterministicBytes).
 //   - "timing" is wall-clock and allocation measurement — never
 //     reproducible, compared only with noise thresholds (cmd/benchdiff).
 //
@@ -28,7 +25,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strings"
 	"time"
 
 	"sadproute/internal/obs"
@@ -54,7 +50,6 @@ type LedgerCell struct {
 	Bench  string       `json:"bench"`
 	Algo   string       `json:"algo"`
 	Det    LedgerDet    `json:"det"`
-	Sched  LedgerSched  `json:"sched"`
 	Timing LedgerTiming `json:"timing"`
 }
 
@@ -62,7 +57,7 @@ type LedgerCell struct {
 func (c *LedgerCell) Key() string { return c.Exp + "/" + c.Bench + "/" + c.Algo }
 
 // LedgerDet is the deterministic section: byte-identical across runs,
-// machines and -jobs for a fixed spec and rules set.
+// machines and -jobs for a fixed spec, rules set and router options.
 type LedgerDet struct {
 	Nets         int     `json:"nets"`
 	NA           bool    `json:"na,omitempty"`
@@ -74,8 +69,8 @@ type LedgerDet struct {
 	Wirelength   int     `json:"wirelength"`
 	Vias         int     `json:"vias"`
 	Ripups       int     `json:"ripups"`
-	// Counters and Gauges hold the nonzero, non-sched metrics by name
-	// (encoding/json emits map keys sorted, so the bytes are stable).
+	// Counters and Gauges hold the nonzero metrics by name (encoding/json
+	// emits map keys sorted, so the bytes are stable).
 	Counters map[string]int64 `json:"counters,omitempty"`
 	Gauges   map[string]int64 `json:"gauges,omitempty"`
 	// Hists holds each non-empty histogram's full bucket-count array plus
@@ -84,12 +79,6 @@ type LedgerDet struct {
 	// TopNets is the head of the per-net work attribution table, ranked by
 	// expanded nodes descending (net id ascending on ties).
 	TopNets []LedgerNet `json:"top_nets,omitempty"`
-}
-
-// LedgerSched is the configuration-dependent section: the sparse.*
-// family, empty unless Options.SparseSearch is on.
-type LedgerSched struct {
-	Counters map[string]int64 `json:"counters,omitempty"`
 }
 
 // LedgerHist is one serialized histogram.
@@ -198,13 +187,6 @@ func makeCell(exp string, m *Metrics) LedgerCell {
 		if v == 0 {
 			return
 		}
-		if isSchedMetric(name) {
-			if c.Sched.Counters == nil {
-				c.Sched.Counters = map[string]int64{}
-			}
-			c.Sched.Counters[name] = v
-			return
-		}
 		if c.Det.Counters == nil {
 			c.Det.Counters = map[string]int64{}
 		}
@@ -247,14 +229,6 @@ func makeCell(exp string, m *Metrics) LedgerCell {
 	})
 	c.Det.TopNets = topNets(m.NetStats, topNetsLimit)
 	return c
-}
-
-// isSchedMetric reports whether a metric belongs to the execution-strategy
-// family (see package comment): sparse.* varies with Options.SparseSearch.
-// It describes how the result was computed, not what was computed, so the
-// det section excludes it.
-func isSchedMetric(name string) bool {
-	return strings.HasPrefix(name, "sparse.")
 }
 
 // topNets ranks the attribution table by expanded nodes descending, net id

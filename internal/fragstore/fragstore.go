@@ -7,6 +7,7 @@ package fragstore
 import (
 	"sort"
 
+	"sadproute/internal/decomp"
 	"sadproute/internal/geom"
 	"sadproute/internal/grid"
 )
@@ -109,6 +110,49 @@ func (fs *Store) NetIDs() []int {
 
 // Has reports whether the net has live fragments.
 func (fs *Store) Has(net int) bool { return len(fs.byNet[net]) > 0 }
+
+// Layout assembles the oracle input for the nets in ids on this layer, in
+// the order given: each net's live fragments converted to nm, colored from
+// colors. Nets without live fragments, and skip, are left out (pass -1 to
+// skip none).
+func (fs *Store) Layout(g *grid.Grid, colors map[int]decomp.Color, ids []int, skip int) decomp.Layout {
+	ly := decomp.Layout{Rules: g.Rules, Die: g.DieNM()}
+	for _, n := range ids {
+		if n == skip {
+			continue
+		}
+		rects := fs.NetRects(n)
+		if len(rects) == 0 {
+			continue
+		}
+		nm := make([]geom.Rect, len(rects))
+		for i, cr := range rects {
+			nm[i] = g.CellsToNM(cr)
+		}
+		ly.Pats = append(ly.Pats, decomp.Pattern{Net: n, Color: colors[n], Rects: nm})
+	}
+	return ly
+}
+
+// Layouts assembles the oracle input of every layer: all nets with live
+// fragments, in id order, colored from colors[l].
+func Layouts(stores []*Store, g *grid.Grid, colors []map[int]decomp.Color) []decomp.Layout {
+	out := make([]decomp.Layout, len(stores))
+	for l, fs := range stores {
+		out[l] = fs.Layout(g, colors[l], fs.NetIDs(), -1)
+	}
+	return out
+}
+
+// AddPath registers a routed path's fragments with the per-layer stores:
+// each layer's cells, fragmented into rects (geom.FragmentCells).
+func AddPath(stores []*Store, net int, path []grid.Cell) {
+	for l, cells := range CellsByLayer(path, len(stores)) {
+		if len(cells) > 0 {
+			stores[l].Add(net, geom.FragmentCells(cells))
+		}
+	}
+}
 
 // CellsByLayer splits a routed path into per-layer cell sets.
 func CellsByLayer(path []grid.Cell, layers int) [][]geom.Pt {

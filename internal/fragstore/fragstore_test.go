@@ -3,8 +3,10 @@ package fragstore
 import (
 	"testing"
 
+	"sadproute/internal/decomp"
 	"sadproute/internal/geom"
 	"sadproute/internal/grid"
+	"sadproute/internal/rules"
 )
 
 func TestAddQueryRemove(t *testing.T) {
@@ -67,5 +69,41 @@ func TestCellsByLayer(t *testing.T) {
 	by := CellsByLayer(path, 3)
 	if len(by[0]) != 2 || len(by[1]) != 2 || len(by[2]) != 0 {
 		t.Fatalf("split: %v", by)
+	}
+}
+
+// TestAddPathAndLayouts registers two routed paths and converts the stores
+// back into oracle inputs: per-layer fragments in nm with the net's color,
+// nets in the order given, skip and fragment-less nets left out.
+func TestAddPathAndLayouts(t *testing.T) {
+	g := grid.New(8, 8, 2, rules.Node10nm())
+	stores := []*Store{New(), New()}
+	// Net 3: two cells on layer 0, a via, two cells on layer 1.
+	AddPath(stores, 3, []grid.Cell{{X: 0, Y: 0, L: 0}, {X: 1, Y: 0, L: 0}, {X: 1, Y: 0, L: 1}, {X: 1, Y: 1, L: 1}})
+	AddPath(stores, 5, []grid.Cell{{X: 4, Y: 4, L: 0}, {X: 5, Y: 4, L: 0}})
+	colors := []map[int]decomp.Color{{3: decomp.Second, 5: decomp.Core}, {3: decomp.Core}}
+
+	lys := Layouts(stores, g, colors)
+	if len(lys) != 2 || len(lys[0].Pats) != 2 || len(lys[1].Pats) != 1 {
+		t.Fatalf("layouts: %+v", lys)
+	}
+	if lys[0].Die != g.DieNM() || lys[0].Rules != g.Rules {
+		t.Fatalf("layout die/rules not the grid's: %+v", lys[0].Die)
+	}
+	p := lys[0].Pats[0]
+	if p.Net != 3 || p.Color != decomp.Second || len(p.Rects) != 1 ||
+		p.Rects[0] != g.CellsToNM(geom.Rect{X0: 0, Y0: 0, X1: 2, Y1: 1}) {
+		t.Fatalf("layer 0 pattern of net 3: %+v", p)
+	}
+	if p := lys[1].Pats[0]; p.Net != 3 || p.Color != decomp.Core ||
+		p.Rects[0] != g.CellsToNM(geom.Rect{X0: 1, Y0: 0, X1: 2, Y1: 2}) {
+		t.Fatalf("layer 1 pattern of net 3: %+v", p)
+	}
+
+	if ly := stores[0].Layout(g, colors[0], []int{5, 3}, 3); len(ly.Pats) != 1 || ly.Pats[0].Net != 5 {
+		t.Fatalf("skip kept net 3: %+v", ly.Pats)
+	}
+	if ly := stores[0].Layout(g, colors[0], []int{5, 9, 3}, -1); len(ly.Pats) != 2 || ly.Pats[0].Net != 5 || ly.Pats[1].Net != 3 {
+		t.Fatalf("ids order or fragment-less net 9: %+v", ly.Pats)
 	}
 }

@@ -22,6 +22,19 @@ type Cell struct {
 
 func (c Cell) String() string { return fmt.Sprintf("(%d,%d,%d)", c.X, c.Y, c.L) }
 
+// PathLen counts a routed path's planar steps (wirelength in cells) and
+// its layer changes (vias).
+func PathLen(path []Cell) (wl, vias int) {
+	for i := 1; i < len(path); i++ {
+		if path[i].L != path[i-1].L {
+			vias++
+		} else {
+			wl++
+		}
+	}
+	return wl, vias
+}
+
 // Occupancy states below zero; values >= 0 are net ids.
 const (
 	Free    int32 = -1

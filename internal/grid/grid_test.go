@@ -127,3 +127,13 @@ func TestNewRejectsEmptyGrid(t *testing.T) {
 	}()
 	New(0, 1, 1, rules.Node10nm())
 }
+
+func TestPathLen(t *testing.T) {
+	path := []Cell{{X: 0, Y: 0, L: 0}, {X: 1, Y: 0, L: 0}, {X: 1, Y: 0, L: 1}, {X: 1, Y: 1, L: 1}, {X: 1, Y: 1, L: 2}}
+	if wl, vias := PathLen(path); wl != 2 || vias != 2 {
+		t.Fatalf("PathLen = %d, %d; want 2, 2", wl, vias)
+	}
+	if wl, vias := PathLen(nil); wl != 0 || vias != 0 {
+		t.Fatalf("PathLen(nil) = %d, %d", wl, vias)
+	}
+}

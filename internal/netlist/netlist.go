@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 
 	"sadproute/internal/geom"
@@ -101,6 +102,20 @@ func (nl *Netlist) Validate() error {
 		}
 	}
 	return nil
+}
+
+// HPWLOrder returns the net ids sorted by ascending HPWL, ties in id order:
+// shortest first, the standard detailed-routing order the router and the
+// baselines share.
+func (nl *Netlist) HPWLOrder() []int {
+	order := make([]int, len(nl.Nets))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		return nl.Nets[order[i]].HPWL() < nl.Nets[order[j]].HPWL()
+	})
+	return order
 }
 
 // BuildGrid allocates a routing grid with the netlist's blockages applied.

@@ -102,6 +102,24 @@ func TestHPWL(t *testing.T) {
 	}
 }
 
+// TestHPWLOrder pins the routing order: ascending HPWL, ties in id order.
+func TestHPWLOrder(t *testing.T) {
+	pin := func(x, y int) Pin { return Pin{Candidates: []grid.Cell{{X: x, Y: y}}} }
+	nl := &Netlist{Nets: []Net{
+		{ID: 0, A: pin(0, 0), B: pin(5, 0)},
+		{ID: 1, A: pin(0, 0), B: pin(1, 1)},
+		{ID: 2, A: pin(0, 0), B: pin(0, 5)},
+		{ID: 3, A: pin(0, 0), B: pin(3, 0)},
+	}}
+	got := nl.HPWLOrder()
+	want := []int{1, 3, 0, 2}
+	for i := range want {
+		if len(got) != len(want) || got[i] != want[i] {
+			t.Fatalf("HPWLOrder = %v, want %v", got, want)
+		}
+	}
+}
+
 func TestBuildGridAppliesBlockages(t *testing.T) {
 	nl := sample()
 	g := nl.BuildGrid(rules.Node10nm())

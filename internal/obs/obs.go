@@ -28,7 +28,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -186,7 +185,7 @@ func (s StageID) String() string {
 	return fmt.Sprintf("stage(%d)", int(s))
 }
 
-// Recorder is the metrics registry plus optional trace and debug sinks.
+// Recorder is the metrics registry plus an optional trace sink.
 // All methods are safe on a nil receiver (they no-op), which is the
 // disabled fast path: instrumented code holds a possibly-nil *Recorder and
 // never branches on configuration itself.
@@ -200,12 +199,9 @@ type Recorder struct {
 	nets  map[int]*NetStat
 
 	trace *TraceSink
-
-	debugMu sync.Mutex
-	debug   io.Writer
 }
 
-// New returns an empty Recorder with no trace or debug sink attached.
+// New returns an empty Recorder with no trace sink attached.
 func New() *Recorder { return &Recorder{} }
 
 // SetTrace attaches a trace sink writing JSONL events to w. Passing nil
@@ -217,30 +213,6 @@ func (r *Recorder) SetTrace(w io.Writer) *TraceSink {
 	}
 	r.trace = NewTraceSink(w)
 	return r.trace
-}
-
-// SetDebug directs Debugf output to w (nil silences it).
-func (r *Recorder) SetDebug(w io.Writer) {
-	r.debugMu.Lock()
-	r.debug = w
-	r.debugMu.Unlock()
-}
-
-// EnsureDebug returns r with a debug writer attached, defaulting to
-// standard error; a nil r is promoted to a fresh Recorder. It exists so
-// library code can honor a "log diagnostics" option without referencing
-// os.Stderr itself (the sadplint stderr rule reserves that for this
-// package).
-func EnsureDebug(r *Recorder) *Recorder {
-	if r == nil {
-		r = New()
-	}
-	r.debugMu.Lock()
-	if r.debug == nil {
-		r.debug = os.Stderr
-	}
-	r.debugMu.Unlock()
-	return r
 }
 
 // Add adds n to a counter. No-op on a nil Recorder.
@@ -314,21 +286,6 @@ func (r *Recorder) TraceErr() error {
 		return nil
 	}
 	return r.trace.Err()
-}
-
-// Debugf writes one human-readable diagnostic line to the debug writer, if
-// one is attached. No-op otherwise.
-func (r *Recorder) Debugf(format string, args ...any) {
-	if r == nil {
-		return
-	}
-	r.debugMu.Lock()
-	w := r.debug
-	r.debugMu.Unlock()
-	if w == nil {
-		return
-	}
-	fmt.Fprintf(w, format, args...)
 }
 
 // Snapshot copies the current registry state. A nil Recorder yields the

@@ -20,7 +20,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.AddStage(StageRoute, time.Second)
 	r.Span(StageRoute)()
 	r.Trace("ev", I("k", 1))
-	r.Debugf("ignored %d\n", 1)
 	if r.Tracing() {
 		t.Error("nil recorder reports Tracing() true")
 	}
@@ -227,24 +226,5 @@ func TestSnapshotFormatting(t *testing.T) {
 	s.EachStage(func(string, time.Duration) { n++ })
 	if n != int(numStages) {
 		t.Errorf("EachStage visited %d stages, want %d", n, numStages)
-	}
-}
-
-func TestEnsureDebug(t *testing.T) {
-	// nil promotes to a fresh recorder with a debug writer.
-	r := EnsureDebug(nil)
-	if r == nil {
-		t.Fatal("EnsureDebug(nil) returned nil")
-	}
-	// An existing writer is kept.
-	var buf bytes.Buffer
-	r2 := New()
-	r2.SetDebug(&buf)
-	if got := EnsureDebug(r2); got != r2 {
-		t.Fatal("EnsureDebug must return the same recorder")
-	}
-	r2.Debugf("net=%d\n", 7)
-	if got := buf.String(); got != "net=7\n" {
-		t.Errorf("Debugf wrote %q", got)
 	}
 }

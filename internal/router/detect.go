@@ -2,7 +2,6 @@ package router
 
 import (
 	"encoding/binary"
-	"os"
 	"sort"
 
 	"sadproute/internal/colorflip"
@@ -12,10 +11,6 @@ import (
 	"sadproute/internal/grid"
 	"sadproute/internal/obs"
 )
-
-// debugWindowEnv is the documented fallback for Options.DebugWindow (see
-// README "Verification & static analysis").
-var debugWindowEnv = os.Getenv("SADP_DEBUG_WINDOW") != "" //lint:allow getenv documented fallback for Options.DebugWindow, see README
 
 // windowResolve implements the paper's per-net cut conflict check scheme
 // (Section III-D) with color-based resolution: decompose a local window
@@ -57,10 +52,10 @@ func (st *state) windowResolve(id int) (bad bool, hot []grid.Cell) {
 		st.rec.Observe(obs.HistWindowNets, int64(len(ids)))
 
 		// Baseline: the window without the new net.
-		baseBad := st.verdictOf(l, st.windowLayout(l, ids, id)).bad
+		baseBad := st.verdictOf(l, st.frags[l].Layout(st.g, st.colors[l], ids, id)).bad
 
 		// Current coloring.
-		cur := st.verdictOf(l, st.windowLayout(l, ids, -1))
+		cur := st.verdictOf(l, st.frags[l].Layout(st.g, st.colors[l], ids, -1))
 		curBad := cur.bad
 		if curBad <= baseBad {
 			if st.rec.Tracing() {
@@ -96,7 +91,7 @@ func (st *state) windowResolve(id int) (bad bool, hot []grid.Cell) {
 			for n, col := range r.Colors {
 				st.colors[l][n] = col
 			}
-			if st.verdictOf(l, st.windowLayout(l, ids, -1)).bad <= baseBad {
+			if st.verdictOf(l, st.frags[l].Layout(st.g, st.colors[l], ids, -1)).bad <= baseBad {
 				resolved = true
 				break
 			}
@@ -128,10 +123,6 @@ func (st *state) windowResolve(id int) (bad bool, hot []grid.Cell) {
 		if st.rec.Tracing() {
 			st.rec.Trace("window_check", obs.I("net", id), obs.I("layer", l),
 				obs.I("base", baseBad), obs.I("cur", curBad), obs.S("outcome", "ripup"))
-		}
-		if st.opt.DebugWindow || debugWindowEnv {
-			st.rec.Debugf("WIN net=%d l=%d base=%d cur=%d comp=%d\n",
-				id, l, baseBad, curBad, len(comp))
 		}
 		hot = append(hot, st.conflictCells(cur.conflicts, l)...)
 		bad = true
@@ -232,27 +223,6 @@ func (st *state) verdictOf(l int, ly decomp.Layout) *verdict {
 	}
 	mm.m[key] = v
 	return v
-}
-
-// windowLayout assembles the oracle input for one layer window. Nets listed
-// in ids contribute their full fragment lists; skip is excluded entirely.
-func (st *state) windowLayout(l int, ids []int, skip int) decomp.Layout {
-	ly := decomp.Layout{Rules: st.ds, Die: st.g.DieNM()}
-	for _, n := range ids {
-		if n == skip {
-			continue
-		}
-		rects := st.frags[l].NetRects(n)
-		if len(rects) == 0 {
-			continue
-		}
-		nm := make([]geom.Rect, len(rects))
-		for i, cr := range rects {
-			nm[i] = st.g.CellsToNM(cr)
-		}
-		ly.Pats = append(ly.Pats, decomp.Pattern{Net: n, Color: st.colors[l][n], Rects: nm})
-	}
-	return ly
 }
 
 // conflictCells maps oracle conflict rects back to grid cells on layer l

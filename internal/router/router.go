@@ -16,7 +16,6 @@ import (
 	"sadproute/internal/colorflip"
 	"sadproute/internal/decomp"
 	"sadproute/internal/fragstore"
-	"sadproute/internal/geom"
 	"sadproute/internal/grid"
 	"sadproute/internal/netlist"
 	"sadproute/internal/obs"
@@ -56,8 +55,9 @@ type Options struct {
 	DirPenalty int
 	// MaxExpand bounds A* node expansions per attempt (0 = unbounded).
 	MaxExpand int
-	// SparseSearch answers eligible first searches on the corridor graph
-	// (internal/sparse) instead of the dense grid: the search expands
+	// SparseSearch answers the first search of every net whose HPWL
+	// reaches 40 tracks on the corridor graph (internal/sparse) instead of
+	// the dense grid; shorter nets search dense. The search expands
 	// corridor nodes derived from obstacle boundaries, snaps back to unit
 	// tracks, and is adopted only when repricing under the full dense step
 	// cost proves the path dense-optimal (exact-or-fallback, see
@@ -66,18 +66,6 @@ type Options struct {
 	// the engines break ties differently. Off by default, so default
 	// behavior is byte-identical to previous releases.
 	SparseSearch bool
-	// SparseMinHPWL is the minimum net half-perimeter (in tracks) for a
-	// search to engage the corridor graph under SparseSearch. Below it the
-	// dense engine is cheap and runs untouched — which also keeps
-	// standard-cell-scale benchmarks byte-identical with the lever on or
-	// off. Zero engages every net.
-	SparseMinHPWL int
-	// DebugWindow logs each failed window-resolve attempt (net, layer,
-	// badness before/after, component size) through the observability
-	// recorder's debug writer (standard error unless redirected via
-	// Obs.SetDebug). The SADP_DEBUG_WINDOW environment variable, documented
-	// in the README, turns it on as well.
-	DebugWindow bool
 	// Obs receives counters, stage timings and (when a trace sink is
 	// attached) structured trace events. Nil disables observability at a
 	// cost of one predicted branch per record point.
@@ -97,7 +85,6 @@ func Defaults() Options {
 		FinalRepair:     true,
 		DirPenalty:      2,
 		MaxExpand:       400000,
-		SparseMinHPWL:   40,
 	}
 }
 
@@ -149,28 +136,7 @@ func (r *Result) Routability() float64 {
 // Layouts exports the routed, colored design as per-layer decomposition
 // inputs for the oracle.
 func (r *Result) Layouts() []decomp.Layout {
-	out := make([]decomp.Layout, len(r.frags))
-	for l := range r.frags {
-		ly := decomp.Layout{Rules: r.Grid.Rules, Die: r.Grid.DieNM()}
-		nets := r.frags[l].NetIDs()
-		for _, n := range nets {
-			cellRects := r.frags[l].NetRects(n)
-			if len(cellRects) == 0 {
-				continue
-			}
-			nm := make([]geom.Rect, len(cellRects))
-			for i, cr := range cellRects {
-				nm[i] = r.Grid.CellsToNM(cr)
-			}
-			ly.Pats = append(ly.Pats, decomp.Pattern{
-				Net:   n,
-				Color: r.Colors[l][n],
-				Rects: nm,
-			})
-		}
-		out[l] = ly
-	}
-	return out
+	return fragstore.Layouts(r.frags, r.Grid, r.Colors)
 }
 
 // DecomposeLayersR decomposes every routed layer with the cut-process
@@ -240,12 +206,6 @@ func Route(nl *netlist.Netlist, ds rules.Set, opt Options) *Result {
 func RouteCtx(ctx context.Context, nl *netlist.Netlist, ds rules.Set, opt Options) (*Result, error) {
 	start := time.Now() //lint:allow wallclock Result.CPU reporting column; never influences routing decisions
 	rec := opt.Obs
-	if opt.DebugWindow || debugWindowEnv {
-		// Preserve the DebugWindow contract (diagnostics reach stderr even
-		// with no recorder configured) by promoting to a debug-equipped
-		// recorder; obs owns the only sanctioned os.Stderr reference.
-		rec = obs.EnsureDebug(rec)
-	}
 	st := &state{
 		nl:  nl,
 		ds:  ds,
@@ -282,18 +242,9 @@ func RouteCtx(ctx context.Context, nl *netlist.Netlist, ds rules.Set, opt Option
 		nl:     nl,
 	}
 
-	// Net ordering: shortest HPWL first (standard detailed-routing order).
-	order := make([]int, len(nl.Nets))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return nl.Nets[order[i]].HPWL() < nl.Nets[order[j]].HPWL()
-	})
-
 	st.blockerBudget = len(nl.Nets) / 2
 	stopRoute := rec.Span(obs.StageRoute)
-	for _, id := range order {
+	for _, id := range nl.HPWLOrder() {
 		if st.canceled() {
 			break
 		}
@@ -406,7 +357,7 @@ func (st *state) routeNet(id int) {
 			st.res.Routed++
 			st.rec.Observe(obs.HistNetAttempts, int64(attempt+1))
 			if st.rec.Tracing() {
-				wl, vias := pathLen(path)
+				wl, vias := grid.PathLen(path)
 				st.rec.Trace("route_ok", obs.I("net", id), obs.I("attempt", attempt),
 					obs.I("wl", wl), obs.I("vias", vias))
 			}
@@ -552,14 +503,8 @@ func (st *state) commit(id int, path []grid.Cell) {
 		}
 	}
 	st.res.Paths[id] = path
-	byLayer := fragstore.CellsByLayer(path, st.nl.Layers)
-	for l, cells := range byLayer {
-		if len(cells) == 0 {
-			continue
-		}
-		st.frags[l].Add(id, geom.FragmentCells(cells))
-	}
-	wl, vias := pathLen(path)
+	fragstore.AddPath(st.frags, id, path)
+	wl, vias := grid.PathLen(path)
 	st.res.WirelengthCells += wl
 	st.res.Vias += vias
 }
@@ -572,7 +517,7 @@ func (st *state) ripup(id int) {
 			st.sp.Release(c)
 		}
 	}
-	wl, vias := pathLen(st.res.Paths[id])
+	wl, vias := grid.PathLen(st.res.Paths[id])
 	st.res.WirelengthCells -= wl
 	st.res.Vias -= vias
 	delete(st.res.Paths, id)
@@ -582,17 +527,6 @@ func (st *state) ripup(id int) {
 		delete(st.colors[l], id)
 		delete(st.locks[l], id)
 	}
-}
-
-func pathLen(path []grid.Cell) (wl, vias int) {
-	for i := 1; i < len(path); i++ {
-		if path[i].L != path[i-1].L {
-			vias++
-		} else {
-			wl++
-		}
-	}
-	return wl, vias
 }
 
 // updateGraphs detects the new net's potential overlay scenarios on every

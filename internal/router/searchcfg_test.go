@@ -2,6 +2,15 @@ package router
 
 import "testing"
 
+// SetSparseGate sets the corridor-search HPWL gate for the tests in
+// router_test and returns a func that restores the production value. Not
+// safe while another test routes concurrently.
+func SetSparseGate(n int) (restore func()) {
+	old := sparseMinHPWL
+	sparseMinHPWL = n
+	return func() { sparseMinHPWL = old }
+}
+
 // TestSearchCfgAllocatesNothing pins the first-search cost model as plain
 // data: building it allocates no per-search pin map and no step-cost
 // closure.

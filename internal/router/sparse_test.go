@@ -13,8 +13,8 @@ import (
 )
 
 // sparseSpec is a low-congestion long-net instance at a die size where the
-// corridor graph pays off; routeSparse drops the HPWL gate so every net
-// engages it.
+// corridor graph pays off; routeSparse lowers the HPWL gate to 4 tracks so
+// nearly every net engages it.
 var sparseSpec = bench.Spec{
 	Name: "sparse-t", Nets: 40, Tracks: 220, Layers: 3, Seed: 44,
 	PinCandidates: 1, AvgHPWL: 80, Blockages: 6,
@@ -22,10 +22,10 @@ var sparseSpec = bench.Spec{
 
 func routeSparse(t *testing.T, on bool) (*router.Result, obs.Snapshot) {
 	t.Helper()
+	defer router.SetSparseGate(4)()
 	nl := bench.Generate(sparseSpec)
 	opt := router.Defaults()
 	opt.SparseSearch = on
-	opt.SparseMinHPWL = 4
 	opt.Obs = obs.New()
 	res := router.Route(nl, rules.Node10nm(), opt)
 	snap := opt.Obs.Snapshot()
@@ -106,9 +106,9 @@ func TestSparseDeterministic(t *testing.T) {
 	}
 }
 
-// TestSparseGateKeepsSmallRunsIdentical proves the equivalence the CI
-// smoke relies on: below the HPWL gate the corridor graph never engages,
-// so a standard-cell-scale run is identical with the lever on or off.
+// TestSparseGateKeepsSmallRunsIdentical proves that below the HPWL gate the
+// corridor graph never engages, so a standard-cell-scale run is identical
+// with the lever on or off.
 func TestSparseGateKeepsSmallRunsIdentical(t *testing.T) {
 	spec := bench.Spec{Name: "gate-t", Nets: 60, Tracks: 60, Layers: 3, Seed: 5,
 		PinCandidates: 1, AvgHPWL: 6, Blockages: 2}

@@ -58,11 +58,16 @@ func (st *state) repriceDense(id int, n netlist.Net, path []grid.Cell) (int, boo
 	return st.eng.Price(int32(id), n.A.Candidates, n.B.Candidates, path, st.searchCfg(st.pen))
 }
 
+// sparseMinHPWL is the minimum net half-perimeter, in tracks, at which a
+// search engages the corridor graph under Options.SparseSearch. Tests
+// lower it.
+var sparseMinHPWL = 40
+
 // sparseEligible gates corridor engagement per search: the lever must be
 // on and the net large enough that skipping the dense expansion pays for
-// the snapshot. Small nets fall through to the dense
-// engine untouched, which keeps standard-cell-scale runs — including the
-// CI equivalence smoke — byte-identical with -sparse on or off.
+// the snapshot. Smaller nets fall through to the dense engine untouched,
+// which keeps standard-cell-scale runs byte-identical with -sparse on or
+// off, trace included.
 func (st *state) sparseEligible(n netlist.Net) bool {
-	return st.sp != nil && n.HPWL() >= st.opt.SparseMinHPWL
+	return st.sp != nil && n.HPWL() >= sparseMinHPWL
 }

@@ -154,62 +154,16 @@ func (q *spq) pop() spqItem {
 // candidates); occupied candidates are unreachable, exactly as in the
 // dense engine. The pin set for Config.PinVia is sources ∪ targets.
 //
-// Search is windowed: it first confines the corridor graph to the pin
-// bounding box plus a margin M, which keeps the node count local even on a
-// die whose committed nets have made most global coordinates interesting.
-// A windowed result is only trusted when it is provably global: any path
-// visiting a cell outside the window must exceed WL*Scale*(h0+2M) (h0 the
-// minimum pin-to-pin Manhattan distance — exiting the window costs at
-// least the 2M detour on top), so a windowed cost within that bound is the
-// true optimum. Otherwise the window escalates and the last tier is the
-// whole die, whose verdict — including NoPath — is authoritative.
+// The corridor graph spans the whole die, so a NoPath verdict is
+// authoritative. Config.MaxExpand bounds the expansions; a search that
+// exceeds it returns Aborted.
 func (e *Engine) Search(sources, targets []grid.Cell, cfg Config) ([]grid.Cell, int, Outcome) {
 	if len(sources) == 0 || len(targets) == 0 {
 		return nil, 0, NoPath
 	}
 	e.Expand = 0
-	bx0, by0 := e.g.W, e.g.H
-	bx1, by1 := -1, -1
-	h0 := -1
-	for _, s := range sources {
-		bx0, bx1 = mini(bx0, s.X), maxi(bx1, s.X)
-		by0, by1 = mini(by0, s.Y), maxi(by1, s.Y)
-		for _, t := range targets {
-			if d := absi(s.X-t.X) + absi(s.Y-t.Y); h0 < 0 || d < h0 {
-				h0 = d
-			}
-		}
-	}
-	for _, t := range targets {
-		bx0, bx1 = mini(bx0, t.X), maxi(bx1, t.X)
-		by0, by1 = mini(by0, t.Y), maxi(by1, t.Y)
-	}
-	for _, m := range [2]int{64, 256} {
-		x0, y0 := maxi(0, bx0-m), maxi(0, by0-m)
-		x1, y1 := mini(e.g.W-1, bx1+m), mini(e.g.H-1, by1+m)
-		full := x0 == 0 && y0 == 0 && x1 == e.g.W-1 && y1 == e.g.H-1
-		path, cost, out := e.searchWindow(sources, targets, cfg, x0, y0, x1, y1)
-		switch {
-		case out == Aborted:
-			return nil, 0, Aborted
-		case full:
-			return path, cost, out
-		case out == Found && cost <= cfg.WL*astar.Scale*(h0+2*m):
-			return path, cost, out
-		}
-		// NoPath inside the window, or a cost the certificate cannot rule
-		// an escape route out of: escalate.
-	}
-	// Final tier: the whole die. Its verdict needs no certificate.
-	return e.searchWindow(sources, targets, cfg, 0, 0, e.g.W-1, e.g.H-1)
-}
-
-// searchWindow runs one corridor A* confined to the given coordinate
-// window (inclusive). Expansions accrue to e.Expand across tiers, and
-// Config.MaxExpand bounds the accrued total.
-func (e *Engine) searchWindow(sources, targets []grid.Cell, cfg Config, x0, y0, x1, y1 int) ([]grid.Cell, int, Outcome) {
 	e.cfg = cfg
-	e.snapshot(sources, targets, x0, y0, x1, y1)
+	e.snapshot(sources, targets)
 	nx, ny := len(e.xs), len(e.ys)
 	e.ensure(nx * ny * e.g.Layers)
 	e.cur++
@@ -265,22 +219,20 @@ func (e *Engine) searchWindow(sources, targets []grid.Cell, cfg Config, x0, y0, 
 	return nil, 0, NoPath
 }
 
-// snapshot collects the interesting coordinates of the query inside the
-// window: window edges (which double as die edges on the full tier), free
-// columns/rows bordering an obstacle (from the boundary refcounts), and
-// every candidate coordinate ±1 (so a cost-neutral corridor slide can
+// snapshot collects the interesting coordinates of the query: die edges,
+// free columns/rows bordering an obstacle (from the boundary refcounts),
+// and every candidate coordinate ±1 (so a cost-neutral corridor slide can
 // always stop next to a pin instead of on it; see the package comment).
-func (e *Engine) snapshot(sources, targets []grid.Cell, x0, y0, x1, y1 int) {
-	e.xs = e.xs[:0]
-	e.ys = e.ys[:0]
-	e.xs = append(e.xs, x0, x1)
-	e.ys = append(e.ys, y0, y1)
-	for x := x0 + 1; x < x1; x++ {
+func (e *Engine) snapshot(sources, targets []grid.Cell) {
+	x1, y1 := e.g.W-1, e.g.H-1
+	e.xs = append(e.xs[:0], 0, x1)
+	e.ys = append(e.ys[:0], 0, y1)
+	for x := 1; x < x1; x++ {
 		if e.g.cntX[x] > 0 {
 			e.xs = append(e.xs, x)
 		}
 	}
-	for y := y0 + 1; y < y1; y++ {
+	for y := 1; y < y1; y++ {
 		if e.g.cntY[y] > 0 {
 			e.ys = append(e.ys, y)
 		}
@@ -288,10 +240,10 @@ func (e *Engine) snapshot(sources, targets []grid.Cell, x0, y0, x1, y1 int) {
 	for _, cells := range [2][]grid.Cell{sources, targets} {
 		for _, c := range cells {
 			for d := -1; d <= 1; d++ {
-				if x := c.X + d; x >= x0 && x <= x1 {
+				if x := c.X + d; x >= 0 && x <= x1 {
 					e.xs = append(e.xs, x)
 				}
-				if y := c.Y + d; y >= y0 && y <= y1 {
+				if y := c.Y + d; y >= 0 && y <= y1 {
 					e.ys = append(e.ys, y)
 				}
 			}
@@ -462,18 +414,4 @@ func absi(v int) int {
 		return -v
 	}
 	return v
-}
-
-func mini(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -4,9 +4,10 @@
 // coordinates — free columns/rows bordering an obstacle (a blockage or a
 // committed net), die edges, and the query's pin coordinates — with
 // corridors between adjacent interesting coordinates as weighted edges.
-// On a big die with macro blockages the node count tracks obstacle
-// complexity, not die area, which is the order-of-magnitude lever ROADMAP
-// names for 100k-net instances.
+// On a big die with few long nets and macro blockages the node count
+// tracks obstacle complexity, not die area. That is the huge benchmark
+// family (bench.HugeSpecs), where the corridor search routes nets that
+// dense A* gives up on at its expansion budget.
 //
 // The graph prices corridors in the same integer half-wirelength cost
 // units as internal/astar (astar.Scale applies): a planar step costs

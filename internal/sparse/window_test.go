@@ -15,52 +15,19 @@ func blockAll(g *grid.Grid, r geom.Rect) {
 	}
 }
 
-// TestWindowedFastPathStaysLocal pins the point of the windowed search: on
-// a die far larger than the first margin tier, a short net must be solved
-// inside its tier-1 window without the node set ever touching the die
-// edges. The snapshot axes are inspected directly (same package).
-func TestWindowedFastPathStaysLocal(t *testing.T) {
-	g := mk(1200, 1200, 2)
-	src := []grid.Cell{{X: 600, Y: 600}}
-	tgt := []grid.Cell{{X: 612, Y: 606}}
-	sp := NewGraph(g)
-	e := Acquire(sp)
-	defer e.Release()
-	path, cost, out := e.Search(src, tgt, baseCfg)
-	if out != Found {
-		t.Fatalf("outcome %v, want Found", out)
-	}
-	checkPath(t, g, src, tgt, path)
-	if got := price(path, pinSet(src, tgt), baseCfg); got != cost {
-		t.Fatalf("reported cost %d != repriced %d", cost, got)
-	}
-	// The certificate accepted a tier-1 result, so the last snapshot is
-	// the 64-margin window: node coordinates stay near the pins.
-	if e.xs[0] < 600-65 || e.xs[len(e.xs)-1] > 612+65 {
-		t.Fatalf("x axis escaped the tier-1 window: [%d, %d]", e.xs[0], e.xs[len(e.xs)-1])
-	}
-	if e.ys[0] < 600-65 || e.ys[len(e.ys)-1] > 606+65 {
-		t.Fatalf("y axis escaped the tier-1 window: [%d, %d]", e.ys[0], e.ys[len(e.ys)-1])
-	}
-	if len(e.xs) > 16 || len(e.ys) > 16 {
-		t.Fatalf("empty-window node axes too dense: %d x %d", len(e.xs), len(e.ys))
-	}
-}
-
-// TestWindowEscalatesPastBlockedWindow forces tier escalation through a
-// windowed NoPath: a full-stack wall splits the tier-1 window completely,
-// and the only gap lies outside it. The escalated (full-die) result must
-// still be the dense optimum.
+// TestWindowEscalatesPastBlockedWindow walls the pins apart with a
+// full-stack wall whose only gap lies 71 tracks from them. The full-die
+// search must find the detour through the gap and match the dense optimum.
 func TestWindowEscalatesPastBlockedWindow(t *testing.T) {
 	g := mk(400, 200, 2)
-	// Wall at x=210 from y=30 down to the die edge; the gap y<30 is
-	// outside the tier-1 window (y0 = 100-64 = 36).
+	// Wall at x=210 from y=30 down to the die edge; the nearest gap row,
+	// y=29, is 71 tracks from the pins.
 	blockAll(g, geom.Rect{X0: 210, Y0: 30, X1: 211, Y1: 200})
 	src := []grid.Cell{{X: 200, Y: 100}}
 	tgt := []grid.Cell{{X: 220, Y: 100}}
 	path, _, out := searchBoth(t, g, src, tgt, baseCfg)
 	if out != Found {
-		t.Fatalf("outcome %v, want Found after escalation", out)
+		t.Fatalf("outcome %v, want Found through the far gap", out)
 	}
 	for _, c := range path {
 		if c.X == 210 && c.Y >= 30 {
@@ -69,16 +36,14 @@ func TestWindowEscalatesPastBlockedWindow(t *testing.T) {
 	}
 }
 
-// TestWindowCertRejectsEdgeHuggingDetour forces the escalate-on-cost arm:
-// the only gap inside the tier-1 window sits exactly on the window edge,
-// so a path exists in the window but its cost (base detour plus direction
-// penalties and vias) exceeds WL*Scale*(h0+2M) and the certificate cannot
-// rule out a cheaper route outside. The escalated result must match the
-// dense optimum.
+// TestWindowCertRejectsEdgeHuggingDetour leaves one gap that starts 64
+// tracks from the pins and runs to the die edge: the cheapest detour hugs
+// its near edge, paying direction penalties and vias on top of the base
+// detour. The full-die result must match the dense optimum.
 func TestWindowCertRejectsEdgeHuggingDetour(t *testing.T) {
 	g := mk(400, 200, 2)
-	// Tier-1 window is y ∈ [36, 164]; wall y<164 leaves the gap rows
-	// 164..199, whose first row is the window's edge row.
+	// The wall y<164 leaves the gap rows 164..199, the first of them 64
+	// tracks from the pins.
 	blockAll(g, geom.Rect{X0: 210, Y0: 0, X1: 211, Y1: 164})
 	src := []grid.Cell{{X: 200, Y: 100}}
 	tgt := []grid.Cell{{X: 220, Y: 100}}
@@ -87,10 +52,10 @@ func TestWindowCertRejectsEdgeHuggingDetour(t *testing.T) {
 	}
 }
 
-// TestWindowedNoPathIsAuthoritative pins that NoPath is only ever reported
-// by the full-die tier: a target walled in on every layer of a large die
-// must come back NoPath (not Aborted, not a false Found), agreeing with
-// the dense engine.
+// TestWindowedNoPathIsAuthoritative pins that the full-die NoPath verdict
+// is authoritative: a target walled in on every layer of a large die must
+// come back NoPath (not Aborted, not a false Found), agreeing with the
+// dense engine.
 func TestWindowedNoPathIsAuthoritative(t *testing.T) {
 	g := mk(400, 400, 2)
 	blockAll(g, geom.Rect{X0: 340, Y0: 340, X1: 361, Y1: 341}) // north
@@ -104,9 +69,9 @@ func TestWindowedNoPathIsAuthoritative(t *testing.T) {
 	}
 }
 
-// TestWindowMaxExpandAccruesAcrossTiers pins that the expansion budget is
-// shared by all tiers of one Search: a budget too small for even the
-// tier-1 window aborts the whole search instead of resetting per tier.
+// TestWindowMaxExpandAccruesAcrossTiers pins the expansion budget of one
+// Search: a budget too small for the detour aborts the search, and the
+// count stops at the pop that trips it.
 func TestWindowMaxExpandAccruesAcrossTiers(t *testing.T) {
 	g := mk(400, 200, 2)
 	blockAll(g, geom.Rect{X0: 210, Y0: 30, X1: 211, Y1: 200})
