@@ -1,7 +1,7 @@
 package decomp
 
 import (
-	"sort"
+	"slices"
 
 	"sadproute/internal/geom"
 	"sadproute/internal/interval"
@@ -67,17 +67,32 @@ func indexCell(ly Layout) int {
 // Assist-assist proximity is left to the merge stage: merged or bridged
 // assists are harmless because the cut boundary then touches no target.
 // Surviving slabs append to e.mats.
+//
+// One index query per second target serves the shape and keep-out steps of
+// all four slabs: every slab lies within r.Expand(w_spacer+w_core), and
+// each step looks at most max(d_core, w_spacer) beyond its slab. The list
+// is sorted into target order once; each step skips the targets too far
+// to change its slab.
 func (e *Engine) buildAssists(ly Layout) {
 	ds := ly.Rules
 	ws, wc := ds.WSpacer, ds.WCore
 	out0, out1 := ws, ws+wc
-	ts, tix := e.ts, &e.tix
-	near := e.near[:0]
+	reach := out1 + max(ds.DCore, ws)
+	ts := e.ts
 	for _, t := range ts {
 		if t.color != Second {
 			continue
 		}
 		r := t.rect
+		// Subtract and trim in target order, not index-bucket order: the
+		// union is order-independent but the rect decomposition (and with
+		// it which slivers fall under the w_core minimum) is not, nor is
+		// the trim sequence, and bucket scan order follows absolute
+		// coordinates.
+		near := e.near[:0]
+		e.tix.query(r.Expand(reach), func(oi int) { near = append(near, oi) })
+		slices.Sort(near)
+		e.near = near
 		type slab struct {
 			rect  geom.Rect
 			horiz bool        // slab's long axis runs along X
@@ -97,7 +112,7 @@ func (e *Engine) buildAssists(ly Layout) {
 		for _, sl := range slabs {
 			f, ok := sl.rect, true
 			if !ly.NaiveAssists {
-				f, ok = e.shapeSlab(ds, sl.rect, sl.horiz, sl.span, sl.tip, t.pat)
+				f, ok = e.shapeSlab(ds, sl.rect, sl.horiz, sl.span, sl.tip, t.pat, near)
 			}
 			if !ok {
 				continue
@@ -106,26 +121,21 @@ func (e *Engine) buildAssists(ly Layout) {
 			if f.Empty() {
 				continue
 			}
-			// Subtract in target order, not index-bucket order: the union is
-			// order-independent but the rect decomposition (and with it which
-			// slivers fall under the w_core minimum) is not, and bucket scan
-			// order follows absolute coordinates.
+			// Every piece lies in f, so a keep-out that misses f leaves
+			// the pieces as they are.
 			pieces := append(e.pieces[:0], f)
-			near = near[:0]
-			tix.query(f.Expand(ws), func(oi int) { near = append(near, oi) })
-			sort.Ints(near)
 			for _, oi := range near {
 				if len(pieces) == 0 {
 					break
 				}
 				o := ts[oi]
-				var sub geom.Rect
+				sub := o.rect
 				if o.color == Second {
 					sub = o.rect.Expand(ws)
-				} else {
-					sub = o.rect
 				}
-				pieces = geom.SubtractAll(pieces, []geom.Rect{sub})
+				if sub.Intersects(f) {
+					pieces = geom.SubtractAll(pieces, []geom.Rect{sub})
+				}
 			}
 			for _, pc := range pieces {
 				if pc.W() >= wc && pc.H() >= wc {
@@ -135,26 +145,21 @@ func (e *Engine) buildAssists(ly Layout) {
 			e.pieces = pieces[:0]
 		}
 	}
-	e.near = near[:0]
 }
 
 // shapeSlab applies the drop/trim policy against foreign core targets and
 // returns the (possibly shortened) slab, or ok=false when a tip slab is
-// dropped.
-func (e *Engine) shapeSlab(ds rules.Set, f geom.Rect, horiz bool, span interval.Iv, tip bool, ownPat int) (geom.Rect, bool) {
-	ts, tix := e.ts, &e.tix
+// dropped. near lists, in target order, every target within d_core of f
+// and possibly more; a target at d_core or beyond changes nothing.
+func (e *Engine) shapeSlab(ds rules.Set, f geom.Rect, horiz bool, span interval.Iv, tip bool, ownPat int, near []int) (geom.Rect, bool) {
+	ts := e.ts
 	dcore := ds.DCore
 	drop := false
 	along := &e.along
 	along.Reset()
 	along.Add(alongIv(f, horiz))
 	// The trim below mutates `along` step by step, so the outcome depends
-	// on the order foreign cores are considered; canonicalize to target
-	// order (bucket-scan order tracks absolute coordinates).
-	near := e.shapeNear[:0]
-	tix.query(f.Expand(dcore), func(oi int) { near = append(near, oi) })
-	sort.Ints(near)
-	e.shapeNear = near[:0]
+	// on the order foreign cores are considered: near is in target order.
 	for _, oi := range near {
 		o := ts[oi]
 		if o.color != Core || o.pat == ownPat {

@@ -12,7 +12,7 @@ import (
 // benchLayouts routes a small instance once and returns its per-layer
 // layouts — the same geometry profile the router's window checks and
 // repair passes feed the oracle.
-func benchLayouts(b *testing.B) []decomp.Layout {
+func benchLayouts(b testing.TB) []decomp.Layout {
 	b.Helper()
 	ds := rules.Node10nm()
 	sp := bench.Spec{Name: "bench", Nets: 120, Tracks: 40, Layers: 3, Seed: 77,

@@ -1,6 +1,8 @@
 package decomp
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"sadproute/internal/geom"
@@ -91,35 +93,24 @@ func (d *dsu) union(a, b int) { d.p[d.find(a)] = d.find(b) }
 // a function of the layout geometry alone — material enumeration order
 // (which tracks absolute coordinates) cannot influence the verdict, so
 // rigid transforms of the layout preserve it.
+//
+// The first iteration queries the index once per material (connect); a
+// later one queries only the material the last one added or trimmed. The
+// connectivity of the final geometry also counts Result.Blobs: at the
+// fixed point it is that iteration's, after the sixth iteration one more
+// connect builds it.
 func (e *Engine) buildBridges(ly Layout, res *Result) {
 	ds := ly.Rules
 	mats, ts, tix := e.mats, e.ts, &e.tix
-	for iter := 0; iter < 6; iter++ {
+	comp := &e.comp
+	e.links, e.dirty = e.links[:0], e.dirty[:0]
+	for range mats {
+		e.dirty = append(e.dirty, true)
+	}
+	for iter := 0; ; iter++ {
 		// Connectivity is rebuilt from the actual geometry every iteration:
 		// a trim can pull an assist off material it used to touch, and a
 		// stale union would then hide the fresh sub-d_core gap forever.
-		comp := &e.comp
-		comp.reset(len(mats))
-		ix := &e.bix
-		ix.reset(indexCell(ly))
-		for i, m := range mats {
-			ix.add(i, m.Rect)
-		}
-		// Unite touching blobs first so bridges never span through material.
-		for i := range mats {
-			if mats[i].Rect.Empty() {
-				continue
-			}
-			ix.query(mats[i].Rect.Expand(1), func(j int) {
-				if j <= i || mats[j].Rect.Empty() {
-					return
-				}
-				if _, positive := gapLinf(mats[i].Rect, mats[j].Rect); !positive {
-					comp.union(i, j)
-				}
-			})
-		}
-
 		// Snapshot the geometry and collect every cross-blob pair closer
 		// than d_core. The pair set is determined by the snapshot, not by
 		// any processing order.
@@ -128,26 +119,20 @@ func (e *Engine) buildBridges(ly Layout, res *Result) {
 			snap = append(snap, mats[i].Rect)
 		}
 		e.snap = snap
-		pairs := e.pairs[:0]
-		for i := range mats {
-			if snap[i].Empty() {
-				continue
-			}
-			ix.query(snap[i].Expand(ds.DCore), func(j int) {
-				if j <= i || snap[j].Empty() || comp.find(i) == comp.find(j) {
-					return
-				}
-				if gap, positive := gapLinf(snap[i], snap[j]); positive && gap < ds.DCore {
-					pairs = append(pairs, matPair{i, j})
-				}
-			})
+		e.connect(ly, snap)
+		if iter == 6 {
+			break
 		}
-		e.pairs = pairs[:0]
-		sort.Slice(pairs, func(a, b int) bool {
-			if pairs[a].i != pairs[b].i {
-				return pairs[a].i < pairs[b].i
+		pairs := e.pairs[:0]
+		for _, l := range e.links {
+			i, j := int(l.i), int(l.j)
+			if !l.touch && comp.find(i) != comp.find(j) {
+				pairs = append(pairs, matPair{i, j})
 			}
-			return pairs[a].j < pairs[b].j
+		}
+		e.pairs = pairs
+		slices.SortFunc(pairs, func(a, b matPair) int {
+			return cmp.Or(cmp.Compare(a.i, b.i), cmp.Compare(a.j, b.j))
 		})
 
 		// Widen the degenerate diagonal case where the two rects touch in
@@ -224,6 +209,7 @@ func (e *Engine) buildBridges(ly Layout, res *Result) {
 			nr := trimRect[k]
 			if !nr.Empty() && nr.W() >= ds.WCore && nr.H() >= ds.WCore {
 				mats[k].Rect = nr
+				e.dirty[k] = true
 				trimmed = true
 				continue
 			}
@@ -240,37 +226,65 @@ func (e *Engine) buildBridges(ly Layout, res *Result) {
 			break
 		}
 		mats = append(mats, added...)
+		for range added {
+			e.dirty = append(e.dirty, true)
+		}
 	}
 	e.mats = mats
 	// Count the surviving mask blobs (distinct touching-components over
-	// non-empty material) for the observability snapshot.
-	comp := &e.comp
-	comp.reset(len(mats))
+	// non-empty material) for the observability snapshot. Unions join only
+	// non-empty material, so each such blob has one non-empty root.
+	res.Blobs = 0
+	for i := range mats {
+		if !mats[i].Rect.Empty() && comp.find(i) == i {
+			res.Blobs++
+		}
+	}
+}
+
+// connect brings the merge stage's links up to rects and rebuilds e.comp
+// from them. A link is a pair (i < j) of non-empty rects closer than
+// d_core: touching (one blob) or with a positive L-infinity gap. Links
+// between rects that kept their geometry carry over; each rect marked in
+// e.dirty is queried once, which finds both kinds of its links (touching
+// rects meet its Expand(1), close ones its Expand(d_core)), and a link
+// between two dirty rects is kept from the lower one's query.
+func (e *Engine) connect(ly Layout, rects []geom.Rect) {
+	dcore := ly.Rules.DCore
+	dirty := e.dirty
 	ix := &e.bix
 	ix.reset(indexCell(ly))
-	for i, m := range mats {
-		ix.add(i, m.Rect)
+	for i, r := range rects {
+		ix.add(i, r)
 	}
-	for i := range mats {
-		if mats[i].Rect.Empty() {
+	links := e.links[:0]
+	for _, l := range e.links {
+		if !dirty[l.i] && !dirty[l.j] {
+			links = append(links, l)
+		}
+	}
+	for i, a := range rects {
+		if !dirty[i] || a.Empty() {
 			continue
 		}
-		ix.query(mats[i].Rect.Expand(1), func(j int) {
-			if j <= i || mats[j].Rect.Empty() {
+		ix.query(a.Expand(max(dcore, 1)), func(j int) {
+			if j == i || (dirty[j] && j < i) || rects[j].Empty() {
 				return
 			}
-			if _, positive := gapLinf(mats[i].Rect, mats[j].Rect); !positive {
-				comp.union(i, j)
+			if gap, positive := gapLinf(a, rects[j]); !positive || gap < dcore {
+				links = append(links, matLink{i: int32(min(i, j)), j: int32(max(i, j)), touch: !positive})
 			}
 		})
 	}
-	roots := map[int]bool{}
-	for i := range mats {
-		if !mats[i].Rect.Empty() {
-			roots[comp.find(i)] = true
+	e.links = links
+	clear(dirty)
+	comp := &e.comp
+	comp.reset(len(rects))
+	for _, l := range links {
+		if l.touch {
+			comp.union(int(l.i), int(l.j))
 		}
 	}
-	res.Blobs = len(roots)
 }
 
 // bridgeCollision reports whether a (thick) bridge hits target geometry

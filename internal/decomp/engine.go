@@ -24,21 +24,27 @@ type Engine struct {
 	mats []Mat
 	mix  rectIndex
 	// Merge-stage scratch (buildBridges): per-iteration connectivity,
+	// the links it is built from and the material whose links are stale,
 	// geometry snapshot, cross-blob pair list and bridge accumulator.
 	comp     dsu
 	bix      rectIndex
+	links    []matLink
+	dirty    []bool
 	snap     []geom.Rect
 	pairs    []matPair
 	added    []Mat
 	trimRect map[int]geom.Rect
 	trimPend map[int][]matPair
 	tks      []int
+	// One object's candidate lists, each from one index query: targets
+	// near a second target (buildAssists) or near a measured target, and
+	// material near a measured target (measureRect).
+	near  []int
+	mnear []int
 	// Assist-synthesis scratch (buildAssists/shapeSlab).
-	near      []int
-	shapeNear []int
-	pieces    []geom.Rect
-	along     interval.Set
-	trial     interval.Set
+	pieces []geom.Rect
+	along  interval.Set
+	trial  interval.Set
 	// Boundary-measurement scratch (measureRect): per-side overlay sets
 	// plus the interior/protection accumulators and the pair-conflict
 	// intersection buffer.
@@ -51,6 +57,14 @@ type Engine struct {
 
 // matPair is one cross-blob material pair of a merge iteration.
 type matPair struct{ i, j int }
+
+// matLink is a material pair (i < j) closer than d_core; touch marks a
+// pair with no positive gap, which is one blob. The engine keeps a full
+// layer's links between calls, so the indices are 32-bit.
+type matLink struct {
+	i, j  int32
+	touch bool
+}
 
 var enginePool = sync.Pool{New: func() any { return &Engine{} }}
 

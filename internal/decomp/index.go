@@ -183,9 +183,10 @@ func (ix *rectIndex) build() {
 // query calls fn exactly once for every registered id whose rect's buckets
 // intersect r's buckets. Callers re-check precise geometry themselves.
 //
-// The callback order is part of the contract (it shapes assists): buckets
-// row-major, each bucket's ids in insertion order, an id at the first
-// bucket that holds it.
+// The callback order is part of the contract: buckets row-major, each
+// bucket's ids in insertion order, an id at the first bucket that holds
+// it. It orders the oracle's Violations (abutments, bridge collisions);
+// every other consumer sorts its candidates or does not depend on order.
 func (ix *rectIndex) query(r geom.Rect, fn func(id int)) {
 	if r.Empty() {
 		return

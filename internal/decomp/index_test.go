@@ -164,9 +164,10 @@ func (b *fuzzBytes) rect() geom.Rect {
 // replaced. Each input is several reset/add/query rounds on one reused
 // index, with adds also between queries. Every query must produce exactly
 // the reference callback sequence — the order is the contract, since it
-// shapes assists — and the grid must stay within bucketBudget however far
-// apart or large the rects are. The map reference runs only where it is
-// cheap; the closed-form order of expectQuery runs everywhere.
+// orders the oracle's Violations — and the grid must stay within
+// bucketBudget however far apart or large the rects are. The map reference
+// runs only where it is cheap; the closed-form order of expectQuery runs
+// everywhere.
 func FuzzRectIndex(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 2, 5, 1, 0, 2, 0, 60, 40, 1, 9, 0, 1, 0, 90, 30, 1, 0, 0, 0, 0, 0, 200, 200})

@@ -20,12 +20,32 @@ import (
 //
 // Overlays on the two short ends of a wire are tip overlays (non-critical);
 // overlays on long sides are side overlays, hard when longer than w_line.
+//
+// One query per index serves all four sides: a target that covers the
+// field row outside a side meets r.Expand(1), and material that touches or
+// protects a side meets r.Expand(w_spacer+1). Each candidate list keeps
+// only what meets its query box, in the index's callback order, which
+// orders the abutment violations.
 func (e *Engine) measureRect(ly Layout, ti int, res *Result) {
-	ts, tix, mats, mix := e.ts, &e.tix, e.mats, &e.mix
+	ts, mats := e.ts, e.mats
 	t := ts[ti]
 	r := t.rect
 	ds := ly.Rules
 	ws := ds.WSpacer
+
+	tq, mq := r.Expand(1), r.Expand(ws+1)
+	near, mnear := e.near[:0], e.mnear[:0]
+	e.tix.query(tq, func(oi int) {
+		if oi != ti && ts[oi].rect.Intersects(tq) {
+			near = append(near, oi)
+		}
+	})
+	e.mix.query(mq, func(mi int) {
+		if mats[mi].Rect.Intersects(mq) {
+			mnear = append(mnear, mi)
+		}
+	})
+	e.near, e.mnear = near, mnear
 
 	var sideSets [4]*interval.Set // overlay intervals per side (engine scratch)
 
@@ -40,30 +60,27 @@ func (e *Engine) measureRect(ly Layout, ti int, res *Result) {
 
 		// Same-pattern targets covering the outside row are polygon seams;
 		// different-net targets there are abutment violations.
-		tix.query(r.Expand(1), func(oi int) {
-			if oi == ti {
-				return
-			}
+		for _, oi := range near {
 			o := ts[oi]
 			alo, ahi, plo, phi := project(o.rect, horiz)
 			if !touches(b, plo, phi, outPos) {
-				return
+				continue
 			}
 			iv := interval.Iv{Lo: alo, Hi: ahi}.Intersect(span)
 			if iv.Empty() {
-				return
+				continue
 			}
 			if o.pat != t.pat {
 				res.addViolationNet(t.net, "targets of nets %d and %d abut at %v side %s", t.net, o.net, r, side)
 				res.addViolationNet(o.net, "targets of nets %d and %d abut (mirror)", t.net, o.net)
 			}
 			interior.Add(iv)
-		})
+		}
 
 		// Core-mask material: touching material is cut-defined (overlay
 		// unless it is this pattern's own printed core), nearby material
 		// contributes spacer protection.
-		mix.query(r.Expand(ws+1), func(mi int) {
+		for _, mi := range mnear {
 			m := mats[mi]
 			alo, ahi, plo, phi := project(m.Rect, horiz)
 			if touches(b, plo, phi, outPos) {
@@ -73,12 +90,12 @@ func (e *Engine) measureRect(ly Layout, ti int, res *Result) {
 				} else {
 					matTouch.Add(interval.Iv{Lo: alo, Hi: ahi}.Intersect(span))
 				}
-				return
+				continue
 			}
 			if coveredPerp(b, plo, phi, outPos, ws) {
 				covered.Add(interval.Iv{Lo: alo - ws, Hi: ahi + ws}.Intersect(span))
 			}
-		})
+		}
 
 		// overlay = span - interior - (covered - matTouch)
 		ov := &e.sideOv[side]

@@ -286,18 +286,25 @@ func (st *state) repairConflicts() {
 	}
 	// Terminal guarantee: if anything still conflicts after the repair
 	// budget, drop the offenders outright — the paper's router guarantees
-	// conflict-free output, trading routability where necessary.
-	for _, id := range st.offenders() {
-		if _, routed := st.res.Paths[id]; !routed {
-			continue
-		}
-		st.ripup(id)
-		st.res.Routed--
-		st.res.Failed++
-		st.rec.NetRipup(id, obs.RipRepair)
-		st.rec.NetFail(id)
-		if st.rec.Tracing() {
-			st.rec.Trace("route_fail", obs.I("net", id), obs.S("reason", "repair_drop"))
+	// conflict-free output, trading routability where necessary. Dropping
+	// a net changes its neighbours' assists and merges, which can make a
+	// new offender, so drop until no routed net offends; every round
+	// removes a routed net, so the loop ends.
+	for dropped := true; dropped; {
+		dropped = false
+		for _, id := range st.offenders() {
+			if _, routed := st.res.Paths[id]; !routed {
+				continue
+			}
+			st.ripup(id)
+			st.res.Routed--
+			st.res.Failed++
+			st.rec.NetRipup(id, obs.RipRepair)
+			st.rec.NetFail(id)
+			if st.rec.Tracing() {
+				st.rec.Trace("route_fail", obs.I("net", id), obs.S("reason", "repair_drop"))
+			}
+			dropped = true
 		}
 	}
 }
