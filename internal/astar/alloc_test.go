@@ -42,16 +42,17 @@ func TestSearchAllocsSteadyState(t *testing.T) {
 }
 
 // TestPoolRetainsQueueCapacity pins the Acquire/Release contract the
-// router's engine pooling relies on: the open-list backing array (and the
-// per-cell records) survive a pool round-trip, so the next binding's
-// searches start with warm capacity.
+// router's engine pooling relies on: the open-list backing array and the
+// per-cell records survive a pool round-trip, so the next binding's
+// searches start with warm capacity, and the rebinding keeps counting
+// search ids instead of clearing the records.
 func TestPoolRetainsQueueCapacity(t *testing.T) {
 	g, cfg, src, tgt := allocGrid()
 	e := Acquire(g)
 	if _, ok := e.Search(-1, src, tgt, cfg); !ok {
 		t.Fatal("no path")
 	}
-	qcap, ncap := cap(e.queue), cap(e.nodes)
+	qcap, ncap, id := cap(e.queue), cap(e.nodes), e.cur
 	if qcap == 0 || ncap == 0 {
 		t.Fatal("search left no capacity to retain")
 	}
@@ -66,6 +67,9 @@ func TestPoolRetainsQueueCapacity(t *testing.T) {
 	}
 	if cap(e2.nodes) < ncap {
 		t.Fatalf("per-cell capacity dropped across Release/Acquire: %d -> %d", ncap, cap(e2.nodes))
+	}
+	if e2.cur != id {
+		t.Fatalf("search id went from %d to %d across Release/Acquire; Bind must keep counting", id, e2.cur)
 	}
 	if e2.cfg.Pen != nil || e2.Rec != nil {
 		t.Fatal("Release must drop penalty-plane and recorder references")

@@ -67,7 +67,7 @@ const MaxCost = 1<<31 - 1
 type Engine struct {
 	g     *grid.Grid
 	nodes []node // per-cell search records, grid index order
-	cur   uint32 // id of the current search; records of older ids are stale
+	cur   uint32 // id of the current search; records of other ids are stale
 	// delta holds the index offset of each move in moves order.
 	delta [6]int
 	queue pq
@@ -91,16 +91,27 @@ type Engine struct {
 	overflow bool
 }
 
-// node is one cell's search record: the four per-cell fields a relaxation
-// touches sit in one 16-byte record instead of four parallel arrays.
+// node is one cell's search record, 8 bytes: the best g pushed and a tag.
+// The tag holds, from the top, the id of the search that last wrote the
+// record (under any other id the whole record is stale), the reached, pin
+// and target flags, and the move that entered the cell: the parent is
+// i - delta[move], and fromSource marks a source.
 type node struct {
-	dist   int32  // best g pushed this search; valid when stamp == cur
-	stamp  uint32 // search id that last wrote dist and parent
-	parent int32  // predecessor index on the best path; -1 at a source
-	// mark is cur<<1 when the cell is a source or target of search cur,
-	// with the low bit set when it is a target.
-	mark uint32
+	dist int32  // best g pushed this search; valid when reached
+	tag  uint32 // id<<idShift | reached | pin | target | move
 }
+
+const (
+	moveMask   = 1<<3 - 1
+	fromSource = moveMask // the move of a cell pushed as a source
+	targetBit  = 1 << 3   // a target of the search
+	pinBit     = 1 << 4   // a source or target of the search
+	reachedBit = 1 << 5   // dist and the move were pushed by the search
+	idShift    = 6
+	// maxSearchID is the largest search id a tag holds; the search after
+	// it clears every record and restarts the count at 1.
+	maxSearchID = 1<<(32-idShift) - 1
+)
 
 // moves lists the six unit moves in expansion order. The order is part of
 // the tie-breaking contract: it fixes the push order of equal-key nodes.
@@ -115,11 +126,11 @@ func New(g *grid.Grid) *Engine {
 
 // Bind points the engine at g, reusing the per-cell records when they are
 // large enough and reallocating only when g exceeds every grid this engine
-// has seen. Search state from the previous grid is discarded.
+// has seen. Search state from the previous grid is discarded: the search
+// ids keep counting, so every record left by an earlier search is stale.
 func (e *Engine) Bind(g *grid.Grid) {
 	n := g.W * g.H * g.Layers
 	e.g = g
-	e.cur = 0
 	e.queue = e.queue[:0]
 	plane := g.W * g.H
 	e.delta = [6]int{1, -1, g.W, -g.W, plane, -plane}
@@ -127,10 +138,7 @@ func (e *Engine) Bind(g *grid.Grid) {
 		e.nodes = make([]node, n)
 		return
 	}
-	// Stamps and marks compare against cur, which restarts at 0: clear them
-	// so stale records from the previous binding cannot alias new search ids.
 	e.nodes = e.nodes[:n]
-	clear(e.nodes)
 }
 
 // enginePool backs Acquire/Release. Pooled engines keep their per-cell
@@ -246,10 +254,9 @@ func (e *Engine) Search(id int32, sources, targets []grid.Cell, cfg Config) ([]g
 		if !e.g.In(s) || !e.g.FreeOrNet(s, id) {
 			continue
 		}
-		e.pushNode(e.g.Index(s), s, 0, -1)
+		e.pushNode(e.g.Index(s), s, 0, fromSource)
 	}
 
-	target := e.cur<<1 | 1
 	var costs [6]int
 	for len(e.queue) > 0 && !e.overflow {
 		it := e.queue.pop()
@@ -265,14 +272,14 @@ func (e *Engine) Search(id int32, sources, targets []grid.Cell, cfg Config) ([]g
 		if cfg.MaxExpand > 0 && e.Expand > cfg.MaxExpand {
 			return nil, false
 		}
-		if e.nodes[i].mark == target {
+		if e.nodes[i].tag&targetBit != 0 {
 			return e.trace(i), true
 		}
 		c := e.cell(i)
 		e.stepCosts(id, i, c, &costs)
 		for d, m := range &moves {
 			if costs[d] >= 0 {
-				e.pushNode(i+e.delta[d], grid.Cell{X: c.X + m.X, Y: c.Y + m.Y, L: c.L + m.L}, g+costs[d], int32(i))
+				e.pushNode(i+e.delta[d], grid.Cell{X: c.X + m.X, Y: c.Y + m.Y, L: c.L + m.L}, g+costs[d], uint32(d))
 			}
 		}
 	}
@@ -283,13 +290,18 @@ func (e *Engine) Search(id int32, sources, targets []grid.Cell, cfg Config) ([]g
 // target as a pin and every in-grid target as a goal, and returns the
 // number of distinct goals net id may enter.
 func (e *Engine) begin(id int32, sources, targets []grid.Cell, cfg Config) int {
+	if e.cur == maxSearchID {
+		// Clear past the binding too: a later Bind may extend the records
+		// over ones a pre-wrap id wrote.
+		clear(e.nodes[:cap(e.nodes)])
+		e.cur = 0
+	}
 	e.cur++
 	e.cfg = cfg
 	e.overflow = false
-	pin, target := e.cur<<1, e.cur<<1|1
 	for _, s := range sources {
 		if e.g.In(s) {
-			e.nodes[e.g.Index(s)].mark = pin
+			e.record(e.g.Index(s)).tag |= pinBit
 		}
 	}
 	ntargets := 0
@@ -298,14 +310,30 @@ func (e *Engine) begin(id int32, sources, targets []grid.Cell, cfg Config) int {
 			continue
 		}
 		i := e.g.Index(t)
-		if n := &e.nodes[i]; n.mark != target {
-			n.mark = target
+		if n := e.record(i); n.tag&targetBit == 0 {
+			n.tag |= pinBit | targetBit
 			if cfg.mayEnter(e.g.AtIndex(i), id) {
 				ntargets++
 			}
 		}
 	}
 	return ntargets
+}
+
+// record returns cell i's record for the current search, reset to no flags
+// when an earlier search wrote it.
+func (e *Engine) record(i int) *node {
+	n := &e.nodes[i]
+	if n.tag>>idShift != e.cur {
+		n.tag = e.cur << idShift
+	}
+	return n
+}
+
+// pin reports whether cell i is a source or target of the current search.
+func (e *Engine) pin(i int) bool {
+	t := e.nodes[i].tag
+	return t>>idShift == e.cur && t&pinBit != 0
 }
 
 // nonNegative reports whether every weight of c is >= 0.
@@ -330,7 +358,7 @@ func (c *Config) mayEnter(v, id int32) bool {
 // a repriced path costs exactly what a search charges for it.
 func (e *Engine) stepCosts(id int32, i int, c grid.Cell, out *[6]int) {
 	g, cfg := e.g, &e.cfg
-	pinHere := e.nodes[i].mark>>1 == e.cur
+	pinHere := e.pin(i)
 	for d, m := range &moves {
 		nc := grid.Cell{X: c.X + m.X, Y: c.Y + m.Y, L: c.L + m.L}
 		if !g.In(nc) {
@@ -351,7 +379,7 @@ func (e *Engine) stepCosts(id int32, i int, c grid.Cell, out *[6]int) {
 		}
 		if m.L != 0 {
 			cost += cfg.Via * Scale
-			if cfg.PinVia > 0 && (pinHere || e.nodes[ni].mark>>1 == e.cur) {
+			if cfg.PinVia > 0 && (pinHere || e.pin(ni)) {
 				cost += cfg.PinVia
 			}
 		} else {
@@ -421,12 +449,15 @@ func (e *Engine) h(c grid.Cell) int {
 	return best * Scale
 }
 
-// pushNode relaxes node i (cell c) to gcost and pushes it on the open list.
-// A cost the packed key cannot hold is not pushed; it sets overflow, which
-// ends the search.
-func (e *Engine) pushNode(i int, c grid.Cell, gcost int, parent int32) {
+// pushNode relaxes node i (cell c), entered by move (fromSource at a
+// source), to gcost and pushes it on the open list. A cost the packed key
+// cannot hold is not pushed; it sets overflow, which ends the search.
+func (e *Engine) pushNode(i int, c grid.Cell, gcost int, move uint32) {
 	n := &e.nodes[i]
-	if n.stamp == e.cur && int(n.dist) <= gcost {
+	t := n.tag
+	if t>>idShift != e.cur {
+		t = e.cur << idShift
+	} else if t&reachedBit != 0 && int(n.dist) <= gcost {
 		return
 	}
 	f := gcost + e.h(c)
@@ -434,7 +465,7 @@ func (e *Engine) pushNode(i int, c grid.Cell, gcost int, parent int32) {
 		e.overflow = true
 		return
 	}
-	n.stamp, n.dist, n.parent = e.cur, int32(gcost), parent
+	n.dist, n.tag = int32(gcost), t&^moveMask|reachedBit|move
 	e.queue.push(item{key: pack(f, gcost), idx: int32(i)})
 	e.Pushes++
 	if n := len(e.queue); n > e.HeapPeak {
@@ -459,8 +490,13 @@ func (e *Engine) flushObs() {
 // trace reconstructs the path ending at index i.
 func (e *Engine) trace(i int) []grid.Cell {
 	var rev []grid.Cell
-	for j := int32(i); j >= 0; j = e.nodes[j].parent {
-		rev = append(rev, e.cell(int(j)))
+	for {
+		rev = append(rev, e.cell(i))
+		m := e.nodes[i].tag & moveMask
+		if m == fromSource {
+			break
+		}
+		i -= e.delta[m]
 	}
 	for a, b := 0, len(rev)-1; a < b; a, b = a+1, b-1 {
 		rev[a], rev[b] = rev[b], rev[a]

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"sadproute/internal/geom"
 	"sadproute/internal/grid"
@@ -191,7 +192,13 @@ func kernelCell(rng *rand.Rand, g *grid.Grid) grid.Cell {
 // kernelGrid draws a small grid with blockages and cells owned by nets
 // 0..3 (the searching net may own some of them).
 func kernelGrid(rng *rand.Rand) *grid.Grid {
-	g := grid.New(2+rng.Intn(14), 2+rng.Intn(14), 1+rng.Intn(3), rules.Node10nm())
+	return kernelGridOf(rng, 2+rng.Intn(14), 2+rng.Intn(14), 1+rng.Intn(3))
+}
+
+// kernelGridOf draws kernelGrid's blockages and owned cells on a w×h×layers
+// grid.
+func kernelGridOf(rng *rand.Rand, w, h, layers int) *grid.Grid {
+	g := grid.New(w, h, layers, rules.Node10nm())
 	for i := rng.Intn(g.W*g.H/6 + 1); i > 0; i-- {
 		x, y := rng.Intn(g.W), rng.Intn(g.H)
 		g.Block(rng.Intn(g.Layers), geom.Rect{X0: x, Y0: y, X1: x + 1 + rng.Intn(3), Y1: y + 1 + rng.Intn(3)})
@@ -309,6 +316,47 @@ func kernelOne(t *testing.T, seed int64) {
 	e.Bind(g2)
 	id, src, tgt, cfg := kernelQuery(rng, g2)
 	checkKernel(t, e, g2, id, src, tgt, cfg)
+}
+
+// TestNodeSize pins the per-cell search record at 8 bytes: it is the
+// largest per-cell array the router holds on a huge die.
+func TestNodeSize(t *testing.T) {
+	if n := unsafe.Sizeof(node{}); n != 8 {
+		t.Fatalf("node is %d bytes, want 8", n)
+	}
+}
+
+// TestSearchIDWraparound checks searches across the search-id limit
+// against the reference, each found path priced after its search. A pooled
+// engine first searches a large grid at the lowest ids, is rebound to a
+// smaller grid a few searches below maxSearchID and searches across the
+// wrap there, then is rebound to the large grid. The ids after the wrap
+// repeat the first searches' ids, so a record the wrap left behind, in the
+// smaller binding or past it, would pass for current.
+func TestSearchIDWraparound(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	big, small := kernelGridOf(rng, 14, 14, 3), kernelGridOf(rng, 6, 5, 2)
+	e := Acquire(big)
+	defer e.Release()
+	for range 12 {
+		id, src, tgt, cfg := kernelQuery(rng, big)
+		checkKernel(t, e, big, id, src, tgt, cfg)
+	}
+	low := e.cur
+	e.Bind(small)
+	e.cur = maxSearchID - 3
+	for range 4 {
+		id, src, tgt, cfg := kernelQuery(rng, small)
+		checkKernel(t, e, small, id, src, tgt, cfg)
+	}
+	if e.cur >= low {
+		t.Fatalf("search id %d after the wrap, want below the first searches' %d", e.cur, low)
+	}
+	e.Bind(big)
+	for range 12 {
+		id, src, tgt, cfg := kernelQuery(rng, big)
+		checkKernel(t, e, big, id, src, tgt, cfg)
+	}
 }
 
 // TestKernelMatchesReference is the deterministic slice of FuzzAstarKernel.

@@ -99,14 +99,22 @@ func (d *dsu) union(a, b int) { d.p[d.find(a)] = d.find(b) }
 // connectivity of the final geometry also counts Result.Blobs: at the
 // fixed point it is that iteration's, after the sixth iteration one more
 // connect builds it.
+//
+// The merge index e.bix is built once, over the first iteration's
+// material: a trim only shrinks an assist to a sub-rect, which the buckets
+// of its first geometry still cover. The bridges added since are indexed
+// in e.nix.
 func (e *Engine) buildBridges(ly Layout, res *Result) {
 	ds := ly.Rules
 	mats, ts, tix := e.mats, e.ts, &e.tix
 	comp := &e.comp
 	e.links, e.dirty = e.links[:0], e.dirty[:0]
-	for range mats {
+	e.bix.reset(indexCell(ly))
+	for i := range mats {
+		e.bix.add(i, mats[i].Rect)
 		e.dirty = append(e.dirty, true)
 	}
+	n0 := len(mats)
 	for iter := 0; ; iter++ {
 		// Connectivity is rebuilt from the actual geometry every iteration:
 		// a trim can pull an assist off material it used to touch, and a
@@ -119,7 +127,7 @@ func (e *Engine) buildBridges(ly Layout, res *Result) {
 			snap = append(snap, mats[i].Rect)
 		}
 		e.snap = snap
-		e.connect(ly, snap)
+		e.connect(ly, snap, n0)
 		if iter == 6 {
 			break
 		}
@@ -248,14 +256,17 @@ func (e *Engine) buildBridges(ly Layout, res *Result) {
 // between rects that kept their geometry carry over; each rect marked in
 // e.dirty is queried once, which finds both kinds of its links (touching
 // rects meet its Expand(1), close ones its Expand(d_core)), and a link
-// between two dirty rects is kept from the lower one's query.
-func (e *Engine) connect(ly Layout, rects []geom.Rect) {
+// between two dirty rects is kept from the lower one's query. Rects below
+// n0 are found through e.bix, the rest through e.nix, rebuilt here.
+func (e *Engine) connect(ly Layout, rects []geom.Rect, n0 int) {
 	dcore := ly.Rules.DCore
 	dirty := e.dirty
-	ix := &e.bix
-	ix.reset(indexCell(ly))
-	for i, r := range rects {
-		ix.add(i, r)
+	added := len(rects) > n0
+	if added {
+		e.nix.reset(indexCell(ly))
+		for j, r := range rects[n0:] {
+			e.nix.add(j, r)
+		}
 	}
 	links := e.links[:0]
 	for _, l := range e.links {
@@ -267,14 +278,19 @@ func (e *Engine) connect(ly Layout, rects []geom.Rect) {
 		if !dirty[i] || a.Empty() {
 			continue
 		}
-		ix.query(a.Expand(max(dcore, 1)), func(j int) {
+		link := func(j int) {
 			if j == i || (dirty[j] && j < i) || rects[j].Empty() {
 				return
 			}
 			if gap, positive := gapLinf(a, rects[j]); !positive || gap < dcore {
 				links = append(links, matLink{i: int32(min(i, j)), j: int32(max(i, j)), touch: !positive})
 			}
-		})
+		}
+		q := a.Expand(max(dcore, 1))
+		e.bix.query(q, link)
+		if added {
+			e.nix.query(q, func(j int) { link(n0 + j) })
+		}
 	}
 	e.links = links
 	clear(dirty)

@@ -24,10 +24,12 @@ type Engine struct {
 	mats []Mat
 	mix  rectIndex
 	// Merge-stage scratch (buildBridges): per-iteration connectivity,
-	// the links it is built from and the material whose links are stale,
-	// geometry snapshot, cross-blob pair list and bridge accumulator.
+	// the indexes of the first iteration's material and of the bridges
+	// added since, the links connectivity is built from and the material
+	// whose links are stale, geometry snapshot, cross-blob pair list and
+	// bridge accumulator.
 	comp     dsu
-	bix      rectIndex
+	bix, nix rectIndex
 	links    []matLink
 	dirty    []bool
 	snap     []geom.Rect

@@ -21,12 +21,17 @@ type Frag struct {
 }
 
 // fragStore indexes the routed fragments of one layer for scenario
-// detection; it supports removal for rip-up.
+// detection; it supports removal for rip-up. A Store is not safe for
+// concurrent use, not even by queries alone.
 type Store struct {
 	frags   []Frag
 	byNet   map[int][]int32
 	buckets map[geom.Pt][]int32
 	bucket  int
+	// seen, indexed by fragment id, holds the number of the last query
+	// that reported the fragment; query numbers the queries.
+	seen  []uint32
+	query uint32
 }
 
 func New() *Store {
@@ -48,6 +53,7 @@ func (fs *Store) Add(net int, rects []geom.Rect) []int32 {
 	for _, r := range rects {
 		id := int32(len(fs.frags))
 		fs.frags = append(fs.frags, Frag{Net: net, Rect: r, alive: true})
+		fs.seen = append(fs.seen, 0)
 		fs.byNet[net] = append(fs.byNet[net], id)
 		x0, y0, x1, y1 := fs.keyRange(r)
 		for y := y0; y <= y1; y++ {
@@ -69,17 +75,22 @@ func (fs *Store) RemoveNet(net int) {
 	delete(fs.byNet, net)
 }
 
-// query invokes fn once per live fragment whose bucket range intersects r.
+// query invokes fn once per live fragment whose bucket range intersects r:
+// buckets row-major, each bucket's fragments in insertion order, a fragment
+// at the first bucket that holds it. fn must not query fs.
 func (fs *Store) Query(r geom.Rect, fn func(f Frag)) {
-	seen := make(map[int32]bool, 8)
+	if fs.query++; fs.query == 0 {
+		clear(fs.seen)
+		fs.query = 1
+	}
 	x0, y0, x1, y1 := fs.keyRange(r)
 	for y := y0; y <= y1; y++ {
 		for x := x0; x <= x1; x++ {
 			for _, id := range fs.buckets[geom.Pt{X: x, Y: y}] {
-				if seen[id] || !fs.frags[id].alive {
+				if fs.seen[id] == fs.query || !fs.frags[id].alive {
 					continue
 				}
-				seen[id] = true
+				fs.seen[id] = fs.query
 				fn(fs.frags[id])
 			}
 		}

@@ -1,6 +1,9 @@
 package fragstore
 
 import (
+	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"sadproute/internal/decomp"
@@ -58,6 +61,57 @@ func TestQueryDedup(t *testing.T) {
 	fs.Query(geom.Rect{X0: 0, Y0: 0, X1: 100, Y1: 2}, func(f Frag) { count++ })
 	if count != 1 {
 		t.Fatalf("dedup failed: %d", count)
+	}
+}
+
+// TestQueryOrder checks Query's callback sequence against a per-call map
+// dedupe over the same buckets, on random fragments with removals. The
+// first query reports every fragment; the query number then wraps, and the
+// first query after the wrap, number 1 again, asks for every fragment too.
+func TestQueryOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	fs := New()
+	for net := range 40 {
+		var rects []geom.Rect
+		for range 1 + rng.Intn(3) {
+			x, y := rng.Intn(120)-20, rng.Intn(120)-20
+			rects = append(rects, geom.Rect{X0: x, Y0: y, X1: x + 1 + rng.Intn(40), Y1: y + 1 + rng.Intn(3)})
+		}
+		fs.Add(net, rects)
+		if rng.Intn(5) == 0 {
+			fs.RemoveNet(rng.Intn(net + 1))
+		}
+	}
+	check := func(r geom.Rect) {
+		t.Helper()
+		var got, want []Frag
+		fs.Query(r, func(f Frag) { got = append(got, f) })
+		seen := map[int32]bool{}
+		x0, y0, x1, y1 := fs.keyRange(r)
+		for y := y0; y <= y1; y++ {
+			for x := x0; x <= x1; x++ {
+				for _, id := range fs.buckets[geom.Pt{X: x, Y: y}] {
+					if !seen[id] && fs.frags[id].alive {
+						seen[id] = true
+						want = append(want, fs.frags[id])
+					}
+				}
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d of %v: got %v, want %v", fs.query, r, got, want)
+		}
+	}
+	all := geom.Rect{X0: -50, Y0: -50, X1: 200, Y1: 200}
+	check(all)
+	fs.query = math.MaxUint32 - 1
+	for k := range 100 {
+		x, y := rng.Intn(140)-30, rng.Intn(140)-30
+		r := geom.Rect{X0: x, Y0: y, X1: x + 1 + rng.Intn(50), Y1: y + 1 + rng.Intn(50)}
+		if k == 1 {
+			r = all
+		}
+		check(r)
 	}
 }
 

@@ -63,8 +63,8 @@ type Netlist struct {
 }
 
 // MaxCells bounds a netlist's grid at W×H×Layers cells. Routing holds
-// about 40 bytes per cell (Huge3's 5.88M cells peak near 233 MB), so a
-// grid at the limit needs about 1.3 GB. Validate refuses a larger grid
+// about 28 bytes per cell (Huge3's 5.88M cells peak near 164 MB), so a
+// grid at the limit needs about 0.94 GB. Validate refuses a larger grid
 // before anything allocates it: an allocation that fails kills the whole
 // process, which no recover can catch.
 const MaxCells = 1 << 25
