@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -171,6 +172,30 @@ func TestTopNetRanking(t *testing.T) {
 	}
 	if rep.Routing.MaxAttempt != 1 || rep.Routing.FailByReason["no_path"] != 1 {
 		t.Errorf("routing rollup %+v", rep.Routing)
+	}
+}
+
+// TestFailByReason counts route_fail events per reason: a net whose
+// search ran out of budget is counted apart from one with no path.
+func TestFailByReason(t *testing.T) {
+	rep := analyzeString(t, trace(
+		`"ev":"route_attempt","net":1,"attempt":0`,
+		`"ev":"route_fail","net":1,"reason":"budget"`,
+		`"ev":"route_attempt","net":2,"attempt":0`,
+		`"ev":"route_fail","net":2,"reason":"no_path"`,
+		`"ev":"route_attempt","net":3,"attempt":0`,
+		`"ev":"route_fail","net":3,"reason":"budget"`,
+	), 10)
+	want := map[string]int64{"budget": 2, "no_path": 1}
+	if rep.Routing.Failed != 3 || !reflect.DeepEqual(rep.Routing.FailByReason, want) {
+		t.Fatalf("failed %d, by reason %v; want 3, %v", rep.Routing.Failed, rep.Routing.FailByReason, want)
+	}
+	var out strings.Builder
+	if err := rep.Render(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "fail budget") {
+		t.Errorf("text report has no budget row:\n%s", out.String())
 	}
 }
 

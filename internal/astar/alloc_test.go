@@ -26,11 +26,11 @@ func allocGrid() (*grid.Grid, Config, []grid.Cell, []grid.Cell) {
 func TestSearchAllocsSteadyState(t *testing.T) {
 	g, cfg, src, tgt := allocGrid()
 	e := New(g)
-	if _, ok := e.Search(-1, src, tgt, cfg); !ok { // warm arrays and queue
+	if _, out := e.Search(-1, src, tgt, cfg); out != Found { // warm arrays and queue
 		t.Fatal("no path on warm-up")
 	}
 	avg := testing.AllocsPerRun(100, func() {
-		if _, ok := e.Search(-1, src, tgt, cfg); !ok {
+		if _, out := e.Search(-1, src, tgt, cfg); out != Found {
 			t.Fatal("no path")
 		}
 	})
@@ -49,7 +49,7 @@ func TestSearchAllocsSteadyState(t *testing.T) {
 func TestPoolRetainsQueueCapacity(t *testing.T) {
 	g, cfg, src, tgt := allocGrid()
 	e := Acquire(g)
-	if _, ok := e.Search(-1, src, tgt, cfg); !ok {
+	if _, out := e.Search(-1, src, tgt, cfg); out != Found {
 		t.Fatal("no path")
 	}
 	qcap, ncap, id := cap(e.queue), cap(e.nodes), e.cur
@@ -84,7 +84,7 @@ func BenchmarkSearch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := e.Search(-1, src, tgt, cfg); !ok {
+		if _, out := e.Search(-1, src, tgt, cfg); out != Found {
 			b.Fatal("no path")
 		}
 	}

@@ -8,6 +8,7 @@
 package astar
 
 import (
+	"math"
 	"sync"
 
 	"sadproute/internal/grid"
@@ -21,7 +22,7 @@ import (
 // — and every path cost g and estimate f = g + h a search reaches must
 // stay at or below MaxCost: the open list packs f and g into one 64-bit
 // key. Search refuses a Config with a negative weight, and gives up on
-// reaching a cost outside [0, MaxCost]; both report no path rather than
+// reaching a cost outside [0, MaxCost]; both end Invalid rather than
 // search on a wrapped key.
 type Config struct {
 	// WL, Via are the alpha and beta weights of cost equation (5), in
@@ -49,6 +50,23 @@ type Config struct {
 	// impassable.
 	SoftOccupied int
 }
+
+// Outcome is how a search ended. The corridor engine (internal/sparse)
+// reports the same outcomes, so callers treat both engines alike.
+type Outcome uint8
+
+const (
+	// NoPath: the frontier ran dry, or no target can be entered. It is
+	// authoritative: no path exists under the search's Config.
+	NoPath Outcome = iota
+	// Found: the search returned a minimum-cost path.
+	Found
+	// Aborted: the MaxExpand budget ran out. It says nothing about
+	// whether a path exists.
+	Aborted
+	// Invalid: a negative weight, or a cost outside [0, MaxCost].
+	Invalid
+)
 
 // Scale is the engine cost multiplier: one grid step of wirelength costs
 // WL*Scale implicitly through Config, so fractional weights like gamma=1.5
@@ -87,7 +105,7 @@ type Engine struct {
 	cfg     Config
 	targets []grid.Cell
 	// overflow is set when the current search reached a cost outside
-	// [0, MaxCost]; the search stops at the next pop.
+	// [0, MaxCost]; the search ends Invalid at the next pop.
 	overflow bool
 }
 
@@ -112,6 +130,10 @@ const (
 	// it clears every record and restarts the count at 1.
 	maxSearchID = 1<<(32-idShift) - 1
 )
+
+// forbidden is stepCosts' price of a move the net may not make. No priced
+// step reaches it: the most negative is one negative int32 Pen entry.
+const forbidden = math.MinInt
 
 // moves lists the six unit moves in expansion order. The order is part of
 // the tie-breaking contract: it fixes the push order of equal-key nodes.
@@ -206,6 +228,14 @@ func (q *pq) push(it item) {
 	h[i] = it
 }
 
+// grow doubles the list's capacity, where append would grow a large slice
+// by about 1.25x and copy it three times as often; the pooled engine keeps
+// the capacity across searches. pushNode calls it on a full list, which
+// keeps push small enough to inline.
+func (q *pq) grow() {
+	*q = append(make(pq, 0, max(2*cap(*q), 64)), *q...)
+}
+
 func (q *pq) pop() item {
 	h := *q
 	n := len(h) - 1
@@ -233,20 +263,22 @@ func (q *pq) pop() item {
 
 // Search finds a minimum-cost path from any source to any target under cfg.
 // Occupied and blocked cells are impassable except cells owned by net id.
-// The returned path runs source→target inclusive; ok is false when no path
-// exists, and when the search gives up: MaxExpand reached, or a cost
-// outside the range Config documents. A search none of whose targets the
-// net may enter (see Config.mayEnter) ends before its first expansion:
-// it cannot reach a goal, however far its sources flood.
-func (e *Engine) Search(id int32, sources, targets []grid.Cell, cfg Config) ([]grid.Cell, bool) {
+// The path runs source→target inclusive and is non-nil only when the
+// outcome is Found. A search none of whose targets the net may enter (see
+// Config.mayEnter) ends NoPath before its first expansion: it cannot
+// reach a goal, however far its sources flood.
+func (e *Engine) Search(id int32, sources, targets []grid.Cell, cfg Config) ([]grid.Cell, Outcome) {
 	if len(sources) == 0 || len(targets) == 0 {
-		return nil, false
+		return nil, NoPath
 	}
 	e.queue = e.queue[:0]
 	e.Expand, e.Pushes, e.Pops, e.HeapPeak = 0, 0, 0, 0
 	defer e.flushObs()
-	if !cfg.nonNegative() || e.begin(id, sources, targets, cfg) == 0 {
-		return nil, false
+	if !cfg.nonNegative() {
+		return nil, Invalid
+	}
+	if e.begin(id, sources, targets, cfg) == 0 {
+		return nil, NoPath
 	}
 	e.targets = append(e.targets[:0], targets...)
 
@@ -270,20 +302,26 @@ func (e *Engine) Search(id int32, sources, targets []grid.Cell, cfg Config) ([]g
 		}
 		e.Expand++
 		if cfg.MaxExpand > 0 && e.Expand > cfg.MaxExpand {
-			return nil, false
+			return nil, Aborted
 		}
 		if e.nodes[i].tag&targetBit != 0 {
-			return e.trace(i), true
+			return e.trace(i), Found
 		}
 		c := e.cell(i)
 		e.stepCosts(id, i, c, &costs)
 		for d, m := range &moves {
-			if costs[d] >= 0 {
-				e.pushNode(i+e.delta[d], grid.Cell{X: c.X + m.X, Y: c.Y + m.Y, L: c.L + m.L}, g+costs[d], uint32(d))
+			switch sc := costs[d]; {
+			case sc >= 0:
+				e.pushNode(i+e.delta[d], grid.Cell{X: c.X + m.X, Y: c.Y + m.Y, L: c.L + m.L}, g+sc, uint32(d))
+			case sc != forbidden:
+				e.overflow = true // a negative Pen entry priced the step below 0
 			}
 		}
 	}
-	return nil, false
+	if e.overflow {
+		return nil, Invalid
+	}
+	return nil, NoPath
 }
 
 // begin starts a new search id under cfg: it marks every in-grid source and
@@ -354,7 +392,8 @@ func (c *Config) mayEnter(v, id int32) bool {
 // wirelength or via weight, the soft-occupancy toll, the rip-up penalty
 // of the entered cell, the pin-via push-off, the type-2-b lookahead and
 // the preferred-direction penalty. A move off the grid or into a cell the
-// net may not enter costs -1. Search and Price both price through here, so
+// net may not enter costs forbidden; any other negative cost comes from a
+// negative Pen entry. Search and Price both price through here, so
 // a repriced path costs exactly what a search charges for it.
 func (e *Engine) stepCosts(id int32, i int, c grid.Cell, out *[6]int) {
 	g, cfg := e.g, &e.cfg
@@ -362,14 +401,14 @@ func (e *Engine) stepCosts(id int32, i int, c grid.Cell, out *[6]int) {
 	for d, m := range &moves {
 		nc := grid.Cell{X: c.X + m.X, Y: c.Y + m.Y, L: c.L + m.L}
 		if !g.In(nc) {
-			out[d] = -1
+			out[d] = forbidden
 			continue
 		}
 		ni := i + e.delta[d]
 		cost := 0
 		if v := g.AtIndex(ni); v != grid.Free && v != id {
 			if cfg.SoftOccupied <= 0 || v < 0 {
-				out[d] = -1 // foreign cell or hard blockage
+				out[d] = forbidden // foreign cell or hard blockage
 				continue
 			}
 			cost = cfg.SoftOccupied
@@ -450,8 +489,9 @@ func (e *Engine) h(c grid.Cell) int {
 }
 
 // pushNode relaxes node i (cell c), entered by move (fromSource at a
-// source), to gcost and pushes it on the open list. A cost the packed key
-// cannot hold is not pushed; it sets overflow, which ends the search.
+// source), to gcost >= 0 and pushes it on the open list. An estimate the
+// packed key cannot hold is not pushed; it sets overflow, which ends the
+// search.
 func (e *Engine) pushNode(i int, c grid.Cell, gcost int, move uint32) {
 	n := &e.nodes[i]
 	t := n.tag
@@ -461,11 +501,14 @@ func (e *Engine) pushNode(i int, c grid.Cell, gcost int, move uint32) {
 		return
 	}
 	f := gcost + e.h(c)
-	if gcost < 0 || f > MaxCost {
+	if f > MaxCost {
 		e.overflow = true
 		return
 	}
 	n.dist, n.tag = int32(gcost), t&^moveMask|reachedBit|move
+	if len(e.queue) == cap(e.queue) {
+		e.queue.grow()
+	}
 	e.queue.push(item{key: pack(f, gcost), idx: int32(i)})
 	e.Pushes++
 	if n := len(e.queue); n > e.HeapPeak {

@@ -15,9 +15,9 @@ func mk(w, h, l int) *grid.Grid { return grid.New(w, h, l, rules.Node10nm()) }
 func TestStraightLine(t *testing.T) {
 	g := mk(10, 10, 1)
 	e := New(g)
-	path, ok := e.Search(0, []grid.Cell{{X: 0, Y: 5}}, []grid.Cell{{X: 9, Y: 5}}, Config{WL: 1, Via: 1})
-	if !ok || len(path) != 10 {
-		t.Fatalf("ok=%v len=%d", ok, len(path))
+	path, out := e.Search(0, []grid.Cell{{X: 0, Y: 5}}, []grid.Cell{{X: 9, Y: 5}}, Config{WL: 1, Via: 1})
+	if out != Found || len(path) != 10 {
+		t.Fatalf("outcome %v, len=%d", out, len(path))
 	}
 }
 
@@ -25,9 +25,9 @@ func TestAvoidsBlockage(t *testing.T) {
 	g := mk(10, 10, 1)
 	g.Block(0, geom.Rect{X0: 5, Y0: 0, X1: 6, Y1: 9}) // wall with a gap at y=9
 	e := New(g)
-	path, ok := e.Search(0, []grid.Cell{{X: 0, Y: 0}}, []grid.Cell{{X: 9, Y: 0}}, Config{WL: 1, Via: 1})
-	if !ok {
-		t.Fatal("must route around")
+	path, out := e.Search(0, []grid.Cell{{X: 0, Y: 0}}, []grid.Cell{{X: 9, Y: 0}}, Config{WL: 1, Via: 1})
+	if out != Found {
+		t.Fatalf("outcome %v, must route around", out)
 	}
 	for _, c := range path {
 		if g.At(c) == grid.Blocked {
@@ -43,8 +43,13 @@ func TestNoPathWhenWalled(t *testing.T) {
 	g := mk(10, 10, 1)
 	g.Block(0, geom.Rect{X0: 5, Y0: 0, X1: 6, Y1: 10})
 	e := New(g)
-	if _, ok := e.Search(0, []grid.Cell{{X: 0, Y: 0}}, []grid.Cell{{X: 9, Y: 0}}, Config{WL: 1, Via: 1}); ok {
-		t.Fatal("no path should exist")
+	if _, out := e.Search(0, []grid.Cell{{X: 0, Y: 0}}, []grid.Cell{{X: 9, Y: 0}}, Config{WL: 1, Via: 1}); out != NoPath {
+		t.Fatalf("outcome %v, want NoPath", out)
+	}
+	// A budget smaller than the flood of the source's side gives up
+	// instead: Aborted, not NoPath.
+	if _, out := e.Search(0, []grid.Cell{{X: 0, Y: 0}}, []grid.Cell{{X: 9, Y: 0}}, Config{WL: 1, Via: 1, MaxExpand: 10}); out != Aborted {
+		t.Fatalf("outcome %v under a 10-expansion budget, want Aborted", out)
 	}
 }
 
@@ -52,9 +57,9 @@ func TestUsesViasAcrossLayers(t *testing.T) {
 	g := mk(10, 10, 2)
 	g.Block(0, geom.Rect{X0: 5, Y0: 0, X1: 6, Y1: 10}) // full wall on layer 0
 	e := New(g)
-	path, ok := e.Search(0, []grid.Cell{{X: 0, Y: 0}}, []grid.Cell{{X: 9, Y: 0}}, Config{WL: 1, Via: 1})
-	if !ok {
-		t.Fatal("layer 1 should bypass the wall")
+	path, out := e.Search(0, []grid.Cell{{X: 0, Y: 0}}, []grid.Cell{{X: 9, Y: 0}}, Config{WL: 1, Via: 1})
+	if out != Found {
+		t.Fatalf("outcome %v, layer 1 should bypass the wall", out)
 	}
 	sawL1 := false
 	for _, c := range path {
@@ -72,9 +77,9 @@ func TestMultiSourceTarget(t *testing.T) {
 	e := New(g)
 	sources := []grid.Cell{{X: 0, Y: 0}, {X: 0, Y: 19}}
 	targets := []grid.Cell{{X: 19, Y: 19}, {X: 2, Y: 0}}
-	path, ok := e.Search(0, sources, targets, Config{WL: 1, Via: 1})
-	if !ok {
-		t.Fatal("no path")
+	path, out := e.Search(0, sources, targets, Config{WL: 1, Via: 1})
+	if out != Found {
+		t.Fatalf("outcome %v", out)
 	}
 	// Closest pair is (0,0)->(2,0): 3 cells.
 	if len(path) != 3 {
@@ -89,12 +94,12 @@ func TestSoftOccupied(t *testing.T) {
 		g.Occupy(grid.Cell{X: 5, Y: y}, 7)
 	}
 	e := New(g)
-	if _, ok := e.Search(0, []grid.Cell{{X: 0, Y: 1}}, []grid.Cell{{X: 9, Y: 1}}, Config{WL: 1, Via: 1}); ok {
-		t.Fatal("hard search must fail")
+	if _, out := e.Search(0, []grid.Cell{{X: 0, Y: 1}}, []grid.Cell{{X: 9, Y: 1}}, Config{WL: 1, Via: 1}); out != NoPath {
+		t.Fatalf("hard search: outcome %v, want NoPath", out)
 	}
-	path, ok := e.Search(0, []grid.Cell{{X: 0, Y: 1}}, []grid.Cell{{X: 9, Y: 1}}, Config{WL: 1, Via: 1, SoftOccupied: 100})
-	if !ok {
-		t.Fatal("soft search must pass through")
+	path, out := e.Search(0, []grid.Cell{{X: 0, Y: 1}}, []grid.Cell{{X: 9, Y: 1}}, Config{WL: 1, Via: 1, SoftOccupied: 100})
+	if out != Found {
+		t.Fatalf("soft search: outcome %v, must pass through", out)
 	}
 	crossed := false
 	for _, c := range path {
@@ -125,7 +130,8 @@ func TestQuickOptimalVsDijkstra(t *testing.T) {
 			return true
 		}
 		e := New(g)
-		path, ok := e.Search(0, []grid.Cell{src}, []grid.Cell{dst}, Config{WL: 1, Via: 1})
+		path, out := e.Search(0, []grid.Cell{src}, []grid.Cell{dst}, Config{WL: 1, Via: 1})
+		ok := out == Found
 		// Reference BFS (all steps cost 1).
 		dist := bfs(g, src)
 		want, reach := dist[key(g, dst)]

@@ -81,7 +81,7 @@ func (q *refHeap) Pop() any {
 // refResult is everything a search reports that the kernel must match.
 type refResult struct {
 	path                           []grid.Cell
-	ok                             bool
+	out                            Outcome
 	expand, pushes, pops, heapPeak int
 }
 
@@ -89,8 +89,11 @@ type refResult struct {
 // against: closure-priced steps, map-based per-cell state, container/heap
 // ordering and the admissible heuristic. zeroH drops the heuristic, which
 // turns the search into Dijkstra — the optimality oracle. cost is the
-// found path's cost.
+// found path's cost. The outcome is Found, Aborted when the expansion
+// budget runs out, and NoPath otherwise; the reference never sees a cost
+// the kernel would refuse.
 func refSearch(g *grid.Grid, id int32, sources, targets []grid.Cell, cfg Config, zeroH bool) (r refResult, cost int) {
+	r.out = NoPath
 	if len(sources) == 0 || len(targets) == 0 {
 		return r, 0
 	}
@@ -152,6 +155,7 @@ func refSearch(g *grid.Grid, id int32, sources, targets []grid.Cell, cfg Config,
 		}
 		r.expand++
 		if cfg.MaxExpand > 0 && r.expand > cfg.MaxExpand {
+			r.out = Aborted
 			return r, 0
 		}
 		if goals[it.c] {
@@ -163,7 +167,7 @@ func refSearch(g *grid.Grid, id int32, sources, targets []grid.Cell, cfg Config,
 				}
 				c = p
 			}
-			r.ok = true
+			r.out = Found
 			return r, it.g
 		}
 		c := it.c
@@ -258,26 +262,26 @@ func enterableTarget(g *grid.Grid, id int32, targets []grid.Cell, cfg Config) bo
 }
 
 // checkKernel runs one search on the kernel and on the reference and fails
-// on any difference in path or statistics; for found paths it
+// on any difference in outcome, path or statistics; for found paths it
 // also checks Price against the search cost and, without an expansion
 // budget, the cost against Dijkstra. A search with no enterable target is
-// the exception: the kernel must end it before expanding, and the
-// reference, run without an expansion budget, must prove it has no path.
+// the exception: the kernel must end it NoPath before expanding, and the
+// reference, run without an expansion budget, must prove NoPath.
 func checkKernel(t *testing.T, e *Engine, g *grid.Grid, id int32, src, tgt []grid.Cell, cfg Config) {
 	t.Helper()
-	path, ok := e.Search(id, src, tgt, cfg)
+	path, out := e.Search(id, src, tgt, cfg)
 	got := refResult{
-		path: path, ok: ok,
+		path: path, out: out,
 		expand: e.Expand, pushes: e.Pushes, pops: e.Pops, heapPeak: e.HeapPeak,
 	}
 	if !enterableTarget(g, id, tgt, cfg) {
 		unbounded := cfg
 		unbounded.MaxExpand = 0
-		if want, _ := refSearch(g, id, src, tgt, unbounded, false); want.ok {
-			t.Fatalf("no enterable target on %dx%dx%d grid, net %d, %v -> %v, cfg %+v, yet the reference finds %v",
-				g.W, g.H, g.Layers, id, src, tgt, cfg, want.path)
+		if want, _ := refSearch(g, id, src, tgt, unbounded, false); want.out != NoPath {
+			t.Fatalf("no enterable target on %dx%dx%d grid, net %d, %v -> %v, cfg %+v, yet the reference ends %v with %v",
+				g.W, g.H, g.Layers, id, src, tgt, cfg, want.out, want.path)
 		}
-		if !reflect.DeepEqual(got, refResult{}) {
+		if !reflect.DeepEqual(got, refResult{out: NoPath}) {
 			t.Fatalf("no enterable target on %dx%dx%d grid, net %d, %v -> %v, cfg %+v, yet the kernel searched: %+v",
 				g.W, g.H, g.Layers, id, src, tgt, cfg, got)
 		}
@@ -288,15 +292,15 @@ func checkKernel(t *testing.T, e *Engine, g *grid.Grid, id int32, src, tgt []gri
 		t.Fatalf("kernel and reference disagree on %dx%dx%d grid, net %d, %v -> %v, cfg %+v:\nkernel    %+v\nreference %+v",
 			g.W, g.H, g.Layers, id, src, tgt, cfg, got, want)
 	}
-	if !ok {
+	if out != Found {
 		return
 	}
 	if p, priced := e.Price(id, src, tgt, path, cfg); !priced || p != cost {
 		t.Fatalf("Price = %d, %v; search cost %d", p, priced, cost)
 	}
 	if cfg.MaxExpand == 0 {
-		if opt, optCost := refSearch(g, id, src, tgt, cfg, true); !opt.ok || optCost != cost {
-			t.Fatalf("A* cost %d, Dijkstra optimum %d (ok=%v): heuristic not admissible", cost, optCost, opt.ok)
+		if opt, optCost := refSearch(g, id, src, tgt, cfg, true); opt.out != Found || optCost != cost {
+			t.Fatalf("A* cost %d, Dijkstra optimum %d (%v): heuristic not admissible", cost, optCost, opt.out)
 		}
 	}
 }
@@ -368,8 +372,9 @@ func TestKernelMatchesReference(t *testing.T) {
 
 // FuzzAstarKernel is the differential bar for the inline-priced kernel:
 // on random grids with blockages, foreign and own cells, penalty planes,
-// multi-candidate pins and random cost weights, it must return the
-// reference search's path and Expand/Pushes/Pops/HeapPeak. The corpus
+// multi-candidate pins, random cost weights and expansion budgets, it must
+// return the reference search's outcome, path and
+// Expand/Pushes/Pops/HeapPeak. The corpus
 // seeds 2066, 2164 and 2019 open with a target owned by another net, a
 // blocked target under SoftOccupied, and a target owned by the searching
 // net: the first two end before expanding, the third searches.
@@ -403,14 +408,14 @@ func TestPackedKeyOrder(t *testing.T) {
 
 // TestCostCeiling pins the range guard: a path cost of exactly MaxCost is
 // searchable, while a cost beyond it, a negative weight or a negative
-// penalty ends the search with no path instead of wrapping the packed key.
+// penalty ends the search Invalid instead of wrapping the packed key.
 func TestCostCeiling(t *testing.T) {
 	g := mk(2, 1, 1)
 	pen := []int32{0, MaxCost}
 	src, tgt := []grid.Cell{{X: 0}}, []grid.Cell{{X: 1}}
 	e := New(g)
-	if path, ok := e.Search(0, src, tgt, Config{Pen: pen}); !ok || len(path) != 2 {
-		t.Fatalf("cost MaxCost must be searchable: ok=%v path=%v", ok, path)
+	if path, out := e.Search(0, src, tgt, Config{Pen: pen}); out != Found || len(path) != 2 {
+		t.Fatalf("cost MaxCost must be searchable: outcome %v, path %v", out, path)
 	}
 	if cost, ok := e.Price(0, src, tgt, []grid.Cell{{X: 0}, {X: 1}}, Config{Pen: pen}); !ok || cost != MaxCost {
 		t.Fatalf("Price = %d, %v; want MaxCost", cost, ok)
@@ -420,16 +425,16 @@ func TestCostCeiling(t *testing.T) {
 		"negative WL":    {WL: -1},
 		"negative Pen":   {Pen: []int32{0, -1}},
 	} {
-		if path, ok := e.Search(0, src, tgt, cfg); ok {
-			t.Errorf("%s: Search found %v", name, path)
+		if path, out := e.Search(0, src, tgt, cfg); out != Invalid {
+			t.Errorf("%s: outcome %v with path %v, want Invalid", name, out, path)
 		}
 	}
 	if _, ok := e.Price(0, src, tgt, []grid.Cell{{X: 0}, {X: 1}}, Config{Via: -1}); ok {
 		t.Error("Price accepted a negative weight")
 	}
 	// The refusals leave the engine usable.
-	if _, ok := e.Search(0, src, tgt, Config{WL: 1}); !ok {
-		t.Error("engine unusable after a refused search")
+	if _, out := e.Search(0, src, tgt, Config{WL: 1}); out != Found {
+		t.Errorf("engine unusable after a refused search: outcome %v", out)
 	}
 }
 

@@ -16,8 +16,7 @@ func TestSearchStats(t *testing.T) {
 	e := New(g)
 	rec := obs.New()
 	e.Rec = rec
-	_, ok := e.Search(0, []grid.Cell{{X: 0, Y: 8}}, []grid.Cell{{X: 15, Y: 8}}, Config{WL: 1, Via: 1})
-	if !ok {
+	if _, out := e.Search(0, []grid.Cell{{X: 0, Y: 8}}, []grid.Cell{{X: 15, Y: 8}}, Config{WL: 1, Via: 1}); out != Found {
 		t.Fatal("no path on empty grid")
 	}
 	if e.Expand == 0 || e.Pushes == 0 || e.Pops == 0 || e.HeapPeak == 0 {
@@ -51,8 +50,8 @@ func TestSearchStats(t *testing.T) {
 	// A search whose only target belongs to another net ends unexpanded
 	// and still counts as a search.
 	g.Occupy(grid.Cell{X: 15, Y: 8}, 9)
-	if _, ok := e.Search(0, []grid.Cell{{X: 0, Y: 8}}, []grid.Cell{{X: 15, Y: 8}}, Config{WL: 1, Via: 1}); ok || e.Expand != 0 {
-		t.Errorf("foreign target: ok=%v expand=%d, want no path after 0 expansions", ok, e.Expand)
+	if _, out := e.Search(0, []grid.Cell{{X: 0, Y: 8}}, []grid.Cell{{X: 15, Y: 8}}, Config{WL: 1, Via: 1}); out != NoPath || e.Expand != 0 {
+		t.Errorf("foreign target: outcome %v, expand=%d, want NoPath after 0 expansions", out, e.Expand)
 	}
 	if s = rec.Snapshot(); s.Counter(obs.CtrAstarSearches) != 3 {
 		t.Errorf("searches = %d, want 3", s.Counter(obs.CtrAstarSearches))
@@ -81,7 +80,7 @@ func benchSearch(b *testing.B, rec *obs.Recorder) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := e.Search(0, src, dst, cfg); !ok {
+		if _, out := e.Search(0, src, dst, cfg); out != Found {
 			b.Fatal("no path")
 		}
 	}

@@ -91,14 +91,13 @@ func (c *common) release() {
 	c.eng = nil
 }
 
-func (c *common) search(id int, n netlist.Net, soft int) ([]grid.Cell, bool) {
+func (c *common) search(id int, n netlist.Net) ([]grid.Cell, astar.Outcome) {
 	cfg := astar.Config{
-		WL:           1,
-		Via:          1,
-		MaxExpand:    400000,
-		Pen:          c.pen,
-		DirPenalty:   2,
-		SoftOccupied: soft,
+		WL:         1,
+		Via:        1,
+		MaxExpand:  400000,
+		Pen:        c.pen,
+		DirPenalty: 2,
 	}
 	return c.eng.Search(int32(id), n.A.Candidates, n.B.Candidates, cfg)
 }

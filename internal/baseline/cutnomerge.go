@@ -3,6 +3,7 @@ package baseline
 import (
 	"time"
 
+	"sadproute/internal/astar"
 	"sadproute/internal/fragstore"
 	"sadproute/internal/netlist"
 	"sadproute/internal/rules"
@@ -42,8 +43,8 @@ func (t CutNoMerge) Run(nl *netlist.Netlist, ds rules.Set) *Out {
 func (t CutNoMerge) routeNet(c *common, id int) {
 	n := c.nl.Nets[id]
 	for attempt := 0; ; attempt++ {
-		path, ok := c.search(id, n, 0)
-		if !ok {
+		path, out := c.search(id, n)
+		if out != astar.Found {
 			c.out.Failed++
 			return
 		}

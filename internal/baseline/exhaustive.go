@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"sadproute/internal/astar"
 	"sadproute/internal/decomp"
 	"sadproute/internal/fragstore"
 	"sadproute/internal/geom"
@@ -107,8 +108,8 @@ func (t TrimExhaustive) bestCandidate(ctx context.Context, c *common, id int, n 
 				return nil, nil, 0, false
 			}
 			sub := netlist.Net{ID: id, A: netlist.Pin{Candidates: []grid.Cell{a}}, B: netlist.Pin{Candidates: []grid.Cell{b}}}
-			path, ok := c.search(id, sub, 0)
-			if !ok {
+			path, out := c.search(id, sub)
+			if out != astar.Found {
 				continue
 			}
 			cols, score := t.scorePath(c, id, path)

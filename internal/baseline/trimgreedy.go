@@ -3,6 +3,7 @@ package baseline
 import (
 	"time"
 
+	"sadproute/internal/astar"
 	"sadproute/internal/decomp"
 	"sadproute/internal/fragstore"
 	"sadproute/internal/geom"
@@ -43,8 +44,8 @@ func (t TrimGreedy) Run(nl *netlist.Netlist, ds rules.Set) *Out {
 func (t TrimGreedy) routeNet(c *common, id int) {
 	n := c.nl.Nets[id]
 	for attempt := 0; ; attempt++ {
-		path, ok := c.search(id, n, 0)
-		if !ok {
+		path, out := c.search(id, n)
+		if out != astar.Found {
 			c.out.Failed++
 			return
 		}

@@ -296,11 +296,14 @@ func (st *state) routeNet(id int) {
 		if st.rec.Tracing() {
 			st.rec.Trace("route_attempt", obs.I("net", id), obs.I("attempt", attempt))
 		}
-		path, ok := st.search(id, n)
-		if !ok {
-			// Resource rip-up: discover the nets blocking every corridor,
-			// rip them, and retry; they are rerouted afterwards.
-			if st.blockerBudget > 0 {
+		path, out := st.search(id, n)
+		if out != astar.Found {
+			// Resource rip-up: when no path exists, discover the nets
+			// blocking every corridor, rip them, and retry; they are
+			// rerouted afterwards. A search that gave up (Aborted,
+			// Invalid) proved nothing, so the net fails at once, without
+			// a probe.
+			if out == astar.NoPath && st.blockerBudget > 0 {
 				if blockers := st.findBlockers(id, n); len(blockers) > 0 && len(blockers) <= 4 {
 					st.blockerBudget -= len(blockers)
 					for _, b := range blockers {
@@ -314,7 +317,7 @@ func (st *state) routeNet(id int) {
 			st.rec.NetFail(id)
 			st.rec.Observe(obs.HistNetAttempts, int64(attempt+1))
 			if st.rec.Tracing() {
-				st.rec.Trace("route_fail", obs.I("net", id), obs.S("reason", "no_path"))
+				st.rec.Trace("route_fail", obs.I("net", id), obs.S("reason", failReasons[out]))
 			}
 			return
 		}
@@ -398,6 +401,10 @@ func (st *state) routeNet(id int) {
 	}
 }
 
+// failReasons names the route_fail reason of each outcome that fails a
+// net for want of a path.
+var failReasons = [...]string{astar.NoPath: "no_path", astar.Aborted: "budget", astar.Invalid: "invalid"}
+
 // ripupBlocker rips an already-routed net to free resources for net id and
 // queues it for rerouting.
 func (st *state) ripupBlocker(b, id int) {
@@ -413,16 +420,16 @@ func (st *state) ripupBlocker(b, id int) {
 
 // search runs overlay-aware A* (eq. (5)), answering from the corridor
 // graph first when the net is eligible for it (Options.SparseSearch).
-func (st *state) search(id int, n netlist.Net) ([]grid.Cell, bool) {
+func (st *state) search(id int, n netlist.Net) ([]grid.Cell, astar.Outcome) {
 	if st.sparseEligible(n) {
-		if path, ok, done := st.sparseSearch(id, n); done {
-			return path, ok
+		if path, out, done := st.sparseSearch(id, n); done {
+			return path, out
 		}
 		st.rec.Inc(obs.CtrSparseFallbacks)
 	}
-	path, ok := st.eng.Search(int32(id), n.A.Candidates, n.B.Candidates, st.searchCfg(st.pen))
+	path, out := st.eng.Search(int32(id), n.A.Candidates, n.B.Candidates, st.searchCfg(st.pen))
 	st.rec.NetSearch(id, int64(st.eng.Expand))
-	return path, ok
+	return path, out
 }
 
 // searchCfg builds the eq. (5) cost model of a net's first search over the
@@ -473,14 +480,15 @@ func (st *state) hotOwners(id int, hot []grid.Cell) []int {
 }
 
 // findBlockers runs a soft-occupancy search to identify which routed nets
-// stand between the pins of an unroutable net.
+// stand between the pins of a net whose search ended NoPath. A probe that
+// finds no path names no blocker.
 func (st *state) findBlockers(id int, n netlist.Net) []int {
 	cfg := st.searchCfg(st.pen)
 	cfg.PinVia = 0 // the blocker probe prices no pin-via push-off
 	cfg.SoftOccupied = 40 * st.opt.Alpha * astar.Scale
-	path, ok := st.eng.Search(int32(id), n.A.Candidates, n.B.Candidates, cfg)
+	path, probe := st.eng.Search(int32(id), n.A.Candidates, n.B.Candidates, cfg)
 	st.rec.NetSearch(id, int64(st.eng.Expand))
-	if !ok {
+	if probe != astar.Found {
 		return nil
 	}
 	seen := map[int]bool{}

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"sadproute/internal/astar"
 	"sadproute/internal/grid"
 	"sadproute/internal/netlist"
 	"sadproute/internal/obs"
@@ -23,8 +24,8 @@ import (
 // passability equals grid passability.
 //
 // done=false means "run the dense engine"; the fallback counter is
-// recorded by the caller.
-func (st *state) sparseSearch(id int, n netlist.Net) (path []grid.Cell, ok, done bool) {
+// recorded by the caller. When done, out is Found or NoPath.
+func (st *state) sparseSearch(id int, n netlist.Net) (path []grid.Cell, out astar.Outcome, done bool) {
 	st.rec.Inc(obs.CtrSparseSearches)
 	// The uniform terms of the dense first-search cost model.
 	dc := st.searchCfg(nil)
@@ -38,17 +39,17 @@ func (st *state) sparseSearch(id int, n netlist.Net) (path []grid.Cell, ok, done
 	p, cost, out := st.speng.Search(n.A.Candidates, n.B.Candidates, cfg)
 	st.rec.Add(obs.CtrSparseNodes, int64(st.speng.Expand))
 	switch out {
-	case sparse.Aborted:
-		return nil, false, false
-	case sparse.NoPath:
+	case astar.Aborted:
+		return nil, out, false
+	case astar.NoPath:
 		st.rec.NetSearch(id, int64(st.speng.Expand))
-		return nil, false, true
+		return nil, out, true
 	}
 	if dense, priced := st.repriceDense(id, n, p); !priced || dense != cost {
-		return nil, false, false
+		return nil, out, false
 	}
 	st.rec.NetSearch(id, int64(st.speng.Expand))
-	return p, true, true
+	return p, out, true
 }
 
 // repriceDense prices a candidate path exactly as the dense engine would:

@@ -27,18 +27,6 @@ type Config struct {
 	MaxExpand int
 }
 
-// Outcome classifies a corridor search result. NoPath is authoritative —
-// corridor passability equals grid passability, so the dense engine cannot
-// do better — while Aborted (expansion budget) says nothing about the
-// instance and callers must fall back.
-type Outcome int
-
-const (
-	NoPath Outcome = iota
-	Found
-	Aborted
-)
-
 // Engine holds reusable search state for one Graph; it is not safe for
 // concurrent use. Engines follow the same Acquire/Release pool discipline
 // as internal/astar: per-node arrays are retained across searches and pool
@@ -154,12 +142,14 @@ func (q *spq) pop() spqItem {
 // candidates); occupied candidates are unreachable, exactly as in the
 // dense engine. The pin set for Config.PinVia is sources ∪ targets.
 //
-// The corridor graph spans the whole die, so a NoPath verdict is
-// authoritative. Config.MaxExpand bounds the expansions; a search that
-// exceeds it returns Aborted.
-func (e *Engine) Search(sources, targets []grid.Cell, cfg Config) ([]grid.Cell, int, Outcome) {
+// The outcome is the dense engine's (astar.Outcome), but never Invalid.
+// The corridor graph spans the whole die and corridor passability equals
+// grid passability, so NoPath is as authoritative as the dense engine's.
+// Config.MaxExpand bounds the expansions; a search that exceeds it returns
+// Aborted, which says nothing about the instance.
+func (e *Engine) Search(sources, targets []grid.Cell, cfg Config) ([]grid.Cell, int, astar.Outcome) {
 	if len(sources) == 0 || len(targets) == 0 {
-		return nil, 0, NoPath
+		return nil, 0, astar.NoPath
 	}
 	e.Expand = 0
 	e.cfg = cfg
@@ -192,7 +182,7 @@ func (e *Engine) Search(sources, targets []grid.Cell, cfg Config) ([]grid.Cell, 
 		}
 	}
 	if ntargets == 0 {
-		return nil, 0, NoPath
+		return nil, 0, astar.NoPath
 	}
 	for _, s := range sources {
 		if !e.in(s) || !e.g.Free(s) {
@@ -209,14 +199,14 @@ func (e *Engine) Search(sources, targets []grid.Cell, cfg Config) ([]grid.Cell, 
 		}
 		e.Expand++
 		if cfg.MaxExpand > 0 && e.Expand > cfg.MaxExpand {
-			return nil, 0, Aborted
+			return nil, 0, astar.Aborted
 		}
 		if e.tmark[i] == e.cur {
-			return e.snap(i), it.g, Found
+			return e.snap(i), it.g, astar.Found
 		}
 		e.relax(i, it.g)
 	}
-	return nil, 0, NoPath
+	return nil, 0, astar.NoPath
 }
 
 // snapshot collects the interesting coordinates of the query: die edges,

@@ -93,20 +93,20 @@ func checkPath(t *testing.T, g *grid.Grid, src, tgt []grid.Cell, path []grid.Cel
 var baseCfg = Config{WL: 1, Via: 1, DirPenalty: 2, PinVia: 12}
 
 // searchBoth runs the corridor engine and the dense engine under the same
-// cost model and cross-checks reachability and optimal cost; it returns
-// the corridor result.
-func searchBoth(t *testing.T, g *grid.Grid, src, tgt []grid.Cell, cfg Config) ([]grid.Cell, int, Outcome) {
+// cost model and cross-checks the outcome and optimal cost; it returns the
+// corridor result.
+func searchBoth(t *testing.T, g *grid.Grid, src, tgt []grid.Cell, cfg Config) ([]grid.Cell, int, astar.Outcome) {
 	t.Helper()
 	sp := NewGraph(g)
 	e := Acquire(sp)
 	defer e.Release()
 	path, cost, out := e.Search(src, tgt, cfg)
 	pins := pinSet(src, tgt)
-	dpath, dok := astar.New(g).Search(0, src, tgt, denseCfg(cfg))
-	if (out == Found) != dok {
-		t.Fatalf("reachability disagrees: sparse=%v dense=%v", out, dok)
+	dpath, dout := astar.New(g).Search(0, src, tgt, denseCfg(cfg))
+	if out != dout {
+		t.Fatalf("outcomes disagree: sparse %v, dense %v", out, dout)
 	}
-	if out == Found {
+	if out == astar.Found {
 		checkPath(t, g, src, tgt, path)
 		if got := price(path, pins, cfg); got != cost {
 			t.Fatalf("reported cost %d != repriced %d", cost, got)
@@ -125,7 +125,7 @@ func TestZeroObstacleDieSingleCorridor(t *testing.T) {
 	sp := NewGraph(g)
 	e := NewEngine(sp)
 	_, _, out := e.Search(src, tgt, baseCfg)
-	if out != Found {
+	if out != astar.Found {
 		t.Fatalf("out=%v", out)
 	}
 	// An empty die contributes no obstacle boundaries: the snapshot is die
@@ -140,14 +140,14 @@ func TestFullyBlockedRowSplitsDie(t *testing.T) {
 	g := mk(32, 32, 1)
 	g.Block(0, geom.Rect{X0: 0, Y0: 16, X1: 32, Y1: 17})
 	_, _, out := searchBoth(t, g, []grid.Cell{{X: 4, Y: 4}}, []grid.Cell{{X: 4, Y: 28}}, baseCfg)
-	if out != NoPath {
+	if out != astar.NoPath {
 		t.Fatalf("a fully blocked row must split a single-layer die, got %v", out)
 	}
 	// The same wall on one layer of a two-layer die is bypassed by vias.
 	g2 := mk(32, 32, 2)
 	g2.Block(0, geom.Rect{X0: 0, Y0: 16, X1: 32, Y1: 17})
 	_, _, out = searchBoth(t, g2, []grid.Cell{{X: 4, Y: 4}}, []grid.Cell{{X: 4, Y: 28}}, baseCfg)
-	if out != Found {
+	if out != astar.Found {
 		t.Fatalf("two-layer die must route around the wall, got %v", out)
 	}
 }
@@ -169,7 +169,7 @@ func TestAdjacentBlockagesShareBoundary(t *testing.T) {
 		t.Fatal("outer boundary columns must be interesting")
 	}
 	path, _, out := searchBoth(t, g, []grid.Cell{{X: 2, Y: 2}}, []grid.Cell{{X: 30, Y: 2}}, baseCfg)
-	if out != Found {
+	if out != astar.Found {
 		t.Fatalf("gap above the wall exists, got %v", out)
 	}
 	for _, c := range path {
@@ -187,7 +187,7 @@ func TestCorridorSnapsAtDieEdges(t *testing.T) {
 	g := mk(40, 16, 1)
 	g.Block(0, geom.Rect{X0: 10, Y0: 1, X1: 30, Y1: 16})
 	path, _, out := searchBoth(t, g, []grid.Cell{{X: 2, Y: 8}}, []grid.Cell{{X: 38, Y: 8}}, baseCfg)
-	if out != Found {
+	if out != astar.Found {
 		t.Fatalf("edge corridor exists, got %v", out)
 	}
 	edge := false
@@ -211,7 +211,7 @@ func TestOccupiedTargetUnreachable(t *testing.T) {
 	tgt := grid.Cell{X: 10, Y: 10}
 	g.Occupy(tgt, 3)
 	_, _, out := searchBoth(t, g, []grid.Cell{{X: 2, Y: 2}}, []grid.Cell{tgt}, baseCfg)
-	if out != NoPath {
+	if out != astar.NoPath {
 		t.Fatalf("occupied target must be unreachable, got %v", out)
 	}
 }
@@ -220,7 +220,7 @@ func TestSourceEqualsTarget(t *testing.T) {
 	g := mk(16, 16, 1)
 	c := grid.Cell{X: 5, Y: 5}
 	path, cost, out := searchBoth(t, g, []grid.Cell{c}, []grid.Cell{c}, baseCfg)
-	if out != Found || cost != 0 || len(path) != 1 || path[0] != c {
+	if out != astar.Found || cost != 0 || len(path) != 1 || path[0] != c {
 		t.Fatalf("trivial search: path=%v cost=%d out=%v", path, cost, out)
 	}
 }
@@ -353,11 +353,11 @@ func diffOne(t *testing.T, seed int64) {
 	defer e.Release()
 	path, cost, out := e.Search(src, tgt, cfg)
 	pins := pinSet(src, tgt)
-	dpath, dok := astar.New(g).Search(0, src, tgt, denseCfg(cfg))
-	if (out == Found) != dok {
-		t.Fatalf("seed %d: reachability disagrees: sparse=%v dense=%v", seed, out, dok)
+	dpath, dout := astar.New(g).Search(0, src, tgt, denseCfg(cfg))
+	if out != dout {
+		t.Fatalf("seed %d: outcomes disagree: sparse %v, dense %v", seed, out, dout)
 	}
-	if out != Found {
+	if out != astar.Found {
 		return
 	}
 	checkPath(t, g, src, tgt, path)
@@ -376,8 +376,8 @@ func TestDifferentialVsDense(t *testing.T) {
 }
 
 // FuzzSparseDense is the differential correctness bar: on arbitrary
-// instances the corridor engine and the dense engine must agree on
-// reachability and on the optimal cost under the shared uniform model.
+// instances the corridor engine and the dense engine must agree on the
+// outcome and on the optimal cost under the shared uniform model.
 func FuzzSparseDense(f *testing.F) {
 	for s := int64(0); s < 16; s++ {
 		f.Add(s)
@@ -420,7 +420,7 @@ func TestMetamorphicMirror(t *testing.T) {
 		}
 		_, cost, out := NewEngine(NewGraph(g)).Search(src, tgt, cfg)
 		_, mcost, mout := NewEngine(NewGraph(mg)).Search(mirror(src), mirror(tgt), cfg)
-		if out != mout || (out == Found && cost != mcost) {
+		if out != mout || (out == astar.Found && cost != mcost) {
 			t.Fatalf("seed %d: mirror changed outcome: (%v,%d) vs (%v,%d)", seed, out, cost, mout, mcost)
 		}
 	}
@@ -437,7 +437,7 @@ func TestMetamorphicTranslation(t *testing.T) {
 			continue
 		}
 		cfg := randCfg(rng)
-		embed := func(dx, dy int) ([]grid.Cell, int, Outcome) {
+		embed := func(dx, dy int) ([]grid.Cell, int, astar.Outcome) {
 			big := grid.New(g.W+10, g.H+10, g.Layers, rules.Node10nm())
 			for l := 0; l < g.Layers; l++ {
 				// Block everything, then carve the translated instance.
@@ -468,7 +468,7 @@ func TestMetamorphicTranslation(t *testing.T) {
 		}
 		_, c1, o1 := embed(0, 0)
 		_, c2, o2 := embed(7, 4)
-		if o1 != o2 || (o1 == Found && c1 != c2) {
+		if o1 != o2 || (o1 == astar.Found && c1 != c2) {
 			t.Fatalf("seed %d: translation changed outcome: (%v,%d) vs (%v,%d)", seed, o1, c1, o2, c2)
 		}
 	}

@@ -3,6 +3,7 @@ package sparse
 import (
 	"testing"
 
+	"sadproute/internal/astar"
 	"sadproute/internal/geom"
 	"sadproute/internal/grid"
 )
@@ -26,7 +27,7 @@ func TestWindowEscalatesPastBlockedWindow(t *testing.T) {
 	src := []grid.Cell{{X: 200, Y: 100}}
 	tgt := []grid.Cell{{X: 220, Y: 100}}
 	path, _, out := searchBoth(t, g, src, tgt, baseCfg)
-	if out != Found {
+	if out != astar.Found {
 		t.Fatalf("outcome %v, want Found through the far gap", out)
 	}
 	for _, c := range path {
@@ -47,7 +48,7 @@ func TestWindowCertRejectsEdgeHuggingDetour(t *testing.T) {
 	blockAll(g, geom.Rect{X0: 210, Y0: 0, X1: 211, Y1: 164})
 	src := []grid.Cell{{X: 200, Y: 100}}
 	tgt := []grid.Cell{{X: 220, Y: 100}}
-	if _, _, out := searchBoth(t, g, src, tgt, baseCfg); out != Found {
+	if _, _, out := searchBoth(t, g, src, tgt, baseCfg); out != astar.Found {
 		t.Fatalf("outcome %v, want Found", out)
 	}
 }
@@ -64,7 +65,7 @@ func TestWindowedNoPathIsAuthoritative(t *testing.T) {
 	blockAll(g, geom.Rect{X0: 360, Y0: 340, X1: 361, Y1: 361}) // east
 	src := []grid.Cell{{X: 50, Y: 50}}
 	tgt := []grid.Cell{{X: 350, Y: 350}}
-	if _, _, out := searchBoth(t, g, src, tgt, baseCfg); out != NoPath {
+	if _, _, out := searchBoth(t, g, src, tgt, baseCfg); out != astar.NoPath {
 		t.Fatalf("outcome %v, want NoPath", out)
 	}
 }
@@ -82,7 +83,7 @@ func TestWindowMaxExpandAccruesAcrossTiers(t *testing.T) {
 	defer e.Release()
 	cfg := baseCfg
 	cfg.MaxExpand = 4
-	if _, _, out := e.Search(src, tgt, cfg); out != Aborted {
+	if _, _, out := e.Search(src, tgt, cfg); out != astar.Aborted {
 		t.Fatalf("outcome %v, want Aborted under a 4-expansion budget", out)
 	}
 	if e.Expand > 5 { // the pop that trips the budget is itself counted
