@@ -11,7 +11,8 @@
 package colorflip
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"sadproute/internal/decomp"
 	"sadproute/internal/obs"
@@ -108,10 +109,143 @@ func OptimizeLocked(g *ocg.Graph, nets []int, locked map[int]decomp.Color) Resul
 // DP runs, infeasible components, and the component-size high-water mark.
 // A nil rec is the un-instrumented fast path.
 func OptimizeLockedR(g *ocg.Graph, nets []int, locked map[int]decomp.Color, rec *obs.Recorder) Result {
-	res := optimizeLocked(g, nets, locked)
+	return NewTree(g, nets).Solve(locked, rec)
+}
+
+// Tree is the flipping structure of one OCG component: its maximum
+// spanning forest, each tree rooted at its first net in the given order,
+// with every vertex's parent-edge costs oriented and a visiting order that
+// puts parents before children. Build it once and Solve it for each lock
+// set; the graph must not change in between.
+type Tree struct {
+	nets   []int
+	order  []int32
+	parent []int32 // -1 at a root
+	// up[v][pc][cc] is the cost of v's parent edge with the parent colored
+	// pc and v colored cc (0 Core, 1 Second).
+	up [][2][2]int
+	// Solve's scratch: subtree costs and child colors per parent color.
+	cost [][2]int
+	pick [][2]decomp.Color
+}
+
+// colorAt is the color at each index of Tree's per-color arrays;
+// colorIndex is its inverse.
+var colorAt = [2]decomp.Color{decomp.Core, decomp.Second}
+
+// NewTree builds the flipping structure of the component of g holding
+// nets.
+func NewTree(g *ocg.Graph, nets []int) *Tree {
+	n := len(nets)
+	t := &Tree{nets: nets, order: make([]int32, 0, n), parent: make([]int32, n),
+		up: make([][2][2]int, n), cost: make([][2]int, n), pick: make([][2]decomp.Color, n)}
+	tree := maxSpanningTree(nets, g.ComponentEdges(nets))
+	pos := localIndex(nets)
+
+	// Tree adjacency in CSR form: vertex v's edges are
+	// adjE[start[v]:start[v+1]], leading to adjV[start[v]:start[v+1]].
+	start := make([]int32, n+1)
+	for _, e := range tree {
+		start[pos[e.A]+1]++
+		start[pos[e.B]+1]++
+	}
+	for v := range n {
+		start[v+1] += start[v]
+	}
+	adjE := make([]*ocg.Edge, 2*len(tree))
+	adjV := make([]int32, 2*len(tree))
+	fill := append([]int32(nil), start[:n]...)
+	for _, e := range tree {
+		a, b := pos[e.A], pos[e.B]
+		adjE[fill[a]], adjV[fill[a]] = e, b
+		adjE[fill[b]], adjV[fill[b]] = e, a
+		fill[a]++
+		fill[b]++
+	}
+
+	for v := range t.parent {
+		t.parent[v] = -2 // unvisited
+	}
+	for root := range int32(n) {
+		if t.parent[root] != -2 {
+			continue
+		}
+		t.parent[root] = -1
+		t.order = append(t.order, root)
+		for i := len(t.order) - 1; i < len(t.order); i++ {
+			v := t.order[i]
+			for k := start[v]; k < start[v+1]; k++ {
+				e, o := adjE[k], adjV[k]
+				if t.parent[o] != -2 {
+					continue
+				}
+				t.parent[o] = v
+				for pc := range 2 {
+					for cc := range 2 {
+						t.up[o][pc][cc] = edgeCostOriented(e, nets[v], colorAt[pc], colorAt[cc])
+					}
+				}
+				t.order = append(t.order, o)
+			}
+		}
+	}
+	return t
+}
+
+// Solve runs the dynamic program of equation (4) on the tree under one
+// lock set: a locked net takes infinite cost for the opposite color. It
+// reports to rec as OptimizeLockedR does.
+func (t *Tree) Solve(locked map[int]decomp.Color, rec *obs.Recorder) Result {
+	res := Result{Colors: make(map[int]decomp.Color, len(t.nets)), Feasible: true}
+	for v, n := range t.nets {
+		t.cost[v] = [2]int{}
+		if lc, ok := locked[n]; ok && lc != decomp.Unassigned {
+			t.cost[v][colorIndex(lc.Flip())] = inf
+		}
+	}
+	// Leaves to roots: each vertex adds its cheaper option under either
+	// parent color to its parent.
+	for k := len(t.order) - 1; k >= 0; k-- {
+		v := t.order[k]
+		p := t.parent[v]
+		if p < 0 {
+			continue
+		}
+		for pc := range 2 {
+			vc := addSat(t.cost[v][0], t.up[v][pc][0])
+			vs := addSat(t.cost[v][1], t.up[v][pc][1])
+			if vc <= vs {
+				t.pick[v][pc] = decomp.Core
+				t.cost[p][pc] = addSat(t.cost[p][pc], vc)
+			} else {
+				t.pick[v][pc] = decomp.Second
+				t.cost[p][pc] = addSat(t.cost[p][pc], vs)
+			}
+		}
+	}
+	// Roots to leaves: choose each root's color, then backtrace.
+	total := 0
+	for _, v := range t.order {
+		var c decomp.Color
+		if p := t.parent[v]; p >= 0 {
+			c = t.pick[v][colorIndex(res.Colors[t.nets[p]])]
+		} else {
+			c = decomp.Second
+			best := t.cost[v][1]
+			if t.cost[v][0] < best {
+				c, best = decomp.Core, t.cost[v][0]
+			}
+			if best >= inf {
+				res.Feasible = false
+			}
+			total = addSat(total, best)
+		}
+		res.Colors[t.nets[v]] = c
+	}
+	res.Cost = total
 	if rec != nil {
 		rec.Inc(obs.CtrFlipRuns)
-		rec.Max(obs.GaugeFlipComponentPeak, int64(len(nets)))
+		rec.Max(obs.GaugeFlipComponentPeak, int64(len(t.nets)))
 		if !res.Feasible {
 			rec.Inc(obs.CtrFlipInfeasible)
 		}
@@ -119,115 +253,12 @@ func OptimizeLockedR(g *ocg.Graph, nets []int, locked map[int]decomp.Color, rec 
 	return res
 }
 
-func optimizeLocked(g *ocg.Graph, nets []int, locked map[int]decomp.Color) Result {
-	vcost := func(n int, c decomp.Color) int {
-		if lc, ok := locked[n]; ok && lc != decomp.Unassigned && lc != c {
-			return inf
-		}
+// colorIndex maps Core to 0 and Second to 1.
+func colorIndex(c decomp.Color) int {
+	if c == decomp.Core {
 		return 0
 	}
-	res := Result{Colors: make(map[int]decomp.Color, len(nets)), Feasible: true}
-	if len(nets) == 0 {
-		return res
-	}
-	edges := g.ComponentEdges(nets)
-	tree := maxSpanningTree(nets, edges)
-
-	idx := make(map[int]int, len(nets))
-	for i, n := range nets {
-		idx[n] = i
-	}
-	adjT := make([][]*ocg.Edge, len(nets))
-	for _, e := range tree {
-		adjT[idx[e.A]] = append(adjT[idx[e.A]], e)
-		adjT[idx[e.B]] = append(adjT[idx[e.B]], e)
-	}
-
-	visited := make([]bool, len(nets))
-	var costC, costS []int
-	costC = make([]int, len(nets))
-	costS = make([]int, len(nets))
-	choiceC := make([][]decomp.Color, len(nets)) // chosen child colors if parent is Core
-	choiceS := make([][]decomp.Color, len(nets))
-	children := make([][]int, len(nets))
-
-	total := 0
-	for root := range nets {
-		if visited[root] {
-			continue
-		}
-		// Iterative post-order DFS over this tree component.
-		order := make([]int, 0, 8)
-		parentEdge := make(map[int]*ocg.Edge)
-		stack := []int{root}
-		visited[root] = true
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			order = append(order, v)
-			for _, e := range adjT[v] {
-				o := idx[e.Other(nets[v])]
-				if !visited[o] {
-					visited[o] = true
-					parentEdge[o] = e
-					children[v] = append(children[v], o)
-					stack = append(stack, o)
-				}
-			}
-		}
-		// Leaves-to-root accumulation (equation (4)).
-		for i := len(order) - 1; i >= 0; i-- {
-			v := order[i]
-			cC, cS := vcost(nets[v], decomp.Core), vcost(nets[v], decomp.Second)
-			chC := make([]decomp.Color, len(children[v]))
-			chS := make([]decomp.Color, len(children[v]))
-			for k, ch := range children[v] {
-				e := parentEdge[ch]
-				bC, colC := bestChild(e, nets[v], nets[ch], decomp.Core, costC[ch], costS[ch])
-				bS, colS := bestChild(e, nets[v], nets[ch], decomp.Second, costC[ch], costS[ch])
-				cC = addSat(cC, bC)
-				cS = addSat(cS, bS)
-				chC[k], chS[k] = colC, colS
-			}
-			costC[v], costS[v] = cC, cS
-			choiceC[v], choiceS[v] = chC, chS
-		}
-		// Choose the root color and backtrace.
-		rootColor := decomp.Second
-		best := costS[root]
-		if costC[root] < costS[root] {
-			rootColor, best = decomp.Core, costC[root]
-		}
-		if best >= inf {
-			res.Feasible = false
-		}
-		total = addSat(total, best)
-		var assign func(v int, c decomp.Color)
-		assign = func(v int, c decomp.Color) {
-			res.Colors[nets[v]] = c
-			ch := choiceS[v]
-			if c == decomp.Core {
-				ch = choiceC[v]
-			}
-			for k, child := range children[v] {
-				assign(child, ch[k])
-			}
-		}
-		assign(root, rootColor)
-	}
-	res.Cost = total
-	return res
-}
-
-// bestChild returns the cheaper child option (cost and child color) given
-// the parent's color on tree edge e.
-func bestChild(e *ocg.Edge, parentNet, childNet int, pc decomp.Color, childCostC, childCostS int) (int, decomp.Color) {
-	vc := addSat(childCostC, edgeCostOriented(e, parentNet, pc, decomp.Core))
-	vs := addSat(childCostS, edgeCostOriented(e, parentNet, pc, decomp.Second))
-	if vc <= vs {
-		return vc, decomp.Core
-	}
-	return vs, decomp.Second
+	return 1
 }
 
 func edgeCostOriented(e *ocg.Edge, parentNet int, pc, cc decomp.Color) int {
@@ -245,44 +276,43 @@ func addSat(a, b int) int {
 	return s
 }
 
-// maxSpanningTree selects a maximum-weight spanning forest: hard edges
-// carry a weight larger than any nonhard total so they are always kept
-// (their constraints must bind), nonhard edges weigh their maximum
-// potential side-overlay length.
+// maxSpanningTree selects a maximum-weight spanning forest of the nets:
+// hard edges carry a weight larger than any nonhard total so they are
+// always kept (their constraints must bind), nonhard edges weigh their
+// maximum potential side-overlay length. Kruskal takes the edges heaviest
+// first, ties in the given order.
 func maxSpanningTree(nets []int, edges []*ocg.Edge) []*ocg.Edge {
 	const hardBoost = 1 << 30
-	w := func(e *ocg.Edge) int {
-		k := ocg.Kind(e.Prof)
-		max := 0
-		for _, c := range e.Prof.Cost {
-			if c > max {
-				max = c
-			}
+	byWeight := make([]weighted, len(edges))
+	for i, e := range edges {
+		w := max(0, slices.Max(e.Prof.Cost[:]))
+		if ocg.Kind(e.Prof) != ocg.Soft {
+			w += hardBoost
 		}
-		if k == ocg.HardSame || k == ocg.HardDiff || k == ocg.Contradiction {
-			return hardBoost + max
-		}
-		return max
+		byWeight[i] = weighted{w, int32(i)}
 	}
-	sorted := make([]*ocg.Edge, len(edges))
-	copy(sorted, edges)
-	sort.SliceStable(sorted, func(i, j int) bool { return w(sorted[i]) > w(sorted[j]) })
-
-	parent := make(map[int]int, len(nets))
-	var find func(int) int
-	find = func(x int) int {
-		p, ok := parent[x]
-		if !ok || p == x {
-			parent[x] = x
-			return x
+	slices.SortFunc(byWeight, func(x, y weighted) int {
+		if x.w != y.w {
+			return cmp.Compare(y.w, x.w)
 		}
-		r := find(p)
-		parent[x] = r
-		return r
+		return cmp.Compare(x.i, y.i)
+	})
+	pos := localIndex(nets)
+	parent := make([]int32, len(nets))
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
 	}
 	var tree []*ocg.Edge
-	for _, e := range sorted {
-		ra, rb := find(e.A), find(e.B)
+	for _, bw := range byWeight {
+		e := edges[bw.i]
+		ra, rb := find(pos[e.A]), find(pos[e.B])
 		if ra == rb {
 			continue
 		}
@@ -290,4 +320,25 @@ func maxSpanningTree(nets []int, edges []*ocg.Edge) []*ocg.Edge {
 		tree = append(tree, e)
 	}
 	return tree
+}
+
+// localIndex maps each net (a non-negative id) to its position in nets:
+// pos[net] is that position, and the entries of other ids are unused.
+func localIndex(nets []int) []int32 {
+	top := 0
+	for _, n := range nets {
+		top = max(top, n)
+	}
+	pos := make([]int32, top+1)
+	for i, n := range nets {
+		pos[n] = int32(i)
+	}
+	return pos
+}
+
+// weighted is an edge's spanning-tree weight and its index in the edge
+// list.
+type weighted struct {
+	w int
+	i int32
 }

@@ -15,7 +15,8 @@
 package ocg
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"sadproute/internal/scenario"
 )
@@ -80,25 +81,39 @@ func Kind(p scenario.Profile) HardKind {
 	}
 }
 
-// Graph is one layer's overlay constraint graph.
+// Graph is one layer's overlay constraint graph. Nets are non-negative
+// ids (the netlist's 0..N-1); per-net state lives in slices indexed by net
+// and grown on demand.
 type Graph struct {
 	edges map[[2]int]*Edge
-	adj   map[int][]*Edge
+	adj   [][]*Edge // per net: its incident edges
 
-	pf      parityForest
-	pfDirty bool
+	pf parityForest
 	// OddCycles counts hard-constraint odd cycles currently present (kept
 	// nonzero until the offending edges are removed by rip-up).
 	OddCycles int
+
+	// mark is the visited set of Component and ComponentEdges: net n is in
+	// the current set when mark[n] == stamp.
+	mark  []uint32
+	stamp uint32
+	// scratch holds RemoveNet's forest members and their hard edges.
+	members []int32
+	hard    []*Edge
 }
 
 // New returns an empty overlay constraint graph.
 func New() *Graph {
-	return &Graph{
-		edges: make(map[[2]int]*Edge),
-		adj:   make(map[int][]*Edge),
-		pf:    newParityForest(),
+	return &Graph{edges: make(map[[2]int]*Edge)}
+}
+
+// grow makes room for net n in every per-net slice.
+func (g *Graph) grow(n int) {
+	for len(g.adj) <= n {
+		g.adj = append(g.adj, nil)
+		g.mark = append(g.mark, 0)
 	}
+	g.pf.grow(n)
 }
 
 // AddScenario merges one scenario profile (oriented a→b) into the graph.
@@ -113,6 +128,7 @@ func (g *Graph) AddScenario(a, b int, p scenario.Profile) (oddCycle, infeasible 
 		a, b = b, a
 		p = swapProfile(p)
 	}
+	g.grow(b)
 	key := [2]int{a, b}
 	e := g.edges[key]
 	prevKind := Soft
@@ -135,14 +151,15 @@ func (g *Graph) AddScenario(a, b int, p scenario.Profile) (oddCycle, infeasible 
 	}
 	k := Kind(e.Prof)
 	if k == Contradiction {
+		if prevKind == HardSame || prevKind == HardDiff {
+			// The forest keeps the union this edge made while it was
+			// hard; a rebuild would leave the edge out.
+			g.pf.taint(a)
+		}
 		return false, true
 	}
 	if k == prevKind || k == Soft {
 		return false, false
-	}
-	if g.pfDirty {
-		g.rebuildParity()
-		return g.OddCycles > 0, false
 	}
 	if !g.pf.union(a, b, parityOf(k)) {
 		g.OddCycles++
@@ -151,21 +168,30 @@ func (g *Graph) AddScenario(a, b int, p scenario.Profile) (oddCycle, infeasible 
 	return false, false
 }
 
-func parityOf(k HardKind) int {
+func parityOf(k HardKind) uint8 {
 	if k == HardDiff {
 		return 1
 	}
 	return 0
 }
 
-// RemoveNet deletes every edge incident to net n (rip-up) and schedules a
-// parity rebuild.
+// isHard reports whether an edge of kind k is in the parity forest after a
+// rebuild.
+func isHard(k HardKind) bool { return k == HardSame || k == HardDiff }
+
+// RemoveNet deletes every edge incident to net n (rip-up) and rebuilds the
+// parity forest tree that held n. Every other tree is left as it is: a tree
+// whose unions all agree and that holds no union of a since-contradictory
+// edge answers every later union as a rebuild of its hard edges in any
+// order would. When some other tree is tainted (it holds a refused union or
+// a contradictory edge's union), the whole forest is rebuilt instead, as a
+// sorted rebuild may refuse different edges there.
 func (g *Graph) RemoveNet(n int) {
-	es := g.adj[n]
-	if len(es) == 0 {
+	if n >= len(g.adj) || len(g.adj[n]) == 0 {
 		return
 	}
-	delete(g.adj, n)
+	es := g.adj[n]
+	g.adj[n] = nil
 	for _, e := range es {
 		o := e.Other(n)
 		delete(g.edges, [2]int{e.A, e.B})
@@ -178,35 +204,61 @@ func (g *Graph) RemoveNet(n int) {
 			}
 		}
 	}
-	g.pfDirty = true
-	g.rebuildParity()
+	r := g.pf.root(n)
+	if g.pf.taints > int(g.pf.tainted[r]) {
+		g.rebuildParity()
+		return
+	}
+	// No other tree is tainted, so every refused union, and with it every
+	// odd cycle, lies in n's tree: rebuilding it recounts them all.
+	g.members = g.pf.reset(r, g.members[:0])
+	hard := g.hard[:0]
+	for _, m := range g.members {
+		for _, e := range g.adj[m] {
+			if int(m) == e.A && isHard(Kind(e.Prof)) {
+				hard = append(hard, e)
+			}
+		}
+	}
+	slices.SortFunc(hard, byEnds)
+	g.hard = hard
+	g.OddCycles = g.unite(hard)
 }
 
 // rebuildParity reconstructs the parity forest from the surviving hard
 // edges and recounts odd cycles.
 func (g *Graph) rebuildParity() {
-	g.pf = newParityForest()
-	g.OddCycles = 0
-	// Deterministic order: sort edge keys.
-	keys := make([][2]int, 0, len(g.edges))
-	for k, e := range g.edges {
-		if kk := Kind(e.Prof); kk == HardSame || kk == HardDiff {
-			keys = append(keys, k)
+	g.pf.resetAll()
+	hard := g.hard[:0]
+	for _, e := range g.edges {
+		if isHard(Kind(e.Prof)) {
+			hard = append(hard, e)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, k := range keys {
-		e := g.edges[k]
+	slices.SortFunc(hard, byEnds)
+	g.hard = hard
+	g.OddCycles = g.unite(hard)
+}
+
+// byEnds orders edges by (A, B), the order that makes a rebuild
+// deterministic.
+func byEnds(x, y *Edge) int {
+	if x.A != y.A {
+		return cmp.Compare(x.A, y.A)
+	}
+	return cmp.Compare(x.B, y.B)
+}
+
+// unite unions sorted hard edges into the forest and returns the number it
+// refused (odd cycles).
+func (g *Graph) unite(hard []*Edge) int {
+	odd := 0
+	for _, e := range hard {
 		if !g.pf.union(e.A, e.B, parityOf(Kind(e.Prof))) {
-			g.OddCycles++
+			odd++
 		}
 	}
-	g.pfDirty = false
+	return odd
 }
 
 // EdgeBetween returns the aggregated edge between two nets, or nil.
@@ -218,94 +270,161 @@ func (g *Graph) EdgeBetween(a, b int) *Edge {
 }
 
 // Edges returns the edges incident to net n (do not modify).
-func (g *Graph) Edges(n int) []*Edge { return g.adj[n] }
+func (g *Graph) Edges(n int) []*Edge {
+	if n >= len(g.adj) {
+		return nil
+	}
+	return g.adj[n]
+}
 
 // EdgeCount returns the number of aggregated edges in the graph.
 func (g *Graph) EdgeCount() int { return len(g.edges) }
 
+// newMark starts an empty visited set covering nets 0..n.
+func (g *Graph) newMark(n int) {
+	g.grow(n)
+	g.stamp++
+	if g.stamp == 0 {
+		clear(g.mark)
+		g.stamp = 1
+	}
+}
+
 // Component returns the nets connected to n (including n) through any
 // edges, in sorted order.
 func (g *Graph) Component(n int) []int {
-	seen := map[int]bool{n: true}
-	stack := []int{n}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	g.newMark(n)
+	g.mark[n] = g.stamp
+	out := []int{n}
+	for i := 0; i < len(out); i++ {
+		v := out[i]
 		for _, e := range g.adj[v] {
-			o := e.Other(v)
-			if !seen[o] {
-				seen[o] = true
-				stack = append(stack, o)
+			if o := e.Other(v); g.mark[o] != g.stamp {
+				g.mark[o] = g.stamp
+				out = append(out, o)
 			}
 		}
 	}
-	out := make([]int, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
-// ComponentEdges returns the unique edges among the given nets.
+// ComponentEdges returns the unique edges among the given nets, sorted by
+// (A, B).
 func (g *Graph) ComponentEdges(nets []int) []*Edge {
-	in := make(map[int]bool, len(nets))
+	top := 0
 	for _, n := range nets {
-		in[n] = true
+		top = max(top, n)
+	}
+	g.newMark(top)
+	for _, n := range nets {
+		g.mark[n] = g.stamp
 	}
 	var out []*Edge
 	for _, n := range nets {
 		for _, e := range g.adj[n] {
-			if e.A == n && in[e.B] { // emit once, from the A side
+			if e.A == n && g.mark[e.B] == g.stamp { // emit once, from the A side
 				out = append(out, e)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
+	slices.SortFunc(out, byEnds)
 	return out
 }
 
 // parityForest is a union-find with edge parities: parity 0 links vertices
 // constrained to the same color, parity 1 to different colors. union
 // reports false when the new relation closes an odd (inconsistent) cycle.
+// Every tree keeps a circular list of its members (next), so RemoveNet can
+// rebuild one tree, and a taint count at its root: the unions it refused
+// plus the unions of edges that have since turned contradictory.
 type parityForest struct {
-	parent map[int]int
-	par    map[int]int
+	parent  []int32
+	par     []uint8 // parity of a vertex relative to its parent
+	next    []int32
+	tainted []int32 // at a root: its tree's taint
+	taints  int     // the sum of tainted over all roots
 }
 
-func newParityForest() parityForest {
-	return parityForest{parent: make(map[int]int), par: make(map[int]int)}
-}
-
-func (f parityForest) find(x int) (root, parity int) {
-	p, ok := f.parent[x]
-	if !ok {
-		f.parent[x] = x
-		f.par[x] = 0
-		return x, 0
+// grow adds singleton trees up to vertex n.
+func (f *parityForest) grow(n int) {
+	for i := int32(len(f.parent)); int(i) <= n; i++ {
+		f.parent = append(f.parent, i)
+		f.par = append(f.par, 0)
+		f.next = append(f.next, i)
+		f.tainted = append(f.tainted, 0)
 	}
-	if p == x {
-		return x, 0
-	}
-	r, rp := f.find(p)
-	// Path compression with parity accumulation.
-	f.parent[x] = r
-	f.par[x] ^= rp
-	return r, f.par[x]
 }
 
-func (f parityForest) union(a, b, parity int) bool {
-	ra, pa := f.find(a)
-	rb, pb := f.find(b)
+// find returns x's root and x's parity relative to it, compressing the
+// path on the way.
+func (f *parityForest) find(x int32) (root int32, parity uint8) {
+	root = x
+	for f.parent[root] != root {
+		parity ^= f.par[root]
+		root = f.parent[root]
+	}
+	for p := parity; f.parent[x] != root; {
+		up, px := f.parent[x], f.par[x]
+		f.parent[x], f.par[x] = root, p
+		p ^= px
+		x = up
+	}
+	return root, parity
+}
+
+// root returns the root of vertex n's tree.
+func (f *parityForest) root(n int) int32 {
+	r, _ := f.find(int32(n))
+	return r
+}
+
+func (f *parityForest) union(a, b int, parity uint8) bool {
+	ra, pa := f.find(int32(a))
+	rb, pb := f.find(int32(b))
 	if ra == rb {
-		return pa^pb == parity
+		if pa^pb == parity {
+			return true
+		}
+		f.tainted[ra]++
+		f.taints++
+		return false
 	}
 	f.parent[ra] = rb
 	f.par[ra] = pa ^ pb ^ parity
+	f.next[ra], f.next[rb] = f.next[rb], f.next[ra]
+	f.tainted[rb] += f.tainted[ra]
+	f.tainted[ra] = 0
 	return true
+}
+
+// taint marks the tree of vertex n as holding a union that a rebuild would
+// not make.
+func (f *parityForest) taint(n int) {
+	f.tainted[f.root(n)]++
+	f.taints++
+}
+
+// reset turns every member of root r's tree into a singleton and appends
+// the members to buf.
+func (f *parityForest) reset(r int32, buf []int32) []int32 {
+	f.taints -= int(f.tainted[r])
+	for v := r; ; {
+		buf = append(buf, v)
+		nx := f.next[v]
+		f.parent[v], f.par[v], f.next[v], f.tainted[v] = v, 0, v, 0
+		if nx == r {
+			return buf
+		}
+		v = nx
+	}
+}
+
+// resetAll turns every vertex into a singleton.
+func (f *parityForest) resetAll() {
+	for i := range f.parent {
+		v := int32(i)
+		f.parent[i], f.par[i], f.next[i], f.tainted[i] = v, 0, v, 0
+	}
+	f.taints = 0
 }

@@ -14,7 +14,8 @@ import (
 
 // windowResolve implements the paper's per-net cut conflict check scheme
 // (Section III-D) with color-based resolution: decompose a local window
-// around the newly routed (and colored) net with the oracle; when the net
+// around the newly routed (and colored) net with the oracle, and, only when
+// that window is not clean, the window without the net; when the net
 // introduced a new cut conflict or violation, try to clear it by re-running
 // the component flipping DP with this net's color forced to each mask in
 // turn — accepting and locking the first component recoloring whose window
@@ -51,12 +52,20 @@ func (st *state) windowResolve(id int) (bad bool, hot []grid.Cell) {
 		st.winIDs = ids
 		st.rec.Observe(obs.HistWindowNets, int64(len(ids)))
 
-		// Baseline: the window without the new net.
-		baseBad := st.verdictOf(l, st.frags[l].Layout(st.g, st.colors[l], ids, id)).bad
-
-		// Current coloring.
+		// Current coloring. Badness is never negative, so a window that is
+		// clean with the net cannot be worse than its baseline, and only a
+		// dirty window pays for the baseline.
 		cur := st.verdictOf(l, st.frags[l].Layout(st.g, st.colors[l], ids, -1))
 		curBad := cur.bad
+		if curBad == 0 {
+			if st.rec.Tracing() {
+				st.rec.Trace("window_check", obs.I("net", id), obs.I("layer", l),
+					obs.I("cur", 0), obs.S("outcome", "clean"))
+			}
+			continue
+		}
+		// Baseline: the window without the new net.
+		baseBad := st.verdictOf(l, st.frags[l].Layout(st.g, st.colors[l], ids, id)).bad
 		if curBad <= baseBad {
 			if st.rec.Tracing() {
 				st.rec.Trace("window_check", obs.I("net", id), obs.I("layer", l),
@@ -66,7 +75,8 @@ func (st *state) windowResolve(id int) (bad bool, hot []grid.Cell) {
 		}
 
 		// The net made things worse: try to resolve by recoloring its
-		// component with the net's color forced each way.
+		// component with the net's color forced each way. Both attempts
+		// solve one spanning tree: recoloring leaves the graph as it is.
 		comp := st.ocgs[l].Component(id)
 		saved := make(map[int]decomp.Color, len(comp))
 		for _, n := range comp {
@@ -74,9 +84,10 @@ func (st *state) windowResolve(id int) (bad bool, hot []grid.Cell) {
 		}
 		savedLock, hadLock := st.locks[l][id]
 		resolved := false
+		tree := colorflip.NewTree(st.ocgs[l], comp)
 		for _, forced := range [2]decomp.Color{st.colors[l][id], st.colors[l][id].Flip()} {
 			st.locks[l][id] = forced
-			r := colorflip.OptimizeLockedR(st.ocgs[l], comp, st.locks[l], st.rec)
+			r := tree.Solve(st.locks[l], st.rec)
 			if !r.Feasible {
 				continue
 			}
