@@ -20,15 +20,17 @@ func allocGrid() (*grid.Grid, Config, []grid.Cell, []grid.Cell) {
 
 // TestSearchAllocsSteadyState pins the engine's allocation discipline: a
 // warmed engine allocates only the returned path (its backtrace slice),
-// nothing per node and no closure captures. The bound is generous (the
-// backtrace slice grows by doubling) but fails if Search regresses to
-// per-call closure or map allocations.
+// nothing per node and no closure captures, and its open list reuses the
+// blocks a search leaves queued, so the block arena stays at its warm-up
+// size. The bound is generous (the backtrace slice grows by doubling) but
+// fails if Search regresses to per-call closure or map allocations.
 func TestSearchAllocsSteadyState(t *testing.T) {
 	g, cfg, src, tgt := allocGrid()
 	e := New(g)
 	if _, out := e.Search(-1, src, tgt, cfg); out != Found { // warm arrays and queue
 		t.Fatal("no path on warm-up")
 	}
+	blocks := len(e.queue.blocks)
 	avg := testing.AllocsPerRun(100, func() {
 		if _, out := e.Search(-1, src, tgt, cfg); out != Found {
 			t.Fatal("no path")
@@ -39,21 +41,24 @@ func TestSearchAllocsSteadyState(t *testing.T) {
 	if avg > 16 {
 		t.Fatalf("Search allocates %.1f objects/op in steady state (want <= 16: only the returned path)", avg)
 	}
+	if len(e.queue.blocks) != blocks {
+		t.Fatalf("open-list block arena grew from %d to %d blocks over repeated searches", blocks, len(e.queue.blocks))
+	}
 }
 
 // TestPoolRetainsQueueCapacity pins the Acquire/Release contract the
-// router's engine pooling relies on: the open-list backing array and the
-// per-cell records survive a pool round-trip, so the next binding's
-// searches start with warm capacity, and the rebinding keeps counting
-// search ids instead of clearing the records.
+// router's engine pooling relies on: the open list's storage blocks and
+// sorted-bucket array and the per-cell records survive a pool round-trip,
+// so the next binding's searches start with warm capacity, and the
+// rebinding keeps counting search ids instead of clearing the records.
 func TestPoolRetainsQueueCapacity(t *testing.T) {
 	g, cfg, src, tgt := allocGrid()
 	e := Acquire(g)
 	if _, out := e.Search(-1, src, tgt, cfg); out != Found {
 		t.Fatal("no path")
 	}
-	qcap, ncap, id := cap(e.queue), cap(e.nodes), e.cur
-	if qcap == 0 || ncap == 0 {
+	blocks, ccap, ncap, id := len(e.queue.blocks), cap(e.queue.cur), cap(e.nodes), e.cur
+	if blocks == 0 || ccap == 0 || ncap == 0 {
 		t.Fatal("search left no capacity to retain")
 	}
 	e.Release()
@@ -62,8 +67,9 @@ func TestPoolRetainsQueueCapacity(t *testing.T) {
 	if e2 != e {
 		t.Skip("pool returned a different engine; retention not observable this run")
 	}
-	if cap(e2.queue) < qcap {
-		t.Fatalf("queue capacity dropped across Release/Acquire: %d -> %d", qcap, cap(e2.queue))
+	if len(e2.queue.blocks) < blocks || cap(e2.queue.cur) < ccap {
+		t.Fatalf("queue capacity dropped across Release/Acquire: %d blocks, %d sorted -> %d, %d",
+			blocks, ccap, len(e2.queue.blocks), cap(e2.queue.cur))
 	}
 	if cap(e2.nodes) < ncap {
 		t.Fatalf("per-cell capacity dropped across Release/Acquire: %d -> %d", ncap, cap(e2.nodes))

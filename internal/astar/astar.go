@@ -20,10 +20,11 @@ import (
 //
 // Every cost must be non-negative — the weights here and every Pen entry
 // — and every path cost g and estimate f = g + h a search reaches must
-// stay at or below MaxCost: the open list packs f and g into one 64-bit
-// key. Search refuses a Config with a negative weight, and gives up on
-// reaching a cost outside [0, MaxCost]; both end Invalid rather than
-// search on a wrapped key.
+// stay at or below MaxCost: the open list keeps f and g in 32 bits each,
+// and its buckets need an f that never falls. Search refuses a Config with
+// a negative weight, and gives up on reaching a cost outside [0, MaxCost]
+// or an estimate below the f it is expanding (a negative Pen entry can
+// make either); all end Invalid rather than search on a broken order.
 type Config struct {
 	// WL, Via are the alpha and beta weights of cost equation (5), in
 	// engine cost units (use Scale to convert).
@@ -64,7 +65,8 @@ const (
 	// Aborted: the MaxExpand budget ran out. It says nothing about
 	// whether a path exists.
 	Aborted
-	// Invalid: a negative weight, or a cost outside [0, MaxCost].
+	// Invalid: a negative weight, a cost outside [0, MaxCost], or an
+	// estimate below the f being expanded.
 	Invalid
 )
 
@@ -88,13 +90,13 @@ type Engine struct {
 	cur   uint32 // id of the current search; records of other ids are stale
 	// delta holds the index offset of each move in moves order.
 	delta [6]int
-	queue pq
+	queue bucketQueue
 	// Per-search statistics, reset by Search. The inner loop maintains them
 	// as plain field increments (no branches) so the cost is identical
 	// whether or not a Recorder is attached.
 	Expand   int // node expansions of the last search
-	Pushes   int // heap pushes of the last search
-	Pops     int // heap pops of the last search
+	Pushes   int // open-list pushes of the last search
+	Pops     int // open-list pops of the last search
 	HeapPeak int // open-list high-water mark of the last search
 	// Rec, when non-nil, receives the per-search statistics (counters plus
 	// the heap-peak gauge) in one flush at the end of every search.
@@ -104,9 +106,10 @@ type Engine struct {
 	// is a reused copy of the caller's slice.
 	cfg     Config
 	targets []grid.Cell
-	// overflow is set when the current search reached a cost outside
-	// [0, MaxCost]; the search ends Invalid at the next pop.
-	overflow bool
+	// invalid is set when the current search reached a cost outside
+	// [0, MaxCost] or an estimate below the f being expanded; the search
+	// ends Invalid at the next pop.
+	invalid bool
 }
 
 // node is one cell's search record, 8 bytes: the best g pushed and a tag.
@@ -135,8 +138,9 @@ const (
 // step reaches it: the most negative is one negative int32 Pen entry.
 const forbidden = math.MinInt
 
-// moves lists the six unit moves in expansion order. The order is part of
-// the tie-breaking contract: it fixes the push order of equal-key nodes.
+// moves lists the six unit moves in expansion order, which is the push
+// order of a node's successors. Entries of equal f and g pop in push
+// order, so this order is part of the route contract.
 var moves = [6]grid.Cell{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}, {L: 1}, {L: -1}}
 
 // New creates an engine bound to g.
@@ -153,7 +157,6 @@ func New(g *grid.Grid) *Engine {
 func (e *Engine) Bind(g *grid.Grid) {
 	n := g.W * g.H * g.Layers
 	e.g = g
-	e.queue = e.queue[:0]
 	plane := g.W * g.H
 	e.delta = [6]int{1, -1, g.W, -g.W, plane, -plane}
 	if cap(e.nodes) < n {
@@ -194,73 +197,6 @@ func (e *Engine) cell(i int) grid.Cell {
 	return grid.Cell{X: i % w, Y: (i / w) % h, L: i / (w * h)}
 }
 
-// item is one open-list entry. key packs the order — f ascending, then g
-// descending, so f-ties prefer deeper nodes and straighter paths — as
-// f<<32 | ^uint32(g): one unsigned compare orders two items exactly as the
-// (f, -g) pair compare does whenever 0 <= g <= f <= MaxCost.
-type item struct {
-	key uint64
-	idx int32
-}
-
-// pack builds an open-list key from f and g (0 <= g <= f <= MaxCost).
-func pack(f, g int) uint64 { return uint64(f)<<32 | uint64(^uint32(g)) }
-
-type pq []item
-
-// push and pop are the container/heap algorithm specialized to item: the
-// same comparisons in the same order, so the same array after every
-// operation (identical tie-breaking and traces). They move a hole instead
-// of swapping — the moving item sits at the hole in container/heap, so
-// each compare sees the same pair — and write the item once at the end.
-func (q *pq) push(it item) {
-	*q = append(*q, it)
-	h := *q
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if it.key >= h[p].key {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = it
-}
-
-// grow doubles the list's capacity, where append would grow a large slice
-// by about 1.25x and copy it three times as often; the pooled engine keeps
-// the capacity across searches. pushNode calls it on a full list, which
-// keeps push small enough to inline.
-func (q *pq) grow() {
-	*q = append(make(pq, 0, max(2*cap(*q), 64)), *q...)
-}
-
-func (q *pq) pop() item {
-	h := *q
-	n := len(h) - 1
-	top, last := h[0], h[n]
-	*q = h[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		j := l
-		if r := l + 1; r < n && h[r].key < h[l].key {
-			j = r
-		}
-		if h[j].key >= last.key {
-			break
-		}
-		h[i] = h[j]
-		i = j
-	}
-	h[i] = last
-	return top
-}
-
 // Search finds a minimum-cost path from any source to any target under cfg.
 // Occupied and blocked cells are impassable except cells owned by net id.
 // The path runs source→target inclusive and is non-nil only when the
@@ -271,7 +207,7 @@ func (e *Engine) Search(id int32, sources, targets []grid.Cell, cfg Config) ([]g
 	if len(sources) == 0 || len(targets) == 0 {
 		return nil, NoPath
 	}
-	e.queue = e.queue[:0]
+	e.queue.reset()
 	e.Expand, e.Pushes, e.Pops, e.HeapPeak = 0, 0, 0, 0
 	defer e.flushObs()
 	if !cfg.nonNegative() {
@@ -290,11 +226,11 @@ func (e *Engine) Search(id int32, sources, targets []grid.Cell, cfg Config) ([]g
 	}
 
 	var costs [6]int
-	for len(e.queue) > 0 && !e.overflow {
+	for e.queue.n > 0 && !e.invalid {
 		it := e.queue.pop()
 		e.Pops++
 		i := int(it.idx)
-		g := int(^uint32(it.key))
+		g := it.g()
 		// Every queued item was pushed by this search, so the record is
 		// current: a smaller dist means a cheaper push superseded this one.
 		if int(e.nodes[i].dist) < g {
@@ -314,11 +250,11 @@ func (e *Engine) Search(id int32, sources, targets []grid.Cell, cfg Config) ([]g
 			case sc >= 0:
 				e.pushNode(i+e.delta[d], grid.Cell{X: c.X + m.X, Y: c.Y + m.Y, L: c.L + m.L}, g+sc, uint32(d))
 			case sc != forbidden:
-				e.overflow = true // a negative Pen entry priced the step below 0
+				e.invalid = true // a negative Pen entry priced the step below 0
 			}
 		}
 	}
-	if e.overflow {
+	if e.invalid {
 		return nil, Invalid
 	}
 	return nil, NoPath
@@ -336,7 +272,7 @@ func (e *Engine) begin(id int32, sources, targets []grid.Cell, cfg Config) int {
 	}
 	e.cur++
 	e.cfg = cfg
-	e.overflow = false
+	e.invalid = false
 	for _, s := range sources {
 		if e.g.In(s) {
 			e.record(e.g.Index(s)).tag |= pinBit
@@ -474,9 +410,10 @@ func moveIndex(m grid.Cell) int {
 }
 
 // h is the Manhattan heuristic over the current search's targets, in
-// engine cost units. It is admissible because every planar step costs at
-// least WL*Scale and every layer change at least Via*Scale, whichever of
-// the two weights is larger.
+// engine cost units. It is consistent, hence admissible: every planar step
+// costs at least WL*Scale and every layer change at least Via*Scale, and
+// h falls by at most that much across one step. So no push has an
+// estimate below the f being expanded, which the bucket queue relies on.
 func (e *Engine) h(c grid.Cell) int {
 	best := -1
 	for _, t := range e.targets {
@@ -489,8 +426,9 @@ func (e *Engine) h(c grid.Cell) int {
 }
 
 // pushNode relaxes node i (cell c), entered by move (fromSource at a
-// source), to gcost >= 0 and pushes it on the open list. An estimate the
-// packed key cannot hold is not pushed; it sets overflow, which ends the
+// source), to gcost >= 0 and pushes it on the open list. An estimate above
+// MaxCost, or below the f being expanded (a negative Pen entry made the
+// heuristic inconsistent), is not pushed; it sets invalid, which ends the
 // search.
 func (e *Engine) pushNode(i int, c grid.Cell, gcost int, move uint32) {
 	n := &e.nodes[i]
@@ -501,18 +439,15 @@ func (e *Engine) pushNode(i int, c grid.Cell, gcost int, move uint32) {
 		return
 	}
 	f := gcost + e.h(c)
-	if f > MaxCost {
-		e.overflow = true
+	if f > MaxCost || f < e.queue.f {
+		e.invalid = true
 		return
 	}
 	n.dist, n.tag = int32(gcost), t&^moveMask|reachedBit|move
-	if len(e.queue) == cap(e.queue) {
-		e.queue.grow()
-	}
-	e.queue.push(item{key: pack(f, gcost), idx: int32(i)})
+	e.queue.push(item{sub: subKey(gcost, uint32(e.Pushes)), idx: int32(i), f: int32(f)})
 	e.Pushes++
-	if n := len(e.queue); n > e.HeapPeak {
-		e.HeapPeak = n
+	if e.queue.n > e.HeapPeak {
+		e.HeapPeak = e.queue.n
 	}
 }
 

@@ -52,12 +52,13 @@ func refStepCost(g *grid.Grid, id int32, cfg Config, pins map[grid.Cell]bool) fu
 	}
 }
 
-// refItem and refHeap are the two-field open list: container/heap over
-// (f ascending, g descending) compares — the order the packed kernel key
-// must reproduce exactly.
+// refItem and refHeap are the three-field open list: container/heap over
+// (f ascending, g descending, push sequence ascending) compares — the
+// total order the kernel's bucket queue must pop exactly.
 type refItem struct {
 	c    grid.Cell
 	f, g int
+	seq  int
 }
 
 type refHeap []refItem
@@ -68,7 +69,10 @@ func (q refHeap) Less(i, j int) bool {
 	if q[i].f != q[j].f {
 		return q[i].f < q[j].f
 	}
-	return q[i].g > q[j].g
+	if q[i].g != q[j].g {
+		return q[i].g > q[j].g
+	}
+	return q[i].seq < q[j].seq
 }
 func (q *refHeap) Push(x any) { *q = append(*q, x.(refItem)) }
 func (q *refHeap) Pop() any {
@@ -138,7 +142,7 @@ func refSearch(g *grid.Grid, id int32, sources, targets []grid.Cell, cfg Config,
 		} else {
 			delete(parent, c)
 		}
-		heap.Push(q, refItem{c: c, f: gc + h(c), g: gc})
+		heap.Push(q, refItem{c: c, f: gc + h(c), g: gc, seq: r.pushes})
 		r.pushes++
 		r.heapPeak = max(r.heapPeak, q.Len())
 	}
@@ -385,10 +389,13 @@ func FuzzAstarKernel(f *testing.F) {
 	f.Fuzz(kernelOne)
 }
 
-// TestPackedKeyOrder checks the packed key against the two-field compare
-// on the boundary values of the documented cost range.
+// TestPackedKeyOrder checks the queue's (f, sub) order against the
+// three-field compare on the boundary values of the documented cost range
+// and of the push sequence.
 func TestPackedKeyOrder(t *testing.T) {
 	vals := []int{0, 1, 2, 1 << 30, MaxCost - 1, MaxCost}
+	seqs := []int{0, 1, 1 << 31, 1<<32 - 1}
+	less := func(a, b item) bool { return a.f < b.f || a.f == b.f && a.sub < b.sub }
 	for _, f1 := range vals {
 		for _, g1 := range vals {
 			for _, f2 := range vals {
@@ -396,9 +403,18 @@ func TestPackedKeyOrder(t *testing.T) {
 					if g1 > f1 || g2 > f2 {
 						continue
 					}
-					want := refHeap{{f: f1, g: g1}, {f: f2, g: g2}}.Less(0, 1)
-					if got := pack(f1, g1) < pack(f2, g2); got != want {
-						t.Fatalf("(f=%d,g=%d) < (f=%d,g=%d): packed %v, two-field %v", f1, g1, f2, g2, got, want)
+					for _, s1 := range seqs {
+						for _, s2 := range seqs {
+							want := refHeap{{f: f1, g: g1, seq: s1}, {f: f2, g: g2, seq: s2}}.Less(0, 1)
+							a := item{sub: subKey(g1, uint32(s1)), f: int32(f1)}
+							b := item{sub: subKey(g2, uint32(s2)), f: int32(f2)}
+							if got := less(a, b); got != want {
+								t.Fatalf("(f=%d,g=%d,seq=%d) < (f=%d,g=%d,seq=%d): queue %v, three-field %v", f1, g1, s1, f2, g2, s2, got, want)
+							}
+							if a.g() != g1 {
+								t.Fatalf("subKey(%d, %d) unpacks g = %d", g1, s1, a.g())
+							}
+						}
 					}
 				}
 			}
@@ -407,8 +423,9 @@ func TestPackedKeyOrder(t *testing.T) {
 }
 
 // TestCostCeiling pins the range guard: a path cost of exactly MaxCost is
-// searchable, while a cost beyond it, a negative weight or a negative
-// penalty ends the search Invalid instead of wrapping the packed key.
+// searchable, while a cost beyond it, a negative weight, a negative
+// penalty or one that lowers the estimate below the f being expanded ends
+// the search Invalid instead of breaking the open list's order.
 func TestCostCeiling(t *testing.T) {
 	g := mk(2, 1, 1)
 	pen := []int32{0, MaxCost}
@@ -424,6 +441,7 @@ func TestCostCeiling(t *testing.T) {
 		"cost MaxCost+2": {WL: 1, Pen: pen},
 		"negative WL":    {WL: -1},
 		"negative Pen":   {Pen: []int32{0, -1}},
+		"falling f":      {WL: 1, Pen: []int32{0, -1}},
 	} {
 		if path, out := e.Search(0, src, tgt, cfg); out != Invalid {
 			t.Errorf("%s: outcome %v with path %v, want Invalid", name, out, path)

@@ -102,14 +102,7 @@ func Optimize(g *ocg.Graph, nets []int) Result {
 // takes infinite cost for the opposite color, so the DP routes flexibility
 // around it.
 func OptimizeLocked(g *ocg.Graph, nets []int, locked map[int]decomp.Color) Result {
-	return OptimizeLockedR(g, nets, locked, nil)
-}
-
-// OptimizeLockedR is OptimizeLocked reporting to an observability recorder:
-// DP runs, infeasible components, and the component-size high-water mark.
-// A nil rec is the un-instrumented fast path.
-func OptimizeLockedR(g *ocg.Graph, nets []int, locked map[int]decomp.Color, rec *obs.Recorder) Result {
-	return NewTree(g, nets).Solve(locked, rec)
+	return NewTree(nets, g.ComponentEdges(nets)).Solve(locked, nil)
 }
 
 // Tree is the flipping structure of one OCG component: its maximum
@@ -133,13 +126,14 @@ type Tree struct {
 // colorIndex is its inverse.
 var colorAt = [2]decomp.Color{decomp.Core, decomp.Second}
 
-// NewTree builds the flipping structure of the component of g holding
-// nets.
-func NewTree(g *ocg.Graph, nets []int) *Tree {
+// NewTree builds the flipping structure of an OCG component from its nets
+// and the edges among them, sorted by (A, B), as ocg.Graph.Component
+// returns them.
+func NewTree(nets []int, edges []*ocg.Edge) *Tree {
 	n := len(nets)
 	t := &Tree{nets: nets, order: make([]int32, 0, n), parent: make([]int32, n),
 		up: make([][2][2]int, n), cost: make([][2]int, n), pick: make([][2]decomp.Color, n)}
-	tree := maxSpanningTree(nets, g.ComponentEdges(nets))
+	tree := maxSpanningTree(nets, edges)
 	pos := localIndex(nets)
 
 	// Tree adjacency in CSR form: vertex v's edges are
@@ -194,7 +188,8 @@ func NewTree(g *ocg.Graph, nets []int) *Tree {
 
 // Solve runs the dynamic program of equation (4) on the tree under one
 // lock set: a locked net takes infinite cost for the opposite color. It
-// reports to rec as OptimizeLockedR does.
+// reports the DP run, an infeasible component and the component size to
+// rec; a nil rec is the un-instrumented fast path.
 func (t *Tree) Solve(locked map[int]decomp.Color, rec *obs.Recorder) Result {
 	res := Result{Colors: make(map[int]decomp.Color, len(t.nets)), Feasible: true}
 	for v, n := range t.nets {

@@ -57,7 +57,7 @@ func TestQuickDPOptimalOnTrees(t *testing.T) {
 		}
 		res := Optimize(g, nets)
 
-		edges := g.ComponentEdges(g.Component(0))
+		_, edges := g.Component(0)
 		// Brute force optimum.
 		best := -1
 		for mask := 0; mask < 1<<n; mask++ {
@@ -141,12 +141,12 @@ func TestHardEdgesAlwaysSatisfied(t *testing.T) {
 				return true // infeasible graphs are out of scope here
 			}
 		}
-		nets := g.Component(0)
+		nets, edges := g.Component(0)
 		res := Optimize(g, nets)
 		if !res.Feasible {
 			return true
 		}
-		for _, e := range g.ComponentEdges(nets) {
+		for _, e := range edges {
 			a := scenario.Of(res.Colors[e.A], res.Colors[e.B])
 			if e.Prof.Forbidden[a] {
 				return false

@@ -5,6 +5,7 @@
 package fragstore
 
 import (
+	"slices"
 	"sort"
 
 	"sadproute/internal/decomp"
@@ -15,14 +16,14 @@ import (
 // Frag is one rectangle fragment of a net's wiring on one layer, in cell
 // coordinates (Theorem 3 fragmentation).
 type Frag struct {
-	Net   int
-	Rect  geom.Rect
-	alive bool
+	Net  int
+	Rect geom.Rect
 }
 
 // fragStore indexes the routed fragments of one layer for scenario
-// detection; it supports removal for rip-up. A Store is not safe for
-// concurrent use, not even by queries alone.
+// detection; it supports removal for rip-up, which drops a net's fragments
+// from the buckets. A Store is not safe for concurrent use, not even by
+// queries alone.
 type Store struct {
 	frags   []Frag
 	byNet   map[int][]int32
@@ -52,7 +53,7 @@ func (fs *Store) Add(net int, rects []geom.Rect) []int32 {
 	ids := make([]int32, 0, len(rects))
 	for _, r := range rects {
 		id := int32(len(fs.frags))
-		fs.frags = append(fs.frags, Frag{Net: net, Rect: r, alive: true})
+		fs.frags = append(fs.frags, Frag{Net: net, Rect: r})
 		fs.seen = append(fs.seen, 0)
 		fs.byNet[net] = append(fs.byNet[net], id)
 		x0, y0, x1, y1 := fs.keyRange(r)
@@ -67,15 +68,23 @@ func (fs *Store) Add(net int, rects []geom.Rect) []int32 {
 	return ids
 }
 
-// removeNet tombstones all fragments of a net (rip-up).
+// RemoveNet drops every fragment of a net (rip-up) from its buckets; the
+// other fragments keep their order in each bucket.
 func (fs *Store) RemoveNet(net int) {
+	ofNet := func(id int32) bool { return fs.frags[id].Net == net }
 	for _, id := range fs.byNet[net] {
-		fs.frags[id].alive = false
+		x0, y0, x1, y1 := fs.keyRange(fs.frags[id].Rect)
+		for y := y0; y <= y1; y++ {
+			for x := x0; x <= x1; x++ {
+				k := geom.Pt{X: x, Y: y}
+				fs.buckets[k] = slices.DeleteFunc(fs.buckets[k], ofNet)
+			}
+		}
 	}
 	delete(fs.byNet, net)
 }
 
-// query invokes fn once per live fragment whose bucket range intersects r:
+// query invokes fn once per fragment whose bucket range intersects r:
 // buckets row-major, each bucket's fragments in insertion order, a fragment
 // at the first bucket that holds it. fn must not query fs.
 func (fs *Store) Query(r geom.Rect, fn func(f Frag)) {
@@ -87,7 +96,7 @@ func (fs *Store) Query(r geom.Rect, fn func(f Frag)) {
 	for y := y0; y <= y1; y++ {
 		for x := x0; x <= x1; x++ {
 			for _, id := range fs.buckets[geom.Pt{X: x, Y: y}] {
-				if fs.seen[id] == fs.query || !fs.frags[id].alive {
+				if fs.seen[id] == fs.query {
 					continue
 				}
 				fs.seen[id] = fs.query
@@ -97,19 +106,17 @@ func (fs *Store) Query(r geom.Rect, fn func(f Frag)) {
 	}
 }
 
-// netRects returns the live rects of a net.
+// NetRects returns the rects of a net.
 func (fs *Store) NetRects(net int) []geom.Rect {
 	ids := fs.byNet[net]
 	out := make([]geom.Rect, 0, len(ids))
 	for _, id := range ids {
-		if fs.frags[id].alive {
-			out = append(out, fs.frags[id].Rect)
-		}
+		out = append(out, fs.frags[id].Rect)
 	}
 	return out
 }
 
-// NetIDs returns the sorted net ids with live fragments.
+// NetIDs returns the sorted net ids with fragments.
 func (fs *Store) NetIDs() []int {
 	out := make([]int, 0, len(fs.byNet))
 	for n := range fs.byNet {
@@ -119,12 +126,12 @@ func (fs *Store) NetIDs() []int {
 	return out
 }
 
-// Has reports whether the net has live fragments.
+// Has reports whether the net has fragments.
 func (fs *Store) Has(net int) bool { return len(fs.byNet[net]) > 0 }
 
 // Layout assembles the oracle input for the nets in ids on this layer, in
-// the order given: each net's live fragments converted to nm, colored from
-// colors. Nets without live fragments, and skip, are left out (pass -1 to
+// the order given: each net's fragments converted to nm, colored from
+// colors. Nets without fragments, and skip, are left out (pass -1 to
 // skip none).
 func (fs *Store) Layout(g *grid.Grid, colors map[int]decomp.Color, ids []int, skip int) decomp.Layout {
 	ly := decomp.Layout{Rules: g.Rules, Die: g.DieNM()}
@@ -145,7 +152,7 @@ func (fs *Store) Layout(g *grid.Grid, colors map[int]decomp.Color, ids []int, sk
 	return ly
 }
 
-// Layouts assembles the oracle input of every layer: all nets with live
+// Layouts assembles the oracle input of every layer: all nets with
 // fragments, in id order, colored from colors[l].
 func Layouts(stores []*Store, g *grid.Grid, colors []map[int]decomp.Color) []decomp.Layout {
 	out := make([]decomp.Layout, len(stores))

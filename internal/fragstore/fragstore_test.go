@@ -64,13 +64,17 @@ func TestQueryDedup(t *testing.T) {
 	}
 }
 
-// TestQueryOrder checks Query's callback sequence against a per-call map
-// dedupe over the same buckets, on random fragments with removals. The
-// first query reports every fragment; the query number then wraps, and the
-// first query after the wrap, number 1 again, asks for every fragment too.
+// TestQueryOrder checks Query's callback sequence against a model kept
+// apart from the store's buckets, on random fragments with removals: the
+// buckets row-major, each holding the fragments of nets not ripped up in
+// insertion order, deduped per call by a map. The first query reports
+// every fragment; the query number then wraps, and the first query after
+// the wrap, number 1 again, asks for every fragment too.
 func TestQueryOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	fs := New()
+	var added []Frag // every fragment ever added, in insertion order
+	removed := map[int]bool{}
 	for net := range 40 {
 		var rects []geom.Rect
 		for range 1 + rng.Intn(3) {
@@ -78,23 +82,30 @@ func TestQueryOrder(t *testing.T) {
 			rects = append(rects, geom.Rect{X0: x, Y0: y, X1: x + 1 + rng.Intn(40), Y1: y + 1 + rng.Intn(3)})
 		}
 		fs.Add(net, rects)
+		for _, r := range rects {
+			added = append(added, Frag{Net: net, Rect: r})
+		}
 		if rng.Intn(5) == 0 {
-			fs.RemoveNet(rng.Intn(net + 1))
+			n := rng.Intn(net + 1)
+			fs.RemoveNet(n)
+			removed[n] = true
 		}
 	}
 	check := func(r geom.Rect) {
 		t.Helper()
 		var got, want []Frag
 		fs.Query(r, func(f Frag) { got = append(got, f) })
-		seen := map[int32]bool{}
+		seen := map[int]bool{}
 		x0, y0, x1, y1 := fs.keyRange(r)
 		for y := y0; y <= y1; y++ {
 			for x := x0; x <= x1; x++ {
-				for _, id := range fs.buckets[geom.Pt{X: x, Y: y}] {
-					if !seen[id] && fs.frags[id].alive {
-						seen[id] = true
-						want = append(want, fs.frags[id])
+				for id, f := range added {
+					fx0, fy0, fx1, fy1 := fs.keyRange(f.Rect)
+					if seen[id] || removed[f.Net] || x < fx0 || x > fx1 || y < fy0 || y > fy1 {
+						continue
 					}
+					seen[id] = true
+					want = append(want, f)
 				}
 			}
 		}

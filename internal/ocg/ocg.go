@@ -291,22 +291,28 @@ func (g *Graph) newMark(n int) {
 }
 
 // Component returns the nets connected to n (including n) through any
-// edges, in sorted order.
-func (g *Graph) Component(n int) []int {
+// edges, in sorted order, and the edges among them, sorted by (A, B): the
+// result of ComponentEdges on those nets, from the same walk.
+func (g *Graph) Component(n int) ([]int, []*Edge) {
 	g.newMark(n)
 	g.mark[n] = g.stamp
-	out := []int{n}
-	for i := 0; i < len(out); i++ {
-		v := out[i]
+	nets := []int{n}
+	var edges []*Edge
+	for i := 0; i < len(nets); i++ {
+		v := nets[i]
 		for _, e := range g.adj[v] {
+			if e.A == v { // every edge once, from its A side
+				edges = append(edges, e)
+			}
 			if o := e.Other(v); g.mark[o] != g.stamp {
 				g.mark[o] = g.stamp
-				out = append(out, o)
+				nets = append(nets, o)
 			}
 		}
 	}
-	slices.Sort(out)
-	return out
+	slices.Sort(nets)
+	slices.SortFunc(edges, byEnds)
+	return nets, edges
 }
 
 // ComponentEdges returns the unique edges among the given nets, sorted by

@@ -2,6 +2,7 @@ package ocg
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -112,12 +113,35 @@ func TestComponent(t *testing.T) {
 	g.AddScenario(1, 2, soft(1))
 	g.AddScenario(2, 3, soft(1))
 	g.AddScenario(7, 8, soft(1))
-	comp := g.Component(1)
+	comp, edges := g.Component(1)
 	if len(comp) != 3 || comp[0] != 1 || comp[2] != 3 {
 		t.Fatalf("component: %v", comp)
 	}
-	if len(g.ComponentEdges(comp)) != 2 {
+	if len(edges) != 2 {
 		t.Fatal("component edges wrong")
+	}
+}
+
+// TestComponentEdgesOneWalk checks that Component's edges are exactly
+// ComponentEdges of its nets, in the same order, on random graphs with
+// rip-ups.
+func TestComponentEdgesOneWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for range 50 {
+		g := New()
+		n := 2 + rng.Intn(30)
+		for range rng.Intn(3 * n) {
+			g.AddScenario(rng.Intn(n), rng.Intn(n), soft(1+rng.Intn(5)))
+			if rng.Intn(8) == 0 {
+				g.RemoveNet(rng.Intn(n))
+			}
+		}
+		for v := range n {
+			nets, edges := g.Component(v)
+			if want := g.ComponentEdges(nets); !slices.Equal(edges, want) {
+				t.Fatalf("component of %d: one walk gives %d edges, ComponentEdges %d", v, len(edges), len(want))
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"sort"
 
+	"sadproute/internal/astar"
 	"sadproute/internal/colorflip"
 	"sadproute/internal/decomp"
 	"sadproute/internal/fragstore"
@@ -77,14 +78,14 @@ func (st *state) windowResolve(id int) (bad bool, hot []grid.Cell) {
 		// The net made things worse: try to resolve by recoloring its
 		// component with the net's color forced each way. Both attempts
 		// solve one spanning tree: recoloring leaves the graph as it is.
-		comp := st.ocgs[l].Component(id)
+		comp, edges := st.ocgs[l].Component(id)
 		saved := make(map[int]decomp.Color, len(comp))
 		for _, n := range comp {
 			saved[n] = st.colors[l][n]
 		}
 		savedLock, hadLock := st.locks[l][id]
 		resolved := false
-		tree := colorflip.NewTree(st.ocgs[l], comp)
+		tree := colorflip.NewTree(comp, edges)
 		for _, forced := range [2]decomp.Color{st.colors[l][id], st.colors[l][id].Flip()} {
 			st.locks[l][id] = forced
 			r := tree.Solve(st.locks[l], st.rec)
@@ -291,9 +292,11 @@ func (st *state) repairConflicts() {
 			if st.rec.Tracing() {
 				st.rec.Trace("ripup", obs.I("net", id), obs.S("cause", "repair"))
 			}
-			st.inflate(path, 6*st.opt.Alpha)
+			st.inflate(path, 6*st.opt.Alpha*astar.Scale)
 			st.routeNet(id)
 		}
+		// A reroute may rip blockers; they reroute within the pass.
+		st.drainPending()
 	}
 	// Terminal guarantee: if anything still conflicts after the repair
 	// budget, drop the offenders outright — the paper's router guarantees

@@ -250,15 +250,7 @@ func RouteCtx(ctx context.Context, nl *netlist.Netlist, ds rules.Set, opt Option
 		}
 		st.routeNet(id)
 	}
-	// Reroute nets that were ripped up to free resources.
-	for len(st.pending) > 0 && !st.canceled() {
-		id := st.pending[0]
-		st.pending = st.pending[1:]
-		if _, routed := st.res.Paths[id]; routed {
-			continue
-		}
-		st.routeNet(id)
-	}
+	st.drainPending()
 	stopRoute()
 
 	// Final full-layout color flipping (line 16 of Fig. 19). A cancelled
@@ -404,6 +396,19 @@ func (st *state) routeNet(id int) {
 // failReasons names the route_fail reason of each outcome that fails a
 // net for want of a path.
 var failReasons = [...]string{astar.NoPath: "no_path", astar.Aborted: "budget", astar.Invalid: "invalid"}
+
+// drainPending reroutes the nets ripped up to free resources, including
+// those their reroutes rip in turn, so each ends routed or failed.
+func (st *state) drainPending() {
+	for len(st.pending) > 0 && !st.canceled() {
+		id := st.pending[0]
+		st.pending = st.pending[1:]
+		if _, routed := st.res.Paths[id]; routed {
+			continue
+		}
+		st.routeNet(id)
+	}
+}
 
 // ripupBlocker rips an already-routed net to free resources for net id and
 // queues it for rerouting.
@@ -592,8 +597,8 @@ func (st *state) colorNewNet(id int) {
 			continue
 		}
 		if induced := st.inducedOverlay(l, id); induced > st.opt.FlipThresholdNM {
-			nets := st.ocgs[l].Component(id)
-			r := colorflip.OptimizeLockedR(st.ocgs[l], nets, st.locks[l], st.rec)
+			nets, edges := st.ocgs[l].Component(id)
+			r := colorflip.NewTree(nets, edges).Solve(st.locks[l], st.rec)
 			for n, col := range r.Colors {
 				st.colors[l][n] = col
 			}
@@ -647,11 +652,11 @@ func (st *state) flipAll() {
 			if visited[n] {
 				continue
 			}
-			comp := st.ocgs[l].Component(n)
+			comp, edges := st.ocgs[l].Component(n)
 			for _, v := range comp {
 				visited[v] = true
 			}
-			r := colorflip.OptimizeLockedR(st.ocgs[l], comp, st.locks[l], st.rec)
+			r := colorflip.NewTree(comp, edges).Solve(st.locks[l], st.rec)
 			for v, col := range r.Colors {
 				st.colors[l][v] = col
 			}

@@ -60,6 +60,24 @@ func TestRouteSmokeSmall(t *testing.T) {
 		snap.Counter(obs.CtrRouteRipups), tot.SideOverlayUnits, res.CPU)
 }
 
+// TestEveryNetEndsRoutedOrFailed routes the congested instance and the
+// served jobs of the digest corpus, five of which used to strand nets that
+// a repair-pass reroute ripped as blockers: every net must end routed or
+// failed.
+func TestEveryNetEndsRoutedOrFailed(t *testing.T) {
+	specs := []bench.Spec{congestedSpec}
+	for i := range servedDigestSeeds {
+		specs = append(specs, servedDigestSpec(1001+int64(i)))
+	}
+	for _, sp := range specs {
+		nl := bench.Generate(sp)
+		res := router.Route(nl, rules.Node10nm(), router.Defaults())
+		if res.Routed+res.Failed != len(nl.Nets) {
+			t.Errorf("%s: %d routed + %d failed of %d nets", sp.Name, res.Routed, res.Failed, len(nl.Nets))
+		}
+	}
+}
+
 // TestRouteMultiPin exercises multiple pin candidate locations.
 func TestRouteMultiPin(t *testing.T) {
 	nl := bench.Generate(smallSpec(80, 40, 3, 11))
