@@ -30,7 +30,7 @@ func main() {
 	res := sadp.Route(nl, sadp.Node10nm(), sadp.Defaults())
 	_, tot := sadp.Evaluate(res)
 
-	fmt.Printf("routed       : %d/%d nets (%.1f%%)\n", res.Routed, res.Routed+res.Failed, res.Routability())
+	fmt.Printf("routed       : %d/%d nets (%.1f%%)\n", res.Routed, len(nl.Nets), res.Routability())
 	fmt.Printf("wirelength   : %d tracks, %d vias\n", res.WirelengthCells, res.Vias)
 	fmt.Printf("side overlay : %.1f units (%.0f nm)\n", tot.SideOverlayUnits, float64(tot.SideOverlayNM))
 	fmt.Printf("hard overlays: %d (must be 0)\n", tot.HardOverlays)

@@ -1,7 +1,8 @@
 // Package astar implements the grid A*-search engine underlying the
 // paper's overlay-aware detailed router (Section III-E): multi-source /
 // multi-target search over a 3-D routing grid under the inline cost model
-// of eq. (5), an admissible Manhattan heuristic, and path backtrace.
+// of eq. (5), a consistent estimate (Manhattan distance plus the least
+// cost of entering a target), and path backtrace.
 //
 // Costs are integers in half-wirelength units so that the paper's
 // gamma = 1.5 type-2-b weight stays exact.
@@ -19,12 +20,14 @@ import (
 // inline by the engine.
 //
 // Every cost must be non-negative — the weights here and every Pen entry
-// — and every path cost g and estimate f = g + h a search reaches must
-// stay at or below MaxCost: the open list keeps f and g in 32 bits each,
-// and its buckets need an f that never falls. Search refuses a Config with
-// a negative weight, and gives up on reaching a cost outside [0, MaxCost]
-// or an estimate below the f it is expanding (a negative Pen entry can
-// make either); all end Invalid rather than search on a broken order.
+// — and every path cost g, and g plus its Manhattan estimate, a search
+// reaches must stay at or below MaxCost: the open list keeps f and g in 32
+// bits each, and its buckets need an f that never falls. Search refuses a
+// Config with a negative weight, and gives up on reaching a cost outside
+// [0, MaxCost] or an estimate below the f it is expanding (a negative Pen
+// entry can make either); all end Invalid rather than search on a broken
+// order. The entry bound (Engine.entry) never makes a search Invalid: an
+// estimate it would carry past MaxCost is MaxCost.
 type Config struct {
 	// WL, Via are the alpha and beta weights of cost equation (5), in
 	// engine cost units (use Scale to convert).
@@ -110,6 +113,11 @@ type Engine struct {
 	// [0, MaxCost] or an estimate below the f being expanded; the search
 	// ends Invalid at the next pop.
 	invalid bool
+	// entry is the current search's entry bound, added to the estimate of
+	// every cell but a target: the least cost the last step into a target
+	// the net may enter pays on top of its wirelength or via weight (see
+	// Config.entryCost), or 0 when that least cost is negative.
+	entry int
 }
 
 // node is one cell's search record, 8 bytes: the best g pushed and a tag.
@@ -261,8 +269,8 @@ func (e *Engine) Search(id int32, sources, targets []grid.Cell, cfg Config) ([]g
 }
 
 // begin starts a new search id under cfg: it marks every in-grid source and
-// target as a pin and every in-grid target as a goal, and returns the
-// number of distinct goals net id may enter.
+// target as a pin and every in-grid target as a goal, sets the entry bound
+// over the goals net id may enter, and returns their number.
 func (e *Engine) begin(id int32, sources, targets []grid.Cell, cfg Config) int {
 	if e.cur == maxSearchID {
 		// Clear past the binding too: a later Bind may extend the records
@@ -278,7 +286,7 @@ func (e *Engine) begin(id int32, sources, targets []grid.Cell, cfg Config) int {
 			e.record(e.g.Index(s)).tag |= pinBit
 		}
 	}
-	ntargets := 0
+	ntargets, entry := 0, math.MaxInt
 	for _, t := range targets {
 		if !e.g.In(t) {
 			continue
@@ -286,10 +294,15 @@ func (e *Engine) begin(id int32, sources, targets []grid.Cell, cfg Config) int {
 		i := e.g.Index(t)
 		if n := e.record(i); n.tag&targetBit == 0 {
 			n.tag |= pinBit | targetBit
-			if cfg.mayEnter(e.g.AtIndex(i), id) {
+			if v := e.g.AtIndex(i); cfg.mayEnter(v, id) {
 				ntargets++
+				entry = min(entry, cfg.entryCost(v, id, i))
 			}
 		}
+	}
+	e.entry = 0
+	if ntargets > 0 {
+		e.entry = max(entry, 0)
 	}
 	return ntargets
 }
@@ -321,6 +334,22 @@ func (c *Config) nonNegative() bool {
 // it, sources included (they must be free or the net's own).
 func (c *Config) mayEnter(v, id int32) bool {
 	return v == grid.Free || v == id || (c.SoftOccupied > 0 && v >= 0)
+}
+
+// entryCost is what stepCosts charges net id, on top of every other term,
+// for entering cell i holding v, a cell the net may enter: the
+// soft-occupancy toll of another net's cell plus the cell's rip-up
+// penalty. The other terms are >= 0, so every step into the cell costs at
+// least its wirelength or via weight plus this.
+func (c *Config) entryCost(v, id int32, i int) int {
+	cost := 0
+	if v != grid.Free && v != id {
+		cost = c.SoftOccupied
+	}
+	if c.Pen != nil {
+		cost += int(c.Pen[i])
+	}
+	return cost
 }
 
 // stepCosts prices the six moves out of cell c (index i) for net id under
@@ -409,11 +438,18 @@ func moveIndex(m grid.Cell) int {
 	return -1
 }
 
-// h is the Manhattan heuristic over the current search's targets, in
-// engine cost units. It is consistent, hence admissible: every planar step
-// costs at least WL*Scale and every layer change at least Via*Scale, and
-// h falls by at most that much across one step. So no push has an
-// estimate below the f being expanded, which the bucket queue relies on.
+// h is the Manhattan distance from c to the nearest of the current
+// search's targets, in engine cost units: every planar step costs at least
+// WL*Scale and every layer change at least Via*Scale, and h falls by at
+// most that much across one step. The estimate of a cell is h, plus the
+// entry bound off the targets (pushNode). It stays consistent, hence
+// admissible: a step between two other cells keeps the bound on both
+// sides, and a step into a target pays at least its weight plus the bound
+// (Config.entryCost). So no push has an estimate below the f being
+// expanded, which the bucket queue relies on. The bound moves the f of
+// every cell but a target by the same amount, so the order among them is
+// the plain Manhattan order and a search expands a prefix of the cells
+// the plain estimate would have it expand.
 func (e *Engine) h(c grid.Cell) int {
 	best := -1
 	for _, t := range e.targets {
@@ -426,10 +462,11 @@ func (e *Engine) h(c grid.Cell) int {
 }
 
 // pushNode relaxes node i (cell c), entered by move (fromSource at a
-// source), to gcost >= 0 and pushes it on the open list. An estimate above
-// MaxCost, or below the f being expanded (a negative Pen entry made the
-// heuristic inconsistent), is not pushed; it sets invalid, which ends the
-// search.
+// source), to gcost >= 0 and pushes it on the open list at f = gcost + h,
+// plus the entry bound unless c is a target, capped at MaxCost. A gcost + h
+// above MaxCost, or an f below the f being expanded (a negative Pen entry
+// made the estimate inconsistent), is not pushed; it sets invalid, which
+// ends the search.
 func (e *Engine) pushNode(i int, c grid.Cell, gcost int, move uint32) {
 	n := &e.nodes[i]
 	t := n.tag
@@ -439,7 +476,14 @@ func (e *Engine) pushNode(i int, c grid.Cell, gcost int, move uint32) {
 		return
 	}
 	f := gcost + e.h(c)
-	if f > MaxCost || f < e.queue.f {
+	if f > MaxCost {
+		e.invalid = true
+		return
+	}
+	if t&targetBit == 0 {
+		f = min(f+e.entry, MaxCost)
+	}
+	if f < e.queue.f {
 		e.invalid = true
 		return
 	}

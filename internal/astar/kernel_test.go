@@ -89,14 +89,55 @@ type refResult struct {
 	expand, pushes, pops, heapPeak int
 }
 
+// refEstimate selects refSearch's estimate.
+type refEstimate uint8
+
+const (
+	// refBounded is the kernel's estimate: Manhattan plus, off the
+	// targets, the entry bound, capped at MaxCost.
+	refBounded refEstimate = iota
+	// refManhattan is the Manhattan estimate alone, which the entry bound
+	// must not change a path of.
+	refManhattan
+	// refZero drops the estimate, which turns the search into Dijkstra —
+	// the optimality oracle.
+	refZero
+)
+
+// refEntry is the reference's entry bound: the least extra cost, by the
+// reference's step rule, of entering an in-grid target net id may enter
+// (the soft-occupancy toll plus the rip-up penalty), or 0 when that is
+// negative. enterable reports whether net id may enter any target.
+func refEntry(g *grid.Grid, id int32, targets []grid.Cell, cfg Config) (entry int, enterable bool) {
+	least := 0
+	for _, t := range targets {
+		if !g.In(t) {
+			continue
+		}
+		cost := 0
+		if !g.FreeOrNet(t, id) {
+			if cfg.SoftOccupied <= 0 || g.At(t) < 0 {
+				continue
+			}
+			cost = cfg.SoftOccupied
+		}
+		if cfg.Pen != nil {
+			cost += int(cfg.Pen[g.Index(t)])
+		}
+		if !enterable || cost < least {
+			least, enterable = cost, true
+		}
+	}
+	return max(least, 0), enterable
+}
+
 // refSearch is the reference the kernel is differentially checked
 // against: closure-priced steps, map-based per-cell state, container/heap
-// ordering and the admissible heuristic. zeroH drops the heuristic, which
-// turns the search into Dijkstra — the optimality oracle. cost is the
-// found path's cost. The outcome is Found, Aborted when the expansion
-// budget runs out, and NoPath otherwise; the reference never sees a cost
-// the kernel would refuse.
-func refSearch(g *grid.Grid, id int32, sources, targets []grid.Cell, cfg Config, zeroH bool) (r refResult, cost int) {
+// ordering and the estimate est. cost is the found path's cost. The
+// outcome is Found, Aborted when the expansion budget runs out, and
+// NoPath otherwise; the reference never sees a cost the kernel would
+// refuse.
+func refSearch(g *grid.Grid, id int32, sources, targets []grid.Cell, cfg Config, est refEstimate) (r refResult, cost int) {
 	r.out = NoPath
 	if len(sources) == 0 || len(targets) == 0 {
 		return r, 0
@@ -116,9 +157,13 @@ func refSearch(g *grid.Grid, id int32, sources, targets []grid.Cell, cfg Config,
 		return r, 0
 	}
 	step := refStepCost(g, id, cfg, pins)
-	h := func(c grid.Cell) int {
-		if zeroH {
-			return 0
+	entry := 0
+	if est == refBounded {
+		entry, _ = refEntry(g, id, targets, cfg)
+	}
+	f := func(c grid.Cell, gc int) int {
+		if est == refZero {
+			return gc
 		}
 		best := -1
 		for _, t := range targets {
@@ -127,7 +172,10 @@ func refSearch(g *grid.Grid, id int32, sources, targets []grid.Cell, cfg Config,
 				best = d
 			}
 		}
-		return best * Scale
+		if goals[c] {
+			return gc + best*Scale
+		}
+		return min(gc+best*Scale+entry, MaxCost)
 	}
 	dist := map[grid.Cell]int{}
 	parent := map[grid.Cell]grid.Cell{}
@@ -142,7 +190,7 @@ func refSearch(g *grid.Grid, id int32, sources, targets []grid.Cell, cfg Config,
 		} else {
 			delete(parent, c)
 		}
-		heap.Push(q, refItem{c: c, f: gc + h(c), g: gc, seq: r.pushes})
+		heap.Push(q, refItem{c: c, f: f(c, gc), g: gc, seq: r.pushes})
 		r.pushes++
 		r.heapPeak = max(r.heapPeak, q.Len())
 	}
@@ -254,22 +302,15 @@ func kernelQuery(rng *rand.Rand, g *grid.Grid) (int32, []grid.Cell, []grid.Cell,
 	return id, src, tgt, cfg
 }
 
-// enterableTarget reports whether net id may enter any in-grid target
-// under cfg, by the reference's step rule.
-func enterableTarget(g *grid.Grid, id int32, targets []grid.Cell, cfg Config) bool {
-	for _, t := range targets {
-		if g.In(t) && (g.FreeOrNet(t, id) || cfg.SoftOccupied > 0 && g.At(t) >= 0) {
-			return true
-		}
-	}
-	return false
-}
-
-// checkKernel runs one search on the kernel and on the reference and fails
-// on any difference in outcome, path or statistics; for found paths it
-// also checks Price against the search cost and, without an expansion
-// budget, the cost against Dijkstra. A search with no enterable target is
-// the exception: the kernel must end it NoPath before expanding, and the
+// checkKernel runs one search on the kernel and on the bounded reference
+// and fails on any difference in outcome, path or statistics. It holds the
+// kernel to the plain-Manhattan reference too: where that ends Found or
+// NoPath, the kernel ends the same way on the same path, expanding no more
+// nodes; where its budget runs out, the kernel ends Aborted, or Found at
+// the cost the unbudgeted plain reference finds. For found paths it also
+// checks Price against the search cost and, without an expansion budget,
+// the cost against Dijkstra. A search with no enterable target is the
+// exception: the kernel must end it NoPath before expanding, and the
 // reference, run without an expansion budget, must prove NoPath.
 func checkKernel(t *testing.T, e *Engine, g *grid.Grid, id int32, src, tgt []grid.Cell, cfg Config) {
 	t.Helper()
@@ -278,10 +319,10 @@ func checkKernel(t *testing.T, e *Engine, g *grid.Grid, id int32, src, tgt []gri
 		path: path, out: out,
 		expand: e.Expand, pushes: e.Pushes, pops: e.Pops, heapPeak: e.HeapPeak,
 	}
-	if !enterableTarget(g, id, tgt, cfg) {
+	if _, enterable := refEntry(g, id, tgt, cfg); !enterable {
 		unbounded := cfg
 		unbounded.MaxExpand = 0
-		if want, _ := refSearch(g, id, src, tgt, unbounded, false); want.out != NoPath {
+		if want, _ := refSearch(g, id, src, tgt, unbounded, refBounded); want.out != NoPath {
 			t.Fatalf("no enterable target on %dx%dx%d grid, net %d, %v -> %v, cfg %+v, yet the reference ends %v with %v",
 				g.W, g.H, g.Layers, id, src, tgt, cfg, want.out, want.path)
 		}
@@ -291,11 +332,12 @@ func checkKernel(t *testing.T, e *Engine, g *grid.Grid, id int32, src, tgt []gri
 		}
 		return
 	}
-	want, cost := refSearch(g, id, src, tgt, cfg, false)
+	want, cost := refSearch(g, id, src, tgt, cfg, refBounded)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("kernel and reference disagree on %dx%dx%d grid, net %d, %v -> %v, cfg %+v:\nkernel    %+v\nreference %+v",
 			g.W, g.H, g.Layers, id, src, tgt, cfg, got, want)
 	}
+	checkPlain(t, g, id, src, tgt, cfg, got, cost)
 	if out != Found {
 		return
 	}
@@ -303,9 +345,34 @@ func checkKernel(t *testing.T, e *Engine, g *grid.Grid, id int32, src, tgt []gri
 		t.Fatalf("Price = %d, %v; search cost %d", p, priced, cost)
 	}
 	if cfg.MaxExpand == 0 {
-		if opt, optCost := refSearch(g, id, src, tgt, cfg, true); opt.out != Found || optCost != cost {
-			t.Fatalf("A* cost %d, Dijkstra optimum %d (%v): heuristic not admissible", cost, optCost, opt.out)
+		if opt, optCost := refSearch(g, id, src, tgt, cfg, refZero); opt.out != Found || optCost != cost {
+			t.Fatalf("A* cost %d, Dijkstra optimum %d (%v): estimate not admissible", cost, optCost, opt.out)
 		}
+	}
+}
+
+// checkPlain holds the kernel's result got, of path cost cost, to the
+// plain-Manhattan reference: the entry bound may only cut expansions, or
+// finish a search the plain estimate runs out of budget on, at the
+// optimal cost.
+func checkPlain(t *testing.T, g *grid.Grid, id int32, src, tgt []grid.Cell, cfg Config, got refResult, cost int) {
+	t.Helper()
+	plain, _ := refSearch(g, id, src, tgt, cfg, refManhattan)
+	switch {
+	case plain.out != Aborted:
+		if got.out != plain.out || !reflect.DeepEqual(got.path, plain.path) || got.expand > plain.expand {
+			t.Fatalf("the entry bound changed a search on %dx%dx%d grid, net %d, %v -> %v, cfg %+v:\nkernel %+v\nplain  %+v",
+				g.W, g.H, g.Layers, id, src, tgt, cfg, got, plain)
+		}
+	case got.out == Found:
+		unbudgeted := cfg
+		unbudgeted.MaxExpand = 0
+		if full, fullCost := refSearch(g, id, src, tgt, unbudgeted, refManhattan); full.out != Found || fullCost != cost {
+			t.Fatalf("plain reference aborts, kernel finds cost %d, unbudgeted plain reference %v at cost %d",
+				cost, full.out, fullCost)
+		}
+	case got.out != Aborted:
+		t.Fatalf("plain reference aborts, kernel ends %v", got.out)
 	}
 }
 
@@ -377,8 +444,9 @@ func TestKernelMatchesReference(t *testing.T) {
 // FuzzAstarKernel is the differential bar for the inline-priced kernel:
 // on random grids with blockages, foreign and own cells, penalty planes,
 // multi-candidate pins, random cost weights and expansion budgets, it must
-// return the reference search's outcome, path and
-// Expand/Pushes/Pops/HeapPeak. The corpus
+// return the bounded reference search's outcome, path and
+// Expand/Pushes/Pops/HeapPeak, and the plain-Manhattan reference's path
+// and outcome with no more expansions (checkKernel). The corpus
 // seeds 2066, 2164 and 2019 open with a target owned by another net, a
 // blocked target under SoftOccupied, and a target owned by the searching
 // net: the first two end before expanding, the third searches.
@@ -387,6 +455,50 @@ func FuzzAstarKernel(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(kernelOne)
+}
+
+// checkEntryBound holds one search to both references (checkKernel) and
+// requires the entry bound to at least halve the plain estimate's
+// expansions.
+func checkEntryBound(t *testing.T, g *grid.Grid, id int32, src, tgt []grid.Cell, cfg Config) {
+	t.Helper()
+	e := New(g)
+	checkKernel(t, e, g, id, src, tgt, cfg)
+	plain, _ := refSearch(g, id, src, tgt, cfg, refManhattan)
+	if plain.out != Found || 2*e.Expand > plain.expand {
+		t.Fatalf("entry bound: %d expansions, plain estimate %d (%v); want at most half", e.Expand, plain.expand, plain.out)
+	}
+}
+
+// TestEntryBoundPenalizedTarget: a reroute whose target, and the ring of
+// cells around it, carry rip-up penalty from earlier attempts; the target
+// carries the most, as every rerouted path of the net ends on it. The
+// Manhattan estimate ignores the penalty and floods every cell cheaper
+// than it; the entry bound charges the target's penalty up front and
+// finds the same path.
+func TestEntryBoundPenalizedTarget(t *testing.T) {
+	g := mk(32, 32, 2)
+	src, tgt := []grid.Cell{{X: 2, Y: 16}}, []grid.Cell{{X: 29, Y: 16}}
+	pen := make([]int32, g.W*g.H*g.Layers)
+	for l := range g.Layers {
+		for y := 15; y <= 17; y++ {
+			for x := 28; x <= 30; x++ {
+				pen[g.Index(grid.Cell{X: x, Y: y, L: l})] = 8
+			}
+		}
+	}
+	pen[g.Index(tgt[0])] = 24
+	checkEntryBound(t, g, 0, src, tgt, Config{WL: 1, Via: 1, Pen: pen, PinVia: 12, Gamma2: 3, DirPenalty: 2})
+}
+
+// TestEntryBoundBlockerProbe: a blocker probe, whose target is another
+// net's cell, passable under SoftOccupied. The Manhattan estimate ignores
+// the toll every path pays to enter the target; the entry bound charges it.
+func TestEntryBoundBlockerProbe(t *testing.T) {
+	g := mk(32, 32, 2)
+	src, tgt := []grid.Cell{{X: 2, Y: 16}}, []grid.Cell{{X: 29, Y: 16}}
+	g.Occupy(tgt[0], 7)
+	checkEntryBound(t, g, 1, src, tgt, Config{WL: 1, Via: 1, Gamma2: 3, DirPenalty: 2, SoftOccupied: 80})
 }
 
 // TestPackedKeyOrder checks the queue's (f, sub) order against the
@@ -423,9 +535,11 @@ func TestPackedKeyOrder(t *testing.T) {
 }
 
 // TestCostCeiling pins the range guard: a path cost of exactly MaxCost is
-// searchable, while a cost beyond it, a negative weight, a negative
-// penalty or one that lowers the estimate below the f being expanded ends
-// the search Invalid instead of breaking the open list's order.
+// searchable, and so is a search whose entry bound carries an estimate
+// past MaxCost (it is capped there), while a cost beyond it, a negative
+// weight, a negative penalty or one that lowers the estimate below the f
+// being expanded ends the search Invalid instead of breaking the open
+// list's order.
 func TestCostCeiling(t *testing.T) {
 	g := mk(2, 1, 1)
 	pen := []int32{0, MaxCost}
@@ -436,6 +550,20 @@ func TestCostCeiling(t *testing.T) {
 	}
 	if cost, ok := e.Price(0, src, tgt, []grid.Cell{{X: 0}, {X: 1}}, Config{Pen: pen}); !ok || cost != MaxCost {
 		t.Fatalf("Price = %d, %v; want MaxCost", cost, ok)
+	}
+	// The entry bound carries cell 0, off the path from cell 1 to the last
+	// cell, past MaxCost: to a tie with the target at MaxCost, and to 5,000
+	// past the f of the source, where an uncapped f would wrap into the
+	// bucket window ahead of the path. Capped, both searches find their
+	// path, as the plain estimate does.
+	for _, pen := range [][]int32{{0, 0, MaxCost - Scale}, {4996, 0, 1000, MaxCost - 2000}} {
+		g := mk(len(pen), 1, 1)
+		src, tgt := []grid.Cell{{X: 1}}, []grid.Cell{{X: len(pen) - 1}}
+		cfg := Config{WL: 1, Pen: pen}
+		if path, out := New(g).Search(0, src, tgt, cfg); out != Found || len(path) != len(pen)-1 {
+			t.Fatalf("entry bound past MaxCost, Pen %v: outcome %v, path %v; want the found path", pen, out, path)
+		}
+		checkKernel(t, New(g), g, 0, src, tgt, cfg)
 	}
 	for name, cfg := range map[string]Config{
 		"cost MaxCost+2": {WL: 1, Pen: pen},

@@ -70,13 +70,23 @@ func benchGrid() *grid.Grid {
 	return g
 }
 
+// benchQuery is the benchmarks' search on benchGrid: corner to corner,
+// under the router's weights and an all-zero penalty plane.
+func benchQuery() (g *grid.Grid, cfg Config, src, dst []grid.Cell) {
+	g = benchGrid()
+	cfg = Config{WL: 1, Via: 1, Pen: make([]int32, g.W*g.H*g.Layers), PinVia: 12, Gamma2: 3, DirPenalty: 2}
+	return g, cfg, []grid.Cell{{X: 1, Y: 1}}, []grid.Cell{{X: 62, Y: 62, L: 2}}
+}
+
 func benchSearch(b *testing.B, rec *obs.Recorder) {
-	g := benchGrid()
+	g, cfg, src, dst := benchQuery()
 	e := New(g)
 	e.Rec = rec
-	cfg := Config{WL: 1, Via: 1, Pen: make([]int32, g.W*g.H*g.Layers), PinVia: 12, Gamma2: 3, DirPenalty: 2}
-	src := []grid.Cell{{X: 1, Y: 1}}
-	dst := []grid.Cell{{X: 62, Y: 62, L: 2}}
+	benchLoop(b, e, src, dst, cfg)
+}
+
+// benchLoop times e's search from src to dst under cfg.
+func benchLoop(b *testing.B, e *Engine, src, dst []grid.Cell, cfg Config) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -84,6 +94,7 @@ func benchSearch(b *testing.B, rec *obs.Recorder) {
 			b.Fatal("no path")
 		}
 	}
+	b.ReportMetric(float64(e.Expand), "expanded/op")
 }
 
 // BenchmarkSearchBare is the un-instrumented baseline: no recorder
@@ -95,3 +106,23 @@ func BenchmarkSearchBare(b *testing.B) { benchSearch(b, nil) }
 // BenchmarkSearchInstrumented attaches a live recorder: the same search
 // plus one atomic flush per Search call.
 func BenchmarkSearchInstrumented(b *testing.B) { benchSearch(b, obs.New()) }
+
+// BenchmarkSearchPenalizedTarget is a reroute: the benchmark search again
+// after a failed attempt inflated its path by 2*Scale and its pins by
+// 16*Scale, as the router inflates a ripped-up path and its hot cells. The
+// entry bound charges the target's penalty from the first expansion.
+func BenchmarkSearchPenalizedTarget(b *testing.B) {
+	g, cfg, src, dst := benchQuery()
+	e := New(g)
+	path, out := e.Search(0, src, dst, cfg)
+	if out != Found {
+		b.Fatal("no path")
+	}
+	for _, c := range path {
+		cfg.Pen[g.Index(c)] += 2 * Scale
+	}
+	for _, c := range [...]grid.Cell{src[0], dst[0]} {
+		cfg.Pen[g.Index(c)] += 16 * Scale
+	}
+	benchLoop(b, e, src, dst, cfg)
+}

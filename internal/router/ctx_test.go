@@ -106,3 +106,26 @@ func TestRouteCtxMidRunCancel(t *testing.T) {
 			len(partial.Paths), len(full.Paths))
 	}
 }
+
+// TestRoutabilityCountsUnreachedNets: the partial result of a cancelled
+// run leaves nets neither routed nor failed, and Routability divides by
+// every net of the netlist, not by the nets the run reached.
+func TestRoutabilityCountsUnreachedNets(t *testing.T) {
+	nl := bench.Generate(bench.Spec{
+		Name: "ctx-mid", Nets: 30, Tracks: 32, Layers: 3,
+		Seed: 47, PinCandidates: 1, AvgHPWL: 8, Blockages: 2,
+	})
+	ctx := &countdownCtx{Context: context.Background(), allow: 8}
+	partial, err := router.RouteCtx(ctx, nl, rules.Node10nm(), router.Defaults())
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if partial.Routed == 0 || partial.Routed+partial.Failed >= len(nl.Nets) {
+		t.Fatalf("fixture: %d routed and %d failed of %d nets, want a partial run that routed some",
+			partial.Routed, partial.Failed, len(nl.Nets))
+	}
+	want := 100 * float64(partial.Routed) / float64(len(nl.Nets))
+	if got := partial.Routability(); got != want {
+		t.Errorf("Routability() = %.2f%%, want %d of %d nets = %.2f%%", got, partial.Routed, len(nl.Nets), want)
+	}
+}

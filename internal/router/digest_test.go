@@ -11,8 +11,14 @@ import (
 
 // wantRouteDigest pins the router's output on the digest corpus. Re-pin it
 // only for a change that means to alter routes, colors or counters outside
-// decomp.*, and say so.
-const wantRouteDigest = "12f1c7daa926acb7ad236730f5b72db1664b6891184baeb71ad67f7e95e82307"
+// decomp.*, or that moves only A*'s search work (then
+// wantRouteMaskedDigest stays), and say so.
+const wantRouteDigest = "e7d3f582616375228072ce744a586857c56e090157242471f70c9ed117d3eef4"
+
+// wantRouteMaskedDigest pins the same corpus with A*'s search work masked
+// (routeRun.dump's maskSearch). A change that only makes searches expand
+// fewer nodes re-pins wantRouteDigest and must leave this one unchanged.
+const wantRouteMaskedDigest = "70dad917daeee7f9eb227d49f9d123276de92d540beb5afe864c2facd106bdbc"
 
 // servedDigestSeeds are the generator seeds of the first ten jobs of
 // perfbench's served workload at seed 1.
@@ -25,24 +31,29 @@ func servedDigestSpec(seed int64) bench.Spec {
 		PinCandidates: 1, AvgHPWL: 32 / 4, Blockages: 2}
 }
 
-// TestRouteDigest hashes one SHA-256 over what memoDump renders of every
-// run in the corpus — totals, paths, colors, the per-net table and every
-// counter, gauge and histogram outside decomp.* — for the equivalence
-// instances, the congested instance and the first served jobs. The trace
-// is left out: a window that is clean with its new net carries no
-// baseline badness. A speed-up of the router's checks must leave the
-// digest unchanged.
+// TestRouteDigest hashes one SHA-256 over what routeRun.dump renders of
+// every run in the corpus — totals, paths, colors, the per-net table and
+// every counter, gauge and histogram outside decomp.* — for the
+// equivalence instances, the congested instance and the first served
+// jobs, and a second one over the same dumps with the search work masked.
+// The trace is left out: a window that is clean with its new net carries
+// no baseline badness. A speed-up of the router's checks must leave both
+// digests unchanged.
 func TestRouteDigest(t *testing.T) {
 	specs := append(append([]bench.Spec{}, memoSpecs...), congestedSpec)
 	for i := range servedDigestSeeds {
 		specs = append(specs, servedDigestSpec(1001+int64(i)))
 	}
-	h := sha256.New()
+	full, masked := sha256.New(), sha256.New()
 	for _, sp := range specs {
-		dump, _, _ := memoDump(t, sp)
-		fmt.Fprintf(h, "%s\n%s", sp.Name, dump)
+		run := routeSpec(t, sp)
+		fmt.Fprintf(full, "%s\n%s", sp.Name, run.dump(false))
+		fmt.Fprintf(masked, "%s\n%s", sp.Name, run.dump(true))
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != wantRouteDigest {
-		t.Fatalf("route digest = %s, want %s", got, wantRouteDigest)
+	if got := hex.EncodeToString(masked.Sum(nil)); got != wantRouteMaskedDigest {
+		t.Errorf("search-masked route digest = %s, want %s", got, wantRouteMaskedDigest)
+	}
+	if got := hex.EncodeToString(full.Sum(nil)); got != wantRouteDigest {
+		t.Errorf("route digest = %s, want %s", got, wantRouteDigest)
 	}
 }

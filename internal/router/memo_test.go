@@ -3,6 +3,7 @@ package router_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"sadproute/internal/bench"
@@ -23,11 +24,16 @@ var memoSpecs = []bench.Spec{
 // full layers are decomposed again after reroutes.
 var congestedSpec = bench.Spec{Name: "congested", Nets: 150, Tracks: 36, Layers: 3, Seed: 9, PinCandidates: 2, AvgHPWL: 4, Blockages: 2}
 
-// memoDump routes sp and returns everything observable about the run
-// except the decomp.* family, which counts oracle work the memo saves:
-// totals, paths, colors, every other counter and histogram, and the
-// per-net table. It also returns the JSONL trace and the snapshot.
-func memoDump(t *testing.T, sp bench.Spec) (string, string, obs.Snapshot) {
+// routeRun is everything observable about one default route of a spec.
+type routeRun struct {
+	res   *router.Result
+	snap  obs.Snapshot
+	stats []obs.NetStat
+	trace string // the JSONL trace
+}
+
+// routeSpec routes sp under the default options with a tracing recorder.
+func routeSpec(t *testing.T, sp bench.Spec) routeRun {
 	t.Helper()
 	rec := obs.New()
 	var tr bytes.Buffer
@@ -38,15 +44,34 @@ func memoDump(t *testing.T, sp bench.Spec) (string, string, obs.Snapshot) {
 	if err := rec.TraceErr(); err != nil {
 		t.Fatal(err)
 	}
-	snap := rec.Snapshot()
-	work := snap
+	return routeRun{res: res, snap: rec.Snapshot(), stats: rec.NetStats(), trace: tr.String()}
+}
+
+// dump renders the run except the decomp.* family, which counts oracle
+// work the memo saves: totals, paths, colors, every other counter, gauge
+// and histogram, and the per-net table. maskSearch also zeroes A*'s search
+// work — the astar.* counters and histogram, the astar.heap_peak gauge and
+// the per-net expanded column — which a search may cut without changing
+// any route.
+func (r routeRun) dump(maskSearch bool) string {
+	work := r.snap
 	work.ZeroFamily("decomp.")
+	stats := r.stats
+	if maskSearch {
+		work.ZeroFamily("astar.")
+		work.Gauges[obs.GaugeAstarHeapPeak] = 0
+		stats = slices.Clone(stats)
+		for i := range stats {
+			stats[i].Expanded = 0
+		}
+	}
 	var b bytes.Buffer
+	res := r.res
 	fmt.Fprintf(&b, "routed=%d failed=%d wl=%d vias=%d\n", res.Routed, res.Failed, res.WirelengthCells, res.Vias)
 	b.WriteString(work.CountersString())
-	b.WriteString(obs.NetStatsString(rec.NetStats()))
+	b.WriteString(obs.NetStatsString(stats))
 	fmt.Fprintf(&b, "paths=%v\ncolors=%v\n", res.Paths, res.Colors)
-	return b.String(), tr.String(), snap
+	return b.String()
 }
 
 // checkMemoTransparent holds the router's verdict memo to the uncached
@@ -57,28 +82,29 @@ func memoDump(t *testing.T, sp bench.Spec) (string, string, obs.Snapshot) {
 // snapshot.
 func checkMemoTransparent(t *testing.T, sp bench.Spec) obs.Snapshot {
 	t.Helper()
-	want, wantTr, snap := memoDump(t, sp)
-	if snap.Counter(obs.CtrDecompMemoHits) == 0 {
+	def := routeSpec(t, sp)
+	if def.snap.Counter(obs.CtrDecompMemoHits) == 0 {
 		t.Fatal("the memo never hit at its default capacity")
 	}
+	want := def.dump(false)
 	for _, memoCap := range []int{0, 2} {
 		restore := router.SetMemoCap(memoCap)
-		got, gotTr, s := memoDump(t, sp)
+		run := routeSpec(t, sp)
 		restore()
-		if memoCap == 0 && s.Counter(obs.CtrDecompMemoHits) != 0 {
-			t.Errorf("cap 0: %d hits, want none", s.Counter(obs.CtrDecompMemoHits))
+		if memoCap == 0 && run.snap.Counter(obs.CtrDecompMemoHits) != 0 {
+			t.Errorf("cap 0: %d hits, want none", run.snap.Counter(obs.CtrDecompMemoHits))
 		}
-		if memoCap == 2 && s.Counter(obs.CtrDecompMemoEvictions) == 0 {
+		if memoCap == 2 && run.snap.Counter(obs.CtrDecompMemoEvictions) == 0 {
 			t.Error("cap 2: nothing was evicted")
 		}
-		if got != want {
+		if got := run.dump(false); got != want {
 			t.Fatalf("cap %d diverges from the default:\n--- default\n%s\n--- cap %d\n%s", memoCap, want, memoCap, got)
 		}
-		if gotTr != wantTr {
+		if run.trace != def.trace {
 			t.Fatalf("cap %d: trace diverges from the default", memoCap)
 		}
 	}
-	return snap
+	return def.snap
 }
 
 // TestVerdictMemoTransparent holds the memo to the uncached oracle on the

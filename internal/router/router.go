@@ -124,13 +124,13 @@ type Result struct {
 	nl              *netlist.Netlist
 }
 
-// Routability returns the fraction of nets routed, in percent.
+// Routability returns the share of the netlist's nets routed, in percent.
+// A net a cancelled run never reached counts as not routed.
 func (r *Result) Routability() float64 {
-	total := r.Routed + r.Failed
-	if total == 0 {
+	if len(r.nl.Nets) == 0 {
 		return 100
 	}
-	return 100 * float64(r.Routed) / float64(total)
+	return 100 * float64(r.Routed) / float64(len(r.nl.Nets))
 }
 
 // Layouts exports the routed, colored design as per-layer decomposition
@@ -156,7 +156,7 @@ type state struct {
 	frags  []*fragstore.Store
 	colors []map[int]decomp.Color
 	locks  []map[int]decomp.Color // colors pinned by the cut-conflict check
-	pen    []int32                // rip-up cost inflation, grid index order
+	pen    []int32                // rip-up cost inflation, grid index order; nil until the first inflate
 	// sp/speng are the corridor graph and its pooled engine, live only
 	// under Options.SparseSearch. sp mirrors g: commit and ripup forward
 	// every cell mutation.
@@ -214,7 +214,6 @@ func RouteCtx(ctx context.Context, nl *netlist.Netlist, ds rules.Set, opt Option
 		rec: rec,
 		ctx: ctx,
 	}
-	st.pen = make([]int32, st.g.W*st.g.H*st.g.Layers)
 	st.eng = astar.Acquire(st.g)
 	defer st.eng.Release()
 	st.eng.Rec = rec
@@ -438,9 +437,10 @@ func (st *state) search(id int, n netlist.Net) ([]grid.Cell, astar.Outcome) {
 }
 
 // searchCfg builds the eq. (5) cost model of a net's first search over the
-// penalty plane pen: st.pen, or nil for the uniform terms alone (the
-// corridor engine's cost model). Shared by every first search and by
-// repriceDense, so all of them price steps identically.
+// penalty plane pen: st.pen (nil before the first rip-up), or nil for the
+// uniform terms alone (the corridor engine's cost model). Shared by every
+// first search and by repriceDense, so all of them price steps
+// identically.
 func (st *state) searchCfg(pen []int32) astar.Config {
 	return astar.Config{
 		WL:         st.opt.Alpha,
@@ -453,8 +453,13 @@ func (st *state) searchCfg(pen []int32) astar.Config {
 	}
 }
 
-// inflate adds delta to the rip-up penalty of every cell in cells.
+// inflate adds delta to the rip-up penalty of every cell in cells. The
+// penalty plane is allocated here, on the run's first rip-up: a run that
+// never rips a net up (Huge1-3) searches without one.
 func (st *state) inflate(cells []grid.Cell, delta int) {
+	if st.pen == nil {
+		st.pen = make([]int32, st.g.W*st.g.H*st.g.Layers)
+	}
 	for _, c := range cells {
 		st.pen[st.g.Index(c)] += int32(delta)
 	}
