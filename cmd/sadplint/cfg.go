@@ -3,12 +3,12 @@ package main
 import "go/ast"
 
 // This file builds a per-function control-flow graph from the go/ast of a
-// function body. The CFG is the substrate for the dataflow rules
-// (poolleak, the taint-mode maprange): nodes are individual statements,
-// edges are possible successors, and a single synthetic exit node stands
-// for every way out of the function — falling off the end, any return,
-// and any explicit panic (deferred calls still run on panic, which is why
-// rules treat a reached `defer` as covering panic edges too).
+// function body. The CFG is the substrate of the taint-mode maprange rule,
+// whose fixtures BranchSort, Retaint, Reassigned and LoopSort need its
+// flow sensitivity: nodes are individual statements, edges are possible
+// successors, and a single synthetic exit node stands for every way out
+// of the function — falling off the end, any return, and any explicit
+// panic.
 //
 // Compound statements are decomposed so that each executable step gets
 // its own node: an `if` contributes its condition (init statements get
@@ -16,8 +16,7 @@ import "go/ast"
 // edge through post, a `range` contributes one per-iteration binding
 // node, and switch/select contribute a dispatch node fanning out to the
 // clause bodies. Function literals are opaque at the enclosing function's
-// nodes — their bodies are separate CFGs — except that rules may peek
-// inside `defer func() { ... }()` closures deliberately.
+// nodes; their bodies are separate CFGs.
 
 // cfgNode is one executable step. stmt is nil only for the synthetic
 // exit node.

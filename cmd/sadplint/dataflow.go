@@ -1,13 +1,11 @@
 package main
 
 // A minimal intraprocedural forward dataflow framework over funcCFG. The
-// facts are sets of small integer ids — a tracked pool handle for
-// poolleak, a tainted variable for the maprange taint pass — and the join
-// is set union, i.e. may-analyses: a fact holds at a node if it holds on
-// ANY path reaching it. That is the right polarity for both clients: a
-// pool handle that is still open on any path to the exit is a leak, and a
-// value that is map-order-derived on any path into a sink is
-// nondeterministic.
+// facts are sets of small integer ids — the tainted variables of the
+// maprange taint pass — and the join is set union, i.e. a may-analysis: a
+// fact holds at a node if it holds on ANY path reaching it. That is the
+// right polarity for maprange: a value that is map-order-derived on any
+// path into a sink is nondeterministic.
 
 // idset is a small immutable-by-convention set of fact ids.
 type idset map[int]struct{}

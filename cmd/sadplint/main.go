@@ -1,16 +1,13 @@
 // Command sadplint is the repo's custom static-analysis pass. It encodes
 // invariants the Go compiler cannot check, as self-registering rules over
-// a shared type-checked loader, per-function control-flow graphs, and a
-// small intraprocedural dataflow framework (see rule.go, cfg.go,
-// dataflow.go). The full catalogue with examples lives in
-// docs/lint-rules.md; in brief:
+// a shared type-checked loader (see rule.go). The maprange rule runs on a
+// per-function control-flow graph and a small intraprocedural dataflow
+// framework (cfg.go, dataflow.go). The full catalogue with examples lives
+// in docs/lint-rules.md; in brief:
 //
 //   - maprange: map-range-derived values must not reach appends or
 //     ordered output (fmt print families, Write*, Trace/Debugf calls)
 //     without an intervening sort — a taint-style dataflow check.
-//   - poolleak: pool handles (astar.Acquire, decomp.Acquire, any
-//     internal Acquire) bound to locals must reach a Release on every
-//     CFG path: defer, or a release on all return/panic edges.
 //   - wallclock: no time.Now/Since/Sleep/... reads and no math/rand in
 //     internal/ — the determinism contract behind the byte-identical
 //     trace and table guarantees.

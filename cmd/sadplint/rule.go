@@ -13,9 +13,8 @@ import (
 // The rule engine. Every rule is a self-registering pass: its file calls
 // register() from init() with a name, a one-line doc string, and a file-
 // and/or package-level run function. The engine owns everything shared —
-// loading, the `//lint:allow` directive index, CFG construction and
-// caching — so a rule is only its domain logic. docs/lint-rules.md
-// catalogues the rules themselves.
+// loading and the `//lint:allow` directive index — so a rule is only its
+// domain logic. docs/lint-rules.md catalogues the rules themselves.
 
 // finding is one reported violation.
 type finding struct {
@@ -112,7 +111,6 @@ func lintFile(l *loader, p *lintPkg, file *ast.File, known map[string]bool) []fi
 		p:     p,
 		file:  file,
 		allow: map[int]map[string]bool{},
-		cfgs:  map[*ast.BlockStmt]*funcCFG{},
 	}
 	ps.collectDirectives(known)
 	for _, r := range registry {
@@ -137,7 +135,6 @@ type pass struct {
 	file     *ast.File
 	allow    map[int]map[string]bool // line -> rules allowed on that line
 	findings []finding
-	cfgs     map[*ast.BlockStmt]*funcCFG // shared CFG cache across rules
 }
 
 func (c *pass) report(pos token.Pos, rule, format string, args ...any) {
@@ -152,16 +149,6 @@ func (c *pass) report(pos token.Pos, rule, format string, args ...any) {
 // (under internal/), where the library-only rules apply.
 func (c *pass) inInternal() bool {
 	return strings.HasPrefix(c.p.relDir, "internal/") || c.p.relDir == "internal"
-}
-
-// cfgFor returns the (cached) CFG of a function body.
-func (c *pass) cfgFor(body *ast.BlockStmt) *funcCFG {
-	if g, ok := c.cfgs[body]; ok {
-		return g
-	}
-	g := buildCFG(body)
-	c.cfgs[body] = g
-	return g
 }
 
 // typeOf returns the checked type of e, or nil when type checking could
@@ -185,22 +172,6 @@ func (c *pass) objectOf(id *ast.Ident) types.Object {
 		return o
 	}
 	return c.p.info.Uses[id]
-}
-
-// calleeFunc resolves a call expression's callee to a *types.Func (direct
-// calls and method calls), or nil for indirect/unresolved calls.
-func (c *pass) calleeFunc(call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := c.objectOf(id).(*types.Func)
-	return fn
 }
 
 // collectDirectives indexes `//lint:allow <rule> <justification>` comments

@@ -119,7 +119,7 @@ func checkMapRangeFunc(c *pass, body *ast.BlockStmt) {
 
 	st := &taintState{c: c, ids: map[types.Object]int{}}
 	sorted := sortTargets(body)
-	cfg := c.cfgFor(body)
+	cfg := buildCFG(body)
 	transfer := func(n *cfgNode, in idset) idset { return st.transfer(n, in, sorted) }
 	in := forwardFlow(cfg, transfer)
 

@@ -131,3 +131,50 @@ func EmitSorted(w io.Writer, m map[string]int) {
 func Unknown() bool {
 	return os.Getenv("FIXTURE_UNK") != "" //lint:allow nosuchrule rules must come from the catalogue
 }
+
+// BranchSort trips the taint rule: the sort runs on one branch only, so
+// the keys reach the output unsorted on the other.
+func BranchSort(w io.Writer, m map[string]int, c bool) {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k)
+	}
+	if c {
+		sort.Strings(keys)
+	}
+	fmt.Fprintln(w, keys)
+}
+
+// Retaint trips the taint rule: the sort comes before the map keys do.
+func Retaint(w io.Writer, m map[string]int) {
+	var keys []string
+	sort.Strings(keys)
+	for k := range m {
+		keys = append(keys, k)
+	}
+	fmt.Fprintln(w, keys)
+}
+
+// Reassigned stays silent: the picked key is overwritten with a constant
+// before it is emitted.
+func Reassigned(w io.Writer, m map[string]int) {
+	var picked string
+	for k := range m {
+		picked = k
+	}
+	picked = "none"
+	fmt.Fprintln(w, picked)
+}
+
+// LoopSort stays silent: each emission sees keys as the previous
+// iteration's sort left them.
+func LoopSort(w io.Writer, m map[string]int) {
+	var keys []string
+	for i := 0; i < 2; i++ {
+		fmt.Fprintln(w, keys)
+		for k := range m {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+	}
+}

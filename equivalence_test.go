@@ -94,11 +94,11 @@ func TestRipupEquivalenceMatrix(t *testing.T) {
 // TestIntraParallelMatchesSerial holds in-process parallelism to the
 // serial bar: several goroutines routing the same instance at once — the
 // shape of sadpd's worker pool and the -jobs harness, where concurrent
-// runs share the process-wide A*, sparse and decomposition engine pools —
-// must each reproduce a lone serial run byte for byte: paths, colors,
-// overlay totals, counters, per-net attribution and the JSONL trace. CI
-// runs it under -race, which also checks that the pools never hand one
-// engine to two runs.
+// runs share the process-wide decomposition engine pool — must each
+// reproduce a lone serial run byte for byte: paths, colors, overlay
+// totals, counters, per-net attribution and the JSONL trace. CI runs it
+// under -race, which also checks that the pool never hands one engine to
+// two runs.
 func TestIntraParallelMatchesSerial(t *testing.T) {
 	const runs = 4
 	for _, sp := range eqSpecs {

@@ -46,42 +46,6 @@ func TestSearchAllocsSteadyState(t *testing.T) {
 	}
 }
 
-// TestPoolRetainsQueueCapacity pins the Acquire/Release contract the
-// router's engine pooling relies on: the open list's storage blocks and
-// sorted-bucket array and the per-cell records survive a pool round-trip,
-// so the next binding's searches start with warm capacity, and the
-// rebinding keeps counting search ids instead of clearing the records.
-func TestPoolRetainsQueueCapacity(t *testing.T) {
-	g, cfg, src, tgt := allocGrid()
-	e := Acquire(g)
-	if _, out := e.Search(-1, src, tgt, cfg); out != Found {
-		t.Fatal("no path")
-	}
-	blocks, ccap, ncap, id := len(e.queue.blocks), cap(e.queue.cur), cap(e.nodes), e.cur
-	if blocks == 0 || ccap == 0 || ncap == 0 {
-		t.Fatal("search left no capacity to retain")
-	}
-	e.Release()
-	e2 := Acquire(g)
-	defer e2.Release()
-	if e2 != e {
-		t.Skip("pool returned a different engine; retention not observable this run")
-	}
-	if len(e2.queue.blocks) < blocks || cap(e2.queue.cur) < ccap {
-		t.Fatalf("queue capacity dropped across Release/Acquire: %d blocks, %d sorted -> %d, %d",
-			blocks, ccap, len(e2.queue.blocks), cap(e2.queue.cur))
-	}
-	if cap(e2.nodes) < ncap {
-		t.Fatalf("per-cell capacity dropped across Release/Acquire: %d -> %d", ncap, cap(e2.nodes))
-	}
-	if e2.cur != id {
-		t.Fatalf("search id went from %d to %d across Release/Acquire; Bind must keep counting", id, e2.cur)
-	}
-	if e2.cfg.Pen != nil || e2.Rec != nil {
-		t.Fatal("Release must drop penalty-plane and recorder references")
-	}
-}
-
 // BenchmarkSearch is the allocs/op regression benchmark for the satellite:
 // run with -benchmem; steady state must stay at path-only allocations.
 func BenchmarkSearch(b *testing.B) {

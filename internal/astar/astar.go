@@ -10,7 +10,6 @@ package astar
 
 import (
 	"math"
-	"sync"
 
 	"sadproute/internal/grid"
 	"sadproute/internal/obs"
@@ -83,10 +82,9 @@ const Scale = 2
 const MaxCost = 1<<31 - 1
 
 // Engine holds reusable search state for one grid; it is not safe for
-// concurrent use. Engines are cheap to rebind (Bind) and poolable
-// (Acquire/Release), so a worker routing many instances back to back reuses
-// one engine's allocations instead of paying a fresh O(cells) allocation
-// per instance.
+// concurrent use. New sizes the per-cell records once; every search on the
+// grid reuses them and the open list's storage, so a steady-state search
+// allocates only the path it returns.
 type Engine struct {
 	g     *grid.Grid
 	nodes []node // per-cell search records, grid index order
@@ -151,53 +149,14 @@ const forbidden = math.MinInt
 // order, so this order is part of the route contract.
 var moves = [6]grid.Cell{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}, {L: 1}, {L: -1}}
 
-// New creates an engine bound to g.
+// New creates an engine for g.
 func New(g *grid.Grid) *Engine {
-	e := &Engine{}
-	e.Bind(g)
-	return e
-}
-
-// Bind points the engine at g, reusing the per-cell records when they are
-// large enough and reallocating only when g exceeds every grid this engine
-// has seen. Search state from the previous grid is discarded: the search
-// ids keep counting, so every record left by an earlier search is stale.
-func (e *Engine) Bind(g *grid.Grid) {
-	n := g.W * g.H * g.Layers
-	e.g = g
 	plane := g.W * g.H
-	e.delta = [6]int{1, -1, g.W, -g.W, plane, -plane}
-	if cap(e.nodes) < n {
-		e.nodes = make([]node, n)
-		return
+	return &Engine{
+		g:     g,
+		nodes: make([]node, plane*g.Layers),
+		delta: [6]int{1, -1, g.W, -g.W, plane, -plane},
 	}
-	e.nodes = e.nodes[:n]
-}
-
-// enginePool backs Acquire/Release. Pooled engines keep their per-cell
-// records, so a worker that routes many same-order-of-magnitude instances
-// allocates them once instead of once per instance.
-var enginePool = sync.Pool{New: func() any { return &Engine{} }}
-
-// Acquire returns a pooled engine bound to g. Callers that route many
-// netlists in sequence (the bench harness workers, the baselines) should
-// pair it with Release; the engine is NOT safe for concurrent use.
-func Acquire(g *grid.Grid) *Engine {
-	e := enginePool.Get().(*Engine)
-	e.Bind(g)
-	return e
-}
-
-// Release detaches the engine from its grid and recorder and returns it to
-// the pool. The caller must not use the engine afterwards.
-func (e *Engine) Release() {
-	e.g = nil
-	e.Rec = nil
-	// Drop references the pool must not retain (the penalty plane belongs
-	// to the router); the queue and per-cell records keep their capacity.
-	e.cfg = Config{}
-	e.targets = e.targets[:0]
-	enginePool.Put(e)
 }
 
 func (e *Engine) cell(i int) grid.Cell {
@@ -273,9 +232,7 @@ func (e *Engine) Search(id int32, sources, targets []grid.Cell, cfg Config) ([]g
 // over the goals net id may enter, and returns their number.
 func (e *Engine) begin(id int32, sources, targets []grid.Cell, cfg Config) int {
 	if e.cur == maxSearchID {
-		// Clear past the binding too: a later Bind may extend the records
-		// over ones a pre-wrap id wrote.
-		clear(e.nodes[:cap(e.nodes)])
+		clear(e.nodes)
 		e.cur = 0
 	}
 	e.cur++

@@ -377,8 +377,8 @@ func checkPlain(t *testing.T, g *grid.Grid, id int32, src, tgt []grid.Cell, cfg 
 }
 
 // kernelOne checks a reused engine over several searches on one grid —
-// stamps and pin marks must not leak between search ids — then rebinds it
-// to a second grid.
+// stamps and pin marks must not leak between search ids — then a fresh
+// engine on a second grid.
 func kernelOne(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	g := kernelGrid(rng)
@@ -388,9 +388,8 @@ func kernelOne(t *testing.T, seed int64) {
 		checkKernel(t, e, g, id, src, tgt, cfg)
 	}
 	g2 := kernelGrid(rng)
-	e.Bind(g2)
 	id, src, tgt, cfg := kernelQuery(rng, g2)
-	checkKernel(t, e, g2, id, src, tgt, cfg)
+	checkKernel(t, New(g2), g2, id, src, tgt, cfg)
 }
 
 // TestNodeSize pins the per-cell search record at 8 bytes: it is the
@@ -402,35 +401,31 @@ func TestNodeSize(t *testing.T) {
 }
 
 // TestSearchIDWraparound checks searches across the search-id limit
-// against the reference, each found path priced after its search. A pooled
-// engine first searches a large grid at the lowest ids, is rebound to a
-// smaller grid a few searches below maxSearchID and searches across the
-// wrap there, then is rebound to the large grid. The ids after the wrap
-// repeat the first searches' ids, so a record the wrap left behind, in the
-// smaller binding or past it, would pass for current.
+// against the reference, each found path priced after its search. One
+// engine searches a grid at the lowest ids, jumps to a few searches below
+// maxSearchID, searches across the wrap and goes on searching the same
+// grid. The ids after the wrap repeat the first searches' ids, so a record
+// the wrap left behind would pass for current.
 func TestSearchIDWraparound(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	big, small := kernelGridOf(rng, 14, 14, 3), kernelGridOf(rng, 6, 5, 2)
-	e := Acquire(big)
-	defer e.Release()
+	g := kernelGridOf(rng, 14, 14, 3)
+	e := New(g)
 	for range 12 {
-		id, src, tgt, cfg := kernelQuery(rng, big)
-		checkKernel(t, e, big, id, src, tgt, cfg)
+		id, src, tgt, cfg := kernelQuery(rng, g)
+		checkKernel(t, e, g, id, src, tgt, cfg)
 	}
 	low := e.cur
-	e.Bind(small)
 	e.cur = maxSearchID - 3
 	for range 4 {
-		id, src, tgt, cfg := kernelQuery(rng, small)
-		checkKernel(t, e, small, id, src, tgt, cfg)
+		id, src, tgt, cfg := kernelQuery(rng, g)
+		checkKernel(t, e, g, id, src, tgt, cfg)
 	}
 	if e.cur >= low {
 		t.Fatalf("search id %d after the wrap, want below the first searches' %d", e.cur, low)
 	}
-	e.Bind(big)
 	for range 12 {
-		id, src, tgt, cfg := kernelQuery(rng, big)
-		checkKernel(t, e, big, id, src, tgt, cfg)
+		id, src, tgt, cfg := kernelQuery(rng, g)
+		checkKernel(t, e, g, id, src, tgt, cfg)
 	}
 }
 

@@ -75,7 +75,7 @@ func newCommon(nl *netlist.Netlist, ds rules.Set) *common {
 		out: &Out{},
 	}
 	c.pen = make([]int32, c.g.W*c.g.H*c.g.Layers)
-	c.eng = astar.Acquire(c.g)
+	c.eng = astar.New(c.g)
 	c.frags = make([]*fragstore.Store, nl.Layers)
 	c.colors = make([]map[int]decomp.Color, nl.Layers)
 	for l := 0; l < nl.Layers; l++ {
@@ -83,12 +83,6 @@ func newCommon(nl *netlist.Netlist, ds rules.Set) *common {
 		c.colors[l] = make(map[int]decomp.Color)
 	}
 	return c
-}
-
-// release returns the pooled A* engine; the common must not search again.
-func (c *common) release() {
-	c.eng.Release()
-	c.eng = nil
 }
 
 func (c *common) search(id int, n netlist.Net) ([]grid.Cell, astar.Outcome) {

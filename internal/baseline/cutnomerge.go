@@ -26,7 +26,6 @@ func (t CutNoMerge) Run(nl *netlist.Netlist, ds rules.Set) *Out {
 		t.MaxRipup = 3
 	}
 	c := newCommon(nl, ds)
-	defer c.release()
 	for _, id := range nl.HPWLOrder() {
 		t.routeNet(c, id)
 	}

@@ -52,7 +52,6 @@ func (t TrimExhaustive) RunCtx(ctx context.Context, nl *netlist.Netlist, ds rule
 		t.MaxRipup = 3
 	}
 	c := newCommon(nl, ds)
-	defer c.release()
 	for _, id := range nl.HPWLOrder() {
 		if !t.routeNet(ctx, c, id) {
 			return nil

@@ -32,8 +32,9 @@ func (c Cell) String() string { return fmt.Sprintf("%s-%s", c.Spec.Name, c.Algo)
 //
 // Cells are independent: each worker generates its own netlist from the
 // cell's Spec (Generate is a pure function of the Spec) and routes it on
-// its own grid, sharing only the pooled A* engine allocations
-// (astar.Acquire) with cells it runs later itself.
+// its own grid with its own A* engine. Workers share only the decomposition
+// oracle's private scratch pool (internal/decomp), which hands each call
+// an engine no other call holds.
 type Harness struct {
 	// Jobs is the worker count; <= 0 means runtime.GOMAXPROCS(0).
 	// Jobs == 1 reproduces the historical serial harness exactly.

@@ -59,8 +59,7 @@ func BenchmarkDecomposeWindow(b *testing.B) {
 // loop shape of DecomposeLayersR.
 func BenchmarkDecomposeWindowEngine(b *testing.B) {
 	ly := windowOf(benchLayouts(b)[0], 8)
-	e := decomp.Acquire()
-	defer e.Release()
+	var e decomp.Engine
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

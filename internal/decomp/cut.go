@@ -21,11 +21,10 @@ func DecomposeCut(ly Layout) *Result { return DecomposeCutR(ly, nil) }
 // (decomposition count, blob/bridge/assist material counts, overlay
 // fragment count, and StageDecompose wall time). A nil rec is the
 // un-instrumented fast path. It borrows a pooled scratch engine for the
-// single call; loops decomposing many layouts should Acquire an Engine
-// once instead.
+// single call.
 func DecomposeCutR(ly Layout, rec *obs.Recorder) *Result {
-	e := Acquire()
-	defer e.Release()
+	e := enginePool.Get().(*Engine)
+	defer enginePool.Put(e)
 	return e.DecomposeCut(ly, rec)
 }
 
@@ -83,8 +82,8 @@ func DecomposeLayers(layers []Layout) ([]*Result, Totals) {
 // DecomposeLayersR is DecomposeLayers reporting to an observability
 // recorder (see DecomposeCutR).
 func DecomposeLayersR(layers []Layout, rec *obs.Recorder) ([]*Result, Totals) {
-	e := Acquire()
-	defer e.Release()
+	e := enginePool.Get().(*Engine)
+	defer enginePool.Put(e)
 	out := make([]*Result, len(layers))
 	var tot Totals
 	for i, ly := range layers {

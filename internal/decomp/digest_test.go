@@ -27,8 +27,7 @@ const wantDigest = "20a179bcb480b6e8c79523db0eaf2c70ef23504ae7416ca347f6a16580ae
 // grid), then the routed layers of benchLayouts' instance. A speed-up of
 // the oracle must leave the digest unchanged.
 func TestDecomposeDigest(t *testing.T) {
-	e := decomp.Acquire()
-	defer e.Release()
+	var e decomp.Engine
 	h := sha256.New()
 	add := func(ly decomp.Layout) {
 		fmt.Fprintf(h, "%+v\n%+v\n", *e.DecomposeCut(ly, nil), *e.DecomposeTrim(ly))

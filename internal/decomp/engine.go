@@ -11,11 +11,13 @@ import (
 // indexes, the per-iteration union-find of the merge stage, and the
 // interval sets of the boundary measurement. One decomposition allocates
 // only its Result; everything intermediate lives in the engine and is
-// reused by the next call, mirroring the astar engine pool.
+// reused by the next call.
 //
-// An Engine is single-goroutine state: Acquire one, run any number of
-// decompositions, Release it. Results returned by engine methods never
-// alias engine scratch, so they stay valid after Release.
+// The zero Engine is ready to use. An Engine is single-goroutine state;
+// a caller that decomposes many layouts may hold one and call its
+// methods. Results never alias engine scratch, so they outlive the
+// engine's next call. The package functions (DecomposeCutR and the rest)
+// draw engines from a private pool instead.
 type Engine struct {
 	// Targets and their spatial index (collectTargets).
 	ts  []tgt
@@ -68,11 +70,7 @@ type matLink struct {
 	touch bool
 }
 
+// enginePool holds the package functions' engines. The router's window
+// checks and every evaluation decompose through them, concurrently across
+// jobs, so a warm engine saves each call the scratch a cold one grows.
 var enginePool = sync.Pool{New: func() any { return &Engine{} }}
-
-// Acquire returns a scratch engine from the process-wide pool.
-func Acquire() *Engine { return enginePool.Get().(*Engine) }
-
-// Release returns the engine to the pool. The caller must not use e
-// afterwards; Results it produced remain valid.
-func (e *Engine) Release() { enginePool.Put(e) }

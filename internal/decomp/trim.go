@@ -17,8 +17,8 @@ package decomp
 //
 // Core-pattern boundaries are mask-defined and never carry overlays.
 func DecomposeTrim(ly Layout) *Result {
-	e := Acquire()
-	defer e.Release()
+	e := enginePool.Get().(*Engine)
+	defer enginePool.Put(e)
 	return e.DecomposeTrim(ly)
 }
 
@@ -87,12 +87,15 @@ func (e *Engine) DecomposeTrim(ly Layout) *Result {
 	return res
 }
 
-// DecomposeTrimLayers runs DecomposeTrim on every layer.
+// DecomposeTrimLayers runs DecomposeTrim on every layer, on one pooled
+// engine.
 func DecomposeTrimLayers(layers []Layout) ([]*Result, Totals) {
+	e := enginePool.Get().(*Engine)
+	defer enginePool.Put(e)
 	out := make([]*Result, len(layers))
 	var tot Totals
 	for i, ly := range layers {
-		out[i] = DecomposeTrim(ly)
+		out[i] = e.DecomposeTrim(ly)
 		tot.Accumulate(out[i])
 	}
 	return out, tot

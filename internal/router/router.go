@@ -157,7 +157,7 @@ type state struct {
 	colors []map[int]decomp.Color
 	locks  []map[int]decomp.Color // colors pinned by the cut-conflict check
 	pen    []int32                // rip-up cost inflation, grid index order; nil until the first inflate
-	// sp/speng are the corridor graph and its pooled engine, live only
+	// sp/speng are the corridor graph and its engine, live only
 	// under Options.SparseSearch. sp mirrors g: commit and ripup forward
 	// every cell mutation.
 	sp    *sparse.Graph
@@ -214,13 +214,11 @@ func RouteCtx(ctx context.Context, nl *netlist.Netlist, ds rules.Set, opt Option
 		rec: rec,
 		ctx: ctx,
 	}
-	st.eng = astar.Acquire(st.g)
-	defer st.eng.Release()
+	st.eng = astar.New(st.g)
 	st.eng.Rec = rec
 	if opt.SparseSearch {
 		st.sp = sparse.NewGraph(st.g)
-		st.speng = sparse.Acquire(st.sp)
-		defer st.speng.Release()
+		st.speng = sparse.NewEngine(st.sp)
 	}
 	st.ocgs = make([]*ocg.Graph, nl.Layers)
 	st.frags = make([]*fragstore.Store, nl.Layers)

@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"sort"
-	"sync"
 
 	"sadproute/internal/astar"
 	"sadproute/internal/grid"
@@ -28,9 +27,8 @@ type Config struct {
 }
 
 // Engine holds reusable search state for one Graph; it is not safe for
-// concurrent use. Engines follow the same Acquire/Release pool discipline
-// as internal/astar: per-node arrays are retained across searches and pool
-// round-trips, so steady-state searches allocate only the returned path.
+// concurrent use. Per-node arrays are retained across searches, so
+// steady-state searches allocate only the returned path.
 type Engine struct {
 	g *Graph
 	// xs, ys are the interesting-coordinate snapshot of the current
@@ -54,26 +52,6 @@ type Engine struct {
 // NewEngine creates an engine bound to g.
 func NewEngine(g *Graph) *Engine {
 	return &Engine{g: g}
-}
-
-// Bind points the engine at g. Search state sizes to each query's
-// snapshot, so rebinding is free.
-func (e *Engine) Bind(g *Graph) { e.g = g }
-
-var enginePool = sync.Pool{New: func() any { return &Engine{} }}
-
-// Acquire returns a pooled engine bound to g; pair with Release.
-func Acquire(g *Graph) *Engine {
-	e := enginePool.Get().(*Engine)
-	e.Bind(g)
-	return e
-}
-
-// Release detaches the engine and returns it to the pool. The caller must
-// not use the engine afterwards.
-func (e *Engine) Release() {
-	e.g = nil
-	enginePool.Put(e)
 }
 
 type spqItem struct {

@@ -98,8 +98,7 @@ var baseCfg = Config{WL: 1, Via: 1, DirPenalty: 2, PinVia: 12}
 func searchBoth(t *testing.T, g *grid.Grid, src, tgt []grid.Cell, cfg Config) ([]grid.Cell, int, astar.Outcome) {
 	t.Helper()
 	sp := NewGraph(g)
-	e := Acquire(sp)
-	defer e.Release()
+	e := NewEngine(sp)
 	path, cost, out := e.Search(src, tgt, cfg)
 	pins := pinSet(src, tgt)
 	dpath, dout := astar.New(g).Search(0, src, tgt, denseCfg(cfg))
@@ -349,8 +348,7 @@ func diffOne(t *testing.T, seed int64) {
 	}
 	cfg := randCfg(rng)
 	sp := NewGraph(g)
-	e := Acquire(sp)
-	defer e.Release()
+	e := NewEngine(sp)
 	path, cost, out := e.Search(src, tgt, cfg)
 	pins := pinSet(src, tgt)
 	dpath, dout := astar.New(g).Search(0, src, tgt, denseCfg(cfg))

@@ -79,8 +79,7 @@ func TestWindowMaxExpandAccruesAcrossTiers(t *testing.T) {
 	src := []grid.Cell{{X: 200, Y: 100}}
 	tgt := []grid.Cell{{X: 220, Y: 100}}
 	sp := NewGraph(g)
-	e := Acquire(sp)
-	defer e.Release()
+	e := NewEngine(sp)
 	cfg := baseCfg
 	cfg.MaxExpand = 4
 	if _, _, out := e.Search(src, tgt, cfg); out != astar.Aborted {
