@@ -12,6 +12,7 @@ import (
 	"sadproute/internal/grid"
 	"sadproute/internal/netlist"
 	"sadproute/internal/rules"
+	"sadproute/internal/scenario"
 )
 
 // TrimExhaustive is the Du-et-al.-style [10] multi-pin-candidate trim
@@ -149,14 +150,15 @@ func (t TrimExhaustive) scorePath(c *common, id int, path []grid.Cell) ([]decomp
 	return cols, total
 }
 
-// window assembles the trim-oracle input around the net's fragments.
+// window assembles the trim-oracle input around the net's fragments: the
+// nets with a fragment meeting its bounding box expanded by scenario.Reach.
 func (t TrimExhaustive) window(c *common, l, id int) decomp.Layout {
 	var bbox geom.Rect
 	for _, r := range c.frags[l].NetRects(id) {
 		bbox = bbox.Union(r)
 	}
 	in := map[int]bool{id: true}
-	c.frags[l].Query(bbox.Expand(3), func(f fragstore.Frag) { in[f.Net] = true })
+	c.frags[l].Query(bbox.Expand(scenario.Reach), func(f fragstore.Frag) { in[f.Net] = true })
 	ids := make([]int, 0, len(in))
 	for n := range in {
 		ids = append(ids, n)

@@ -1,28 +1,37 @@
 package decomp_test
 
 import (
+	"sort"
 	"testing"
 
 	"sadproute/internal/bench"
 	"sadproute/internal/decomp"
+	"sadproute/internal/fragstore"
+	"sadproute/internal/geom"
 	"sadproute/internal/router"
 	"sadproute/internal/rules"
+	"sadproute/internal/scenario"
 )
 
-// benchLayouts routes a small instance once and returns its per-layer
-// layouts — the same geometry profile the router's window checks and
-// repair passes feed the oracle.
-func benchLayouts(b testing.TB) []decomp.Layout {
+// benchRoute routes the benchmarks' small instance once.
+func benchRoute(b testing.TB) *router.Result {
 	b.Helper()
-	ds := rules.Node10nm()
 	sp := bench.Spec{Name: "bench", Nets: 120, Tracks: 40, Layers: 3, Seed: 77,
 		PinCandidates: 1, AvgHPWL: 5, Blockages: 2}
-	res := router.Route(bench.Generate(sp), ds, router.Defaults())
+	res := router.Route(bench.Generate(sp), rules.Node10nm(), router.Defaults())
 	if res.Routed == 0 {
 		b.Fatal("routed nothing")
 	}
+	return res
+}
+
+// benchLayouts returns the routed instance's non-empty per-layer layouts —
+// the same geometry profile the router's window checks and repair passes
+// feed the oracle.
+func benchLayouts(b testing.TB) []decomp.Layout {
+	b.Helper()
 	var out []decomp.Layout
-	for _, ly := range res.Layouts() {
+	for _, ly := range benchRoute(b).Layouts() {
 		if len(ly.Pats) > 0 {
 			out = append(out, ly)
 		}
@@ -33,21 +42,43 @@ func benchLayouts(b testing.TB) []decomp.Layout {
 	return out
 }
 
-// windowOf trims a layout down to window-check size: the first n patterns,
-// matching the handful of nets a windowResolve layout carries.
-func windowOf(ly decomp.Layout, n int) decomp.Layout {
-	if len(ly.Pats) < n {
-		n = len(ly.Pats)
+// benchWindow builds one window the way the router's windowResolve does:
+// on layer 0, the nets with a fragment meeting the lowest-id routed net's
+// bounding box expanded by scenario.Reach, in id order. On the routed
+// instance it holds 9 patterns.
+func benchWindow(b testing.TB) decomp.Layout {
+	b.Helper()
+	res := benchRoute(b)
+	ids := make([]int, 0, len(res.Paths))
+	for id := range res.Paths {
+		ids = append(ids, id)
 	}
-	w := ly
-	w.Pats = ly.Pats[:n]
-	return w
+	sort.Ints(ids)
+	stores := make([]*fragstore.Store, len(res.Colors))
+	for l := range stores {
+		stores[l] = fragstore.New()
+	}
+	for _, id := range ids {
+		fragstore.AddPath(stores, id, res.Paths[id])
+	}
+	var bbox geom.Rect
+	for _, r := range stores[0].NetRects(ids[0]) {
+		bbox = bbox.Union(r)
+	}
+	in := map[int]bool{ids[0]: true}
+	stores[0].Query(bbox.Expand(scenario.Reach), func(f fragstore.Frag) { in[f.Net] = true })
+	win := make([]int, 0, len(in))
+	for n := range in {
+		win = append(win, n)
+	}
+	sort.Ints(win)
+	return stores[0].Layout(res.Grid, res.Colors[0], win, -1)
 }
 
-// BenchmarkDecomposeWindow is the windowResolve-shaped call: a small
-// multi-net window decomposed over and over (the rip-up loop's hot path).
+// BenchmarkDecomposeWindow is the windowResolve-shaped call: one window
+// decomposed over and over (the rip-up loop's hot path).
 func BenchmarkDecomposeWindow(b *testing.B) {
-	ly := windowOf(benchLayouts(b)[0], 8)
+	ly := benchWindow(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -58,7 +89,7 @@ func BenchmarkDecomposeWindow(b *testing.B) {
 // BenchmarkDecomposeWindowEngine is the same call on a held engine — the
 // loop shape of DecomposeLayersR.
 func BenchmarkDecomposeWindowEngine(b *testing.B) {
-	ly := windowOf(benchLayouts(b)[0], 8)
+	ly := benchWindow(b)
 	var e decomp.Engine
 	b.ReportAllocs()
 	b.ResetTimer()

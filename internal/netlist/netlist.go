@@ -11,6 +11,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"unicode"
 
 	"sadproute/internal/geom"
 	"sadproute/internal/grid"
@@ -70,9 +71,13 @@ type Netlist struct {
 const MaxCells = 1 << 25
 
 // Validate checks that the grid has at most MaxCells cells, that every pin
-// candidate and blockage lies on it, and that nets have at least one
-// candidate per pin.
+// candidate and blockage lies on it, that nets have at least one candidate
+// per pin, and that the names survive Write and Read: no whitespace in the
+// netlist's name, and a net name that is not empty and has no whitespace.
 func (nl *Netlist) Validate() error {
+	if hasSpace(nl.Name) {
+		return fmt.Errorf("netlist: name %q contains whitespace", nl.Name)
+	}
 	if nl.W <= 0 || nl.H <= 0 || nl.Layers <= 0 {
 		return fmt.Errorf("netlist: invalid grid %dx%dx%d", nl.W, nl.H, nl.Layers)
 	}
@@ -84,6 +89,9 @@ func (nl *Netlist) Validate() error {
 	for i, n := range nl.Nets {
 		if n.ID != i {
 			return fmt.Errorf("netlist: net %d has id %d; ids must be dense", i, n.ID)
+		}
+		if n.Name == "" || hasSpace(n.Name) {
+			return fmt.Errorf("netlist: net %d name %q is empty or contains whitespace", i, n.Name)
 		}
 		for _, pin := range []Pin{n.A, n.B} {
 			if len(pin.Candidates) == 0 {
@@ -103,6 +111,9 @@ func (nl *Netlist) Validate() error {
 	}
 	return nil
 }
+
+// hasSpace reports whether s holds a rune strings.Fields splits on.
+func hasSpace(s string) bool { return strings.IndexFunc(s, unicode.IsSpace) >= 0 }
 
 // HPWLOrder returns the net ids sorted by ascending HPWL, ties in id order:
 // shortest first, the standard detailed-routing order the router and the
@@ -160,7 +171,8 @@ func fmtPin(p Pin) string {
 func Read(r io.Reader) (*Netlist, error) {
 	nl := &Netlist{}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	// Grow from the scanner's small default buffer, up to 16 MiB lines.
+	sc.Buffer(nil, 1<<24)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

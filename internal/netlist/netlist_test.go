@@ -1,7 +1,11 @@
 package netlist
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -80,6 +84,71 @@ func TestValidateRejectsSparseIDs(t *testing.T) {
 	nl.Nets[1].ID = 5
 	if err := nl.Validate(); err == nil {
 		t.Fatal("non-dense ids must fail validation")
+	}
+}
+
+// TestReadLongLines reads a line longer than 1 MiB, past the scanner's
+// default buffer, and refuses one longer than the 16 MiB line limit.
+func TestReadLongLines(t *testing.T) {
+	long := strings.Repeat("a", 1<<20+1)
+	nl, err := Read(strings.NewReader("name " + long + "\ngrid 4 4 1\nnet a (0,0,0) -> (1,1,0)\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nl.Name != long {
+		t.Fatalf("name of %d bytes read back as %d bytes", len(long), len(nl.Name))
+	}
+	huge := io.MultiReader(strings.NewReader("name "), io.LimitReader(repeatReader('a'), 1<<24))
+	if _, err := Read(huge); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("a 16 MiB line: err %v, want %v", err, bufio.ErrTooLong)
+	}
+}
+
+// repeatReader reads as an endless run of one byte.
+type repeatReader byte
+
+func (b repeatReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
+}
+
+// TestValidateNames refuses the names Write cannot express — an empty net
+// name, whitespace in a net's or the netlist's name — and holds every name
+// it accepts to the round trip: Write then Read gives the names back.
+func TestValidateNames(t *testing.T) {
+	for _, bad := range []struct{ netlist, net string }{
+		{"t", ""}, {"t", "a b"}, {"t", "a\tb"}, {"t", "x\n"}, {"t", "nb\u00a0sp"}, {"t", "\r"},
+		{"my chip", "n"}, {"chip\n", "n"}, {" ", "n"},
+	} {
+		nl := sample()
+		nl.Name, nl.Nets[1].Name = bad.netlist, bad.net
+		if err := nl.Validate(); err == nil {
+			t.Errorf("Validate accepted netlist name %q with net name %q", bad.netlist, bad.net)
+		}
+	}
+	for _, good := range []struct{ netlist, net string }{
+		{"t", "n1"}, {"", "->"}, {"#chip", "#n"}, {"x|y", "(1,2,3)"}, {"µchip", "nét_2"}, {"a-b.c", "net"},
+	} {
+		nl := sample()
+		nl.Name, nl.Nets[1].Name = good.netlist, good.net
+		if err := nl.Validate(); err != nil {
+			t.Errorf("Validate refused netlist name %q with net name %q: %v", good.netlist, good.net, err)
+			continue
+		}
+		var buf bytes.Buffer
+		if err := nl.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Read(&buf)
+		if err != nil {
+			t.Errorf("names %q, %q: Read of Write's output: %v", good.netlist, good.net, err)
+			continue
+		}
+		if !reflect.DeepEqual(back, nl) {
+			t.Errorf("names %q, %q read back as %q, %q", good.netlist, good.net, back.Name, back.Nets[1].Name)
+		}
 	}
 }
 

@@ -13,12 +13,12 @@ import (
 // only for a change that means to alter routes, colors or counters outside
 // decomp.*, or that moves only A*'s search work (then
 // wantRouteMaskedDigest stays), and say so.
-const wantRouteDigest = "e7d3f582616375228072ce744a586857c56e090157242471f70c9ed117d3eef4"
+const wantRouteDigest = "dd196d80d7fc116fe61c42a6b2a640bde682e4a4a1790a69d9ad8bf1371449f2"
 
 // wantRouteMaskedDigest pins the same corpus with A*'s search work masked
 // (routeRun.dump's maskSearch). A change that only makes searches expand
 // fewer nodes re-pins wantRouteDigest and must leave this one unchanged.
-const wantRouteMaskedDigest = "70dad917daeee7f9eb227d49f9d123276de92d540beb5afe864c2facd106bdbc"
+const wantRouteMaskedDigest = "5e4a1e2b70d02de56432900b5064959555cbcd56603afe379734acf50b577377"
 
 // servedDigestSeeds are the generator seeds of the first ten jobs of
 // perfbench's served workload at seed 1.

@@ -550,12 +550,11 @@ func (st *state) ripup(id int) {
 // whether a hard odd cycle or an infeasible pair arose (lines 5-6), plus
 // the cells implicated, for targeted cost inflation.
 func (st *state) updateGraphs(id int) (odd, infeasible bool, hot []grid.Cell) {
-	reach := 3 // cells: beyond d_indep, nothing classifies
 	for l := 0; l < st.nl.Layers; l++ {
 		mine := st.frags[l].NetRects(id)
 		for _, mr := range mine {
 			rect := mr
-			st.frags[l].Query(mr.Expand(reach), func(f fragstore.Frag) {
+			st.frags[l].Query(mr.Expand(scenario.Reach), func(f fragstore.Frag) {
 				prof, ok := scenario.Classify(rect, f.Rect, st.ds)
 				if !ok {
 					return

@@ -151,6 +151,40 @@ func TestIndependence(t *testing.T) {
 	}
 }
 
+// TestReachBoundsClassify sweeps rect pairs in every relative position
+// within a 9-cell margin: Classify accepts none whose second rect misses the
+// first rect's reach box, a.Expand(Reach), so a query of that box finds
+// every rect the first one can form a scenario with.
+func TestReachBoundsClassify(t *testing.T) {
+	ds := rules.Node10nm()
+	shapes := []geom.Rect{
+		{X1: 1, Y1: 1}, {X1: 4, Y1: 1}, {X1: 1, Y1: 4}, {X1: 2, Y1: 1}, {X1: 1, Y1: 2},
+	}
+	accepted, outside := 0, 0
+	for _, a := range shapes {
+		reach := a.Expand(Reach)
+		for _, sb := range shapes {
+			for dy := -9; dy <= 9; dy++ {
+				for dx := -9; dx <= 9; dx++ {
+					b := sb.Translate(geom.Pt{X: dx, Y: dy})
+					_, ok := Classify(a, b, ds)
+					if !b.Intersects(reach) {
+						outside++
+						if ok {
+							t.Fatalf("Classify(%v, %v) accepted a pair outside the reach box %v", a, b, reach)
+						}
+					} else if ok {
+						accepted++
+					}
+				}
+			}
+		}
+	}
+	if accepted == 0 || outside == 0 {
+		t.Fatalf("sweep accepted %d pairs and placed %d outside the reach box", accepted, outside)
+	}
+}
+
 // TestOverlapScaling: type 1-a with single-cell overlap is merge-and-cut
 // with a w_line overlay on each side — allowed (tip-to-side friendly), while
 // two-cell overlap is hard.
