@@ -2,10 +2,38 @@ package sadp
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
+	"sadproute/internal/drc"
 	"sadproute/internal/grid"
 )
+
+// fuzzSpec decodes arbitrary bytes into a small benchmark shape: 1–30
+// nets on 12–28 tracks and 2–3 layers, with 1–3 pin candidates and up to 3
+// blockages. The decoding is total: every byte string yields a routable
+// instance.
+func fuzzSpec(data []byte) Spec {
+	pos := 0
+	next := func() int {
+		if pos >= len(data) {
+			return 0
+		}
+		b := data[pos]
+		pos++
+		return int(b)
+	}
+	return Spec{
+		Name:          "fuzz",
+		Nets:          1 + next()%30,
+		Tracks:        12 + next()%17,
+		Layers:        2 + next()%2,
+		Seed:          int64(next()),
+		PinCandidates: 1 + next()%3,
+		AvgHPWL:       3 + next()%5,
+		Blockages:     next() % 4,
+	}
+}
 
 // FuzzScheduleCommitOrder checks the router's commit contract from the
 // outside on fuzzed benchmark shapes. Nets commit one at a time in
@@ -21,26 +49,7 @@ func FuzzScheduleCommitOrder(f *testing.F) {
 	f.Add([]byte{90, 28, 11, 3, 6, 3, 9})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pos := 0
-		next := func() int {
-			if pos >= len(data) {
-				return 0
-			}
-			b := data[pos]
-			pos++
-			return int(b)
-		}
-		sp := Spec{
-			Name:          "fuzz",
-			Nets:          1 + next()%30,
-			Tracks:        12 + next()%17,
-			Layers:        2 + next()%2,
-			Seed:          int64(next()),
-			PinCandidates: 1 + next()%3,
-			AvgHPWL:       3 + next()%5,
-			Blockages:     next() % 4,
-		}
-		nl := Generate(sp)
+		nl := Generate(fuzzSpec(data))
 		ds := Node10nm()
 
 		rec := NewRecorder()
@@ -87,4 +96,70 @@ func FuzzScheduleCommitOrder(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzRouteGuarantee checks the paper's Problem 1 guarantees end to end on
+// fuzzed benchmark shapes, through the independent verifier: every net
+// ends routed or failed; every routed path is a unit-step chain from a
+// candidate cell of its first pin to one of its second; the oracle finds
+// no cut conflict, hard overlay or violation; and internal/drc, given the
+// oracle's material, re-derives the oracle's measurements layer by layer
+// and finds the design clean.
+func FuzzRouteGuarantee(f *testing.F) {
+	f.Add([]byte{40, 18, 7, 1, 5, 2, 4})
+	f.Add([]byte{12, 12, 3, 2, 3, 0, 2})
+	f.Add([]byte{90, 28, 11, 3, 6, 3, 9})
+	f.Add([]byte{29, 4, 0, 35, 0, 1, 2})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		nl := Generate(fuzzSpec(data))
+		ds := Node10nm()
+		res := Route(nl, ds, Defaults())
+		if res.Routed+res.Failed != len(nl.Nets) || len(res.Paths) != res.Routed {
+			t.Fatalf("%d routed + %d failed of %d nets, %d paths", res.Routed, res.Failed, len(nl.Nets), len(res.Paths))
+		}
+		for id, path := range res.Paths {
+			if len(path) == 0 || !slices.Contains(nl.Nets[id].A.Candidates, path[0]) ||
+				!slices.Contains(nl.Nets[id].B.Candidates, path[len(path)-1]) {
+				t.Fatalf("net %d: path does not join candidates of its two pins", id)
+			}
+			for i := 1; i < len(path); i++ {
+				a, b := path[i-1], path[i]
+				if abs(a.X-b.X)+abs(a.Y-b.Y)+abs(a.L-b.L) != 1 {
+					t.Fatalf("net %d: step %d from %v to %v is not a unit step", id, i, a, b)
+				}
+			}
+		}
+
+		layouts := res.Layouts()
+		results, tot := Evaluate(res)
+		if tot.Conflicts != 0 || tot.HardOverlays != 0 || tot.Violations != 0 {
+			t.Fatalf("oracle: %d cut conflicts, %d hard overlays, %d violations", tot.Conflicts, tot.HardOverlays, tot.Violations)
+		}
+		layers := make([]drc.Layer, len(layouts))
+		for l, ly := range layouts {
+			layers[l] = drc.FromDecomp(ly, results[l].Materials)
+		}
+		rep := drc.CheckDesign(layers, ds)
+		for l, lr := range rep.Layers {
+			r := results[l]
+			if lr.SideOverlayNM != r.SideOverlayNM || lr.TipOverlayNM != r.TipOverlayNM ||
+				lr.HardOverlays != r.HardOverlays || lr.Conflicts != len(r.Conflicts) ||
+				len(lr.Violations) != len(r.Violations) {
+				t.Fatalf("layer %d: drc side/tip/hard/conflicts/violations %d/%d/%d/%d/%d, oracle %d/%d/%d/%d/%d", l,
+					lr.SideOverlayNM, lr.TipOverlayNM, lr.HardOverlays, lr.Conflicts, len(lr.Violations),
+					r.SideOverlayNM, r.TipOverlayNM, r.HardOverlays, len(r.Conflicts), len(r.Violations))
+			}
+		}
+		if !rep.Clean() {
+			t.Fatalf("drc report not clean: %+v %v", rep.Layers, rep.ConnErrs)
+		}
+	})
+}
+
+func abs(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
 }

@@ -107,7 +107,8 @@ func HugeSpecs() []Spec {
 
 // Generate builds a reproducible random netlist for the spec: uniformly
 // placed two-pin nets with bounded half-perimeter, globally unique pin
-// cells, and a few macro-like blockages.
+// cells, and a few macro-like blockages. On a die with no room left for
+// another net's pins the netlist holds fewer than s.Nets nets.
 func Generate(s Spec) *netlist.Netlist {
 	rng := rand.New(rand.NewSource(s.Seed))
 	nl := &netlist.Netlist{
@@ -238,7 +239,36 @@ func Generate(s Spec) *netlist.Netlist {
 		return pin, true
 	}
 
-	for len(nl.Nets) < s.Nets {
+	// placeable reports whether two free cells lie at a half-perimeter
+	// the draw below can produce. Free cells only get fewer, so without
+	// such a pair no further net fits on the die.
+	placeable := func() bool {
+		reach := 2*s.AvgHPWL + 1
+		for ay := 0; ay < s.Tracks; ay++ {
+			for ax := 0; ax < s.Tracks; ax++ {
+				if !free(ax, ay) {
+					continue
+				}
+				for dy := -reach; dy <= reach; dy++ {
+					rx := reach - max(dy, -dy)
+					for dx := -rx; dx <= rx; dx++ {
+						if max(dx, -dx)+max(dy, -dy) >= 2 && free(ax+dx, ay+dy) {
+							return true
+						}
+					}
+				}
+			}
+		}
+		return false
+	}
+
+	// A die too small for s.Nets nets ends the draw once no net fits: the
+	// check runs after every 4096 draws in a row that placed nothing, and
+	// draws no random number.
+	for misses := 0; len(nl.Nets) < s.Nets; misses++ {
+		if misses > 0 && misses%4096 == 0 && !placeable() {
+			break
+		}
 		ax, ay := rng.Intn(s.Tracks), rng.Intn(s.Tracks)
 		// Half-perimeter between 2 and ~2*AvgHPWL, uniformly.
 		hp := 2 + rng.Intn(2*s.AvgHPWL)
@@ -265,6 +295,7 @@ func Generate(s Spec) *netlist.Netlist {
 			A:    a,
 			B:    b,
 		})
+		misses = -1
 	}
 	return nl
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"testing"
+	"time"
 
 	"sadproute/internal/geom"
 	"sadproute/internal/netlist"
@@ -106,6 +107,40 @@ func TestHugeSpecsGenerate(t *testing.T) {
 		// Byte-level determinism: the huge family must be reproducible.
 		if b := Generate(sp); len(b.Blockages) != len(nl.Blockages) || b.Blockages[0] != nl.Blockages[0] {
 			t.Fatalf("%s: generation not deterministic", sp.Name)
+		}
+	}
+}
+
+// TestGenerateStopsWhenFull: 30 nets of up to three pin candidates each
+// cannot all fit on a 12×12 die. Generate used to draw forever there (a
+// FuzzRouteGuarantee input found it); it must stop once no further net
+// fits, with a valid netlist of unique pin cells.
+func TestGenerateStopsWhenFull(t *testing.T) {
+	sp := Spec{Name: "full", Nets: 30, Tracks: 12, Layers: 3, Seed: 0, PinCandidates: 3, AvgHPWL: 3}
+	done := make(chan *netlist.Netlist, 1)
+	go func() { done <- Generate(sp) }()
+	var nl *netlist.Netlist
+	select {
+	case nl = <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("Generate did not return on a die too small for its nets")
+	}
+	if len(nl.Nets) == 0 || len(nl.Nets) >= sp.Nets {
+		t.Fatalf("%d nets, want some but fewer than %d", len(nl.Nets), sp.Nets)
+	}
+	if err := nl.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[geom.Pt]bool{}
+	for _, n := range nl.Nets {
+		for _, pin := range []netlist.Pin{n.A, n.B} {
+			for _, c := range pin.Candidates {
+				if pt := (geom.Pt{X: c.X, Y: c.Y}); seen[pt] {
+					t.Fatalf("pin cell %v reused", pt)
+				} else {
+					seen[pt] = true
+				}
+			}
 		}
 	}
 }

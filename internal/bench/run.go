@@ -81,8 +81,9 @@ type RunConfig struct {
 
 // Run routes the netlist with the chosen algorithm and measures the
 // result with the matching decomposition oracle. Metrics with NA=true are
-// returned when the algorithm exceeded the budget; an unknown algorithm is
-// an error.
+// returned when the algorithm exceeded the budget; an unknown algorithm,
+// and an AlgoOurs run that leaves a net neither routed nor failed, are
+// errors.
 func Run(nl *netlist.Netlist, algo Algo, cfg RunConfig) (Metrics, error) {
 	m := Metrics{
 		Bench:  nl.Name,
@@ -105,6 +106,9 @@ func Run(nl *netlist.Netlist, algo Algo, cfg RunConfig) (Metrics, error) {
 		runtime.ReadMemStats(&ms0)
 		stopTotal := rec.Span(obs.StageTotal)
 		res := router.Route(nl, cfg.Rules, opt)
+		if res.Routed+res.Failed != len(nl.Nets) {
+			return Metrics{}, fmt.Errorf("bench: %s: %d routed + %d failed of %d nets", nl.Name, res.Routed, res.Failed, len(nl.Nets))
+		}
 		m.RoutabilityPct = res.Routability()
 		m.CPU = res.CPU
 		m.Wirelength = res.WirelengthCells

@@ -102,14 +102,18 @@ func Optimize(g *ocg.Graph, nets []int) Result {
 // takes infinite cost for the opposite color, so the DP routes flexibility
 // around it.
 func OptimizeLocked(g *ocg.Graph, nets []int, locked map[int]decomp.Color) Result {
-	return NewTree(nets, g.ComponentEdges(nets)).Solve(locked, nil)
+	var t Tree
+	t.Build(nets, g.ComponentEdges(nets))
+	return t.Solve(locked, nil)
 }
 
 // Tree is the flipping structure of one OCG component: its maximum
 // spanning forest, each tree rooted at its first net in the given order,
 // with every vertex's parent-edge costs oriented and a visiting order that
-// puts parents before children. Build it once and Solve it for each lock
-// set; the graph must not change in between.
+// puts parents before children. Build it for a component and Solve it for
+// each lock set; the graph must not change in between. The zero Tree is
+// ready to Build, and a Tree rebuilt for the next component reuses its
+// storage.
 type Tree struct {
 	nets   []int
 	order  []int32
@@ -120,25 +124,42 @@ type Tree struct {
 	// Solve's scratch: subtree costs and child colors per parent color.
 	cost [][2]int
 	pick [][2]decomp.Color
+	// Build's scratch: each net's position in nets (pos[net]; the entries
+	// of other ids are stale), the edges by spanning-tree weight, the
+	// Kruskal union-find, the spanning tree, and its CSR adjacency.
+	pos      []int32
+	byWeight []weighted
+	dsu      []int32
+	tree     []*ocg.Edge
+	start    []int32
+	fill     []int32
+	adjE     []*ocg.Edge
+	adjV     []int32
 }
 
 // colorAt is the color at each index of Tree's per-color arrays;
 // colorIndex is its inverse.
 var colorAt = [2]decomp.Color{decomp.Core, decomp.Second}
 
-// NewTree builds the flipping structure of an OCG component from its nets
-// and the edges among them, sorted by (A, B), as ocg.Graph.Component
-// returns them.
-func NewTree(nets []int, edges []*ocg.Edge) *Tree {
+// Build rebuilds t in place as the flipping structure of an OCG component
+// from its nets and the edges among them, sorted by (A, B), as
+// ocg.Graph.Component returns them. t keeps nets until the next Build.
+func (t *Tree) Build(nets []int, edges []*ocg.Edge) {
 	n := len(nets)
-	t := &Tree{nets: nets, order: make([]int32, 0, n), parent: make([]int32, n),
-		up: make([][2][2]int, n), cost: make([][2]int, n), pick: make([][2]decomp.Color, n)}
-	tree := maxSpanningTree(nets, edges)
-	pos := localIndex(nets)
+	t.nets = nets
+	t.order = t.order[:0]
+	t.parent = resize(t.parent, n)
+	t.up = resize(t.up, n)
+	t.cost = resize(t.cost, n)
+	t.pick = resize(t.pick, n)
+	t.index()
+	tree := t.spanningTree(edges)
+	pos := t.pos
 
 	// Tree adjacency in CSR form: vertex v's edges are
 	// adjE[start[v]:start[v+1]], leading to adjV[start[v]:start[v+1]].
-	start := make([]int32, n+1)
+	start := resize(t.start, n+1)
+	clear(start)
 	for _, e := range tree {
 		start[pos[e.A]+1]++
 		start[pos[e.B]+1]++
@@ -146,9 +167,8 @@ func NewTree(nets []int, edges []*ocg.Edge) *Tree {
 	for v := range n {
 		start[v+1] += start[v]
 	}
-	adjE := make([]*ocg.Edge, 2*len(tree))
-	adjV := make([]int32, 2*len(tree))
-	fill := append([]int32(nil), start[:n]...)
+	adjE, adjV := resize(t.adjE, 2*len(tree)), resize(t.adjV, 2*len(tree))
+	fill := append(t.fill[:0], start[:n]...)
 	for _, e := range tree {
 		a, b := pos[e.A], pos[e.B]
 		adjE[fill[a]], adjV[fill[a]] = e, b
@@ -156,6 +176,7 @@ func NewTree(nets []int, edges []*ocg.Edge) *Tree {
 		fill[a]++
 		fill[b]++
 	}
+	t.start, t.adjE, t.adjV, t.fill = start, adjE, adjV, fill
 
 	for v := range t.parent {
 		t.parent[v] = -2 // unvisited
@@ -183,7 +204,15 @@ func NewTree(nets []int, edges []*ocg.Edge) *Tree {
 			}
 		}
 	}
-	return t
+}
+
+// resize returns s with length n, reusing its storage when it is large
+// enough; the elements' values are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Solve runs the dynamic program of equation (4) on the tree under one
@@ -271,14 +300,14 @@ func addSat(a, b int) int {
 	return s
 }
 
-// maxSpanningTree selects a maximum-weight spanning forest of the nets:
-// hard edges carry a weight larger than any nonhard total so they are
-// always kept (their constraints must bind), nonhard edges weigh their
-// maximum potential side-overlay length. Kruskal takes the edges heaviest
-// first, ties in the given order.
-func maxSpanningTree(nets []int, edges []*ocg.Edge) []*ocg.Edge {
+// spanningTree selects a maximum-weight spanning forest of t.nets, as
+// indexed by t.index: hard edges carry a weight larger than any nonhard
+// total so they are always kept (their constraints must bind), nonhard
+// edges weigh their maximum potential side-overlay length. Kruskal takes
+// the edges heaviest first, ties in the given order. The forest is t.tree.
+func (t *Tree) spanningTree(edges []*ocg.Edge) []*ocg.Edge {
 	const hardBoost = 1 << 30
-	byWeight := make([]weighted, len(edges))
+	byWeight := resize(t.byWeight, len(edges))
 	for i, e := range edges {
 		w := max(0, slices.Max(e.Prof.Cost[:]))
 		if ocg.Kind(e.Prof) != ocg.Soft {
@@ -292,8 +321,8 @@ func maxSpanningTree(nets []int, edges []*ocg.Edge) []*ocg.Edge {
 		}
 		return cmp.Compare(x.i, y.i)
 	})
-	pos := localIndex(nets)
-	parent := make([]int32, len(nets))
+	pos := t.pos
+	parent := resize(t.dsu, len(t.nets))
 	for i := range parent {
 		parent[i] = int32(i)
 	}
@@ -304,7 +333,7 @@ func maxSpanningTree(nets []int, edges []*ocg.Edge) []*ocg.Edge {
 		}
 		return x
 	}
-	var tree []*ocg.Edge
+	tree := t.tree[:0]
 	for _, bw := range byWeight {
 		e := edges[bw.i]
 		ra, rb := find(pos[e.A]), find(pos[e.B])
@@ -314,21 +343,23 @@ func maxSpanningTree(nets []int, edges []*ocg.Edge) []*ocg.Edge {
 		parent[ra] = rb
 		tree = append(tree, e)
 	}
+	t.byWeight, t.dsu, t.tree = byWeight, parent, tree
 	return tree
 }
 
-// localIndex maps each net (a non-negative id) to its position in nets:
-// pos[net] is that position, and the entries of other ids are unused.
-func localIndex(nets []int) []int32 {
+// index sets t.pos[net] to each net's position in t.nets; the entries of
+// other ids (nets are non-negative) are left as they were.
+func (t *Tree) index() {
 	top := 0
-	for _, n := range nets {
+	for _, n := range t.nets {
 		top = max(top, n)
 	}
-	pos := make([]int32, top+1)
-	for i, n := range nets {
-		pos[n] = int32(i)
+	if len(t.pos) <= top {
+		t.pos = make([]int32, top+1)
 	}
-	return pos
+	for i, n := range t.nets {
+		t.pos[n] = int32(i)
+	}
 }
 
 // weighted is an edge's spanning-tree weight and its index in the edge

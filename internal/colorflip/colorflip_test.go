@@ -2,6 +2,7 @@ package colorflip
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -57,7 +58,7 @@ func TestQuickDPOptimalOnTrees(t *testing.T) {
 		}
 		res := Optimize(g, nets)
 
-		_, edges := g.Component(0)
+		_, edges := g.Component(0, nil, nil)
 		// Brute force optimum.
 		best := -1
 		for mask := 0; mask < 1<<n; mask++ {
@@ -141,7 +142,7 @@ func TestHardEdgesAlwaysSatisfied(t *testing.T) {
 				return true // infeasible graphs are out of scope here
 			}
 		}
-		nets, edges := g.Component(0)
+		nets, edges := g.Component(0, nil, nil)
 		res := Optimize(g, nets)
 		if !res.Feasible {
 			return true
@@ -156,5 +157,33 @@ func TestHardEdgesAlwaysSatisfied(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTreeRebuiltInPlace: one Tree rebuilt for component after component,
+// larger and smaller, solves each exactly as a fresh Tree does, under
+// random locks.
+func TestTreeRebuiltInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var reused Tree
+	var nets []int
+	var edges []*ocg.Edge
+	for range 200 {
+		g := ocg.New()
+		n := 2 + rng.Intn(25)
+		for range rng.Intn(3 * n) {
+			g.AddScenario(rng.Intn(n), rng.Intn(n), softProfile(rng))
+		}
+		locks := map[int]decomp.Color{}
+		for range rng.Intn(3) {
+			locks[rng.Intn(n)] = decomp.Color(1 + rng.Intn(2))
+		}
+		nets, edges = g.Component(rng.Intn(n), nets[:0], edges[:0])
+		reused.Build(nets, edges)
+		var fresh Tree
+		fresh.Build(nets, edges)
+		if got, want := reused.Solve(locks, nil), fresh.Solve(locks, nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("rebuilt tree solves %+v, fresh tree %+v", got, want)
+		}
 	}
 }

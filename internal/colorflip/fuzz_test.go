@@ -69,7 +69,9 @@ func FuzzColorFlip(f *testing.F) {
 
 		// Brute-force the exact objective the DP minimizes: the sum of
 		// oriented assignment costs over the maximum spanning tree.
-		tree := maxSpanningTree(nets, g.ComponentEdges(nets))
+		var built Tree
+		built.Build(nets, g.ComponentEdges(nets))
+		tree := built.tree
 		treeCost := func(colors []decomp.Color) int {
 			total := 0
 			for _, e := range tree {

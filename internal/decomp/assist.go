@@ -122,8 +122,9 @@ func (e *Engine) buildAssists(ly Layout) {
 				continue
 			}
 			// Every piece lies in f, so a keep-out that misses f leaves
-			// the pieces as they are.
-			pieces := append(e.pieces[:0], f)
+			// the pieces as they are. Each keep-out subtracts the pieces
+			// into the spare buffer, which then holds the pieces.
+			pieces, spare := append(e.pieces[:0], f), e.spare
 			for _, oi := range near {
 				if len(pieces) == 0 {
 					break
@@ -134,7 +135,11 @@ func (e *Engine) buildAssists(ly Layout) {
 					sub = o.rect.Expand(ws)
 				}
 				if sub.Intersects(f) {
-					pieces = geom.SubtractAll(pieces, []geom.Rect{sub})
+					spare = spare[:0]
+					for _, pc := range pieces {
+						spare = pc.AppendSubtract(spare, sub)
+					}
+					pieces, spare = spare, pieces
 				}
 			}
 			for _, pc := range pieces {
@@ -142,7 +147,7 @@ func (e *Engine) buildAssists(ly Layout) {
 					e.mats = append(e.mats, Mat{Kind: MatAssist, Pat: t.pat, Rect: pc})
 				}
 			}
-			e.pieces = pieces[:0]
+			e.pieces, e.spare = pieces[:0], spare[:0]
 		}
 	}
 }

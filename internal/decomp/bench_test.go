@@ -98,6 +98,19 @@ func BenchmarkDecomposeWindowEngine(b *testing.B) {
 	}
 }
 
+// BenchmarkDecomposeVerdict is the router's window check: the verdict of
+// one window on a held engine into a held Verdict, with no Result.
+func BenchmarkDecomposeVerdict(b *testing.B) {
+	ly := benchWindow(b)
+	var e decomp.Engine
+	var v decomp.Verdict
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.CutVerdict(ly, nil, &v)
+	}
+}
+
 // BenchmarkDecomposeFull decomposes a whole routed layer — the repair
 // pass / final metrics shape.
 func BenchmarkDecomposeFull(b *testing.B) {

@@ -369,30 +369,30 @@ func trimRequest(dcore, wc int, mats []Mat, snap []geom.Rect, i, j int) (geom.Re
 // trimAway shrinks rect a away from rect b until their gap along one axis
 // reaches at least d, preferring the axis where a keeps the most extent.
 func trimAway(a, b geom.Rect, d, minw int) (geom.Rect, bool) {
-	var cands []geom.Rect
-	// Shrink in X.
+	// At most one candidate per axis: shrunk in X, then in Y.
+	var cands [2]geom.Rect
+	n := 0
 	if a.X1 <= b.X0 { // a is west of b
-		c := a
-		c.X1 = b.X0 - d
-		cands = append(cands, c)
+		cands[n] = a
+		cands[n].X1 = b.X0 - d
+		n++
 	} else if b.X1 <= a.X0 {
-		c := a
-		c.X0 = b.X1 + d
-		cands = append(cands, c)
+		cands[n] = a
+		cands[n].X0 = b.X1 + d
+		n++
 	}
-	// Shrink in Y.
 	if a.Y1 <= b.Y0 {
-		c := a
-		c.Y1 = b.Y0 - d
-		cands = append(cands, c)
+		cands[n] = a
+		cands[n].Y1 = b.Y0 - d
+		n++
 	} else if b.Y1 <= a.Y0 {
-		c := a
-		c.Y0 = b.Y1 + d
-		cands = append(cands, c)
+		cands[n] = a
+		cands[n].Y0 = b.Y1 + d
+		n++
 	}
 	best := geom.Rect{}
 	ok := false
-	for _, c := range cands {
+	for _, c := range cands[:n] {
 		if c.W() < minw || c.H() < minw {
 			continue
 		}

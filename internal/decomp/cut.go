@@ -1,6 +1,9 @@
 package decomp
 
-import "sadproute/internal/obs"
+import (
+	"sadproute/internal/geom"
+	"sadproute/internal/obs"
+)
 
 // DecomposeCut runs the SADP cut-process decomposition oracle on one layer:
 //
@@ -31,8 +34,59 @@ func DecomposeCutR(ly Layout, rec *obs.Recorder) *Result {
 // DecomposeCut runs the cut-process oracle on the engine's scratch state.
 // The returned Result shares nothing with the engine.
 func (e *Engine) DecomposeCut(ly Layout, rec *obs.Recorder) *Result {
+	e.decomposeCut(ly, rec)
+	res := e.result(ly)
+	res.Materials = append([]Mat(nil), e.mats...)
+	return res
+}
+
+// Verdict is what the router's per-net check reads from one cut-process
+// decomposition.
+type Verdict struct {
+	// Bad is the layout's badness: cut conflicts plus violations plus
+	// hard overlays.
+	Bad int
+	// Conflicts holds the conflict rects, in Result.Conflicts order.
+	Conflicts []geom.Rect
+	// Nets holds the implicated nets: each conflict's net, then each hard
+	// overlay's net, in Result order, then Result.BadNets.
+	Nets []int
+}
+
+// CutVerdict is DecomposeCut reduced to the verdict a window check reads,
+// on a pooled engine: it writes v, reusing v's slices, and builds no
+// Result. The counters it reports to rec are DecomposeCutR's.
+func CutVerdict(ly Layout, rec *obs.Recorder, v *Verdict) {
+	e := enginePool.Get().(*Engine)
+	defer enginePool.Put(e)
+	e.CutVerdict(ly, rec, v)
+}
+
+// CutVerdict runs the cut-process oracle on the engine's scratch state
+// and writes its verdict to v, reusing v's slices: a warm engine and a
+// warm v allocate nothing. v shares nothing with the engine.
+func (e *Engine) CutVerdict(ly Layout, rec *obs.Recorder, v *Verdict) {
+	e.decomposeCut(ly, rec)
+	o := &e.out
+	v.Bad = len(o.Conflicts) + len(o.Violations) + o.HardOverlays
+	v.Conflicts, v.Nets = v.Conflicts[:0], v.Nets[:0]
+	for _, cf := range o.Conflicts {
+		v.Conflicts = append(v.Conflicts, cf.Rect)
+		v.Nets = append(v.Nets, ly.Pats[cf.Pat].Net)
+	}
+	for _, ov := range o.Overlays {
+		if ov.Hard {
+			v.Nets = append(v.Nets, ly.Pats[ov.Pat].Net)
+		}
+	}
+	v.Nets = append(v.Nets, o.BadNets...)
+}
+
+// decomposeCut runs the cut-process stages of DecomposeCut, leaving the
+// material in e.mats and every other output in e.out.
+func (e *Engine) decomposeCut(ly Layout, rec *obs.Recorder) {
 	defer rec.Span(obs.StageDecompose)()
-	res := &Result{}
+	res := e.resetOut()
 	e.collectTargets(ly, res)
 
 	e.mats = e.mats[:0]
@@ -51,8 +105,6 @@ func (e *Engine) DecomposeCut(ly Layout, rec *obs.Recorder) *Result {
 	for ti := range e.ts {
 		e.measureRect(ly, ti, res)
 	}
-	res.Materials = append([]Mat(nil), e.mats...)
-	res.SideOverlayUnits = float64(res.SideOverlayNM) / float64(ly.Rules.WLine) //lint:allow float reporting-only: the paper quotes overlay in fractional w_line units
 	if rec != nil {
 		rec.Inc(obs.CtrDecompositions)
 		rec.Add(obs.CtrDecompBlobs, int64(res.Blobs))
@@ -70,7 +122,31 @@ func (e *Engine) DecomposeCut(ly Layout, rec *obs.Recorder) *Result {
 		rec.Add(obs.CtrDecompAssists, assists)
 		rec.Add(obs.CtrDecompOverlayFrags, int64(len(res.Overlays)))
 	}
-	return res
+}
+
+// resetOut empties e.out for the next decomposition, keeping its slices'
+// storage, and returns it.
+func (e *Engine) resetOut() *Result {
+	o := &e.out
+	*o = Result{Overlays: o.Overlays[:0], Conflicts: o.Conflicts[:0],
+		Violations: o.Violations[:0], BadNets: o.BadNets[:0]}
+	return o
+}
+
+// result copies e.out into a fresh Result, without Materials.
+func (e *Engine) result(ly Layout) *Result {
+	o := &e.out
+	return &Result{
+		SideOverlayNM:    o.SideOverlayNM,
+		SideOverlayUnits: float64(o.SideOverlayNM) / float64(ly.Rules.WLine), //lint:allow float reporting-only: the paper quotes overlay in fractional w_line units
+		TipOverlayNM:     o.TipOverlayNM,
+		HardOverlays:     o.HardOverlays,
+		Overlays:         append([]Overlay(nil), o.Overlays...),
+		Conflicts:        append([]CutConflict(nil), o.Conflicts...),
+		Violations:       append([]string(nil), o.Violations...),
+		BadNets:          append([]int(nil), o.BadNets...),
+		Blobs:            o.Blobs,
+	}
 }
 
 // DecomposeLayers runs DecomposeCut on every layer and merges the results

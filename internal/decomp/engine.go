@@ -8,10 +8,11 @@ import (
 )
 
 // Engine is the oracle's reusable scratch state: target lists, spatial
-// indexes, the per-iteration union-find of the merge stage, and the
-// interval sets of the boundary measurement. One decomposition allocates
-// only its Result; everything intermediate lives in the engine and is
-// reused by the next call.
+// indexes, the per-iteration union-find of the merge stage, the interval
+// sets of the boundary measurement, and one decomposition's outputs.
+// Everything a decomposition computes lives in the engine and is reused
+// by the next call; DecomposeCut copies the outputs into a fresh Result,
+// and CutVerdict reads only what a window check needs from them.
 //
 // The zero Engine is ready to use. An Engine is single-goroutine state;
 // a caller that decomposes many layouts may hold one and call its
@@ -19,6 +20,9 @@ import (
 // engine's next call. The package functions (DecomposeCutR and the rest)
 // draw engines from a private pool instead.
 type Engine struct {
+	// out holds one decomposition's overlays, conflicts, violations, bad
+	// nets and aggregates; its Materials stay nil (e.mats holds them).
+	out Result
 	// Targets and their spatial index (collectTargets).
 	ts  []tgt
 	tix rectIndex
@@ -45,10 +49,11 @@ type Engine struct {
 	// material near a measured target (measureRect).
 	near  []int
 	mnear []int
-	// Assist-synthesis scratch (buildAssists/shapeSlab).
-	pieces []geom.Rect
-	along  interval.Set
-	trial  interval.Set
+	// Assist-synthesis scratch (buildAssists/shapeSlab): a slab's pieces
+	// and the buffer the next keep-out subtracts them into.
+	pieces, spare []geom.Rect
+	along         interval.Set
+	trial         interval.Set
 	// Boundary-measurement scratch (measureRect): per-side overlay sets
 	// plus the interior/protection accumulators and the pair-conflict
 	// intersection buffer.

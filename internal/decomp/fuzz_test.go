@@ -45,8 +45,9 @@ func fuzzLayout(data []byte) decomp.Layout {
 }
 
 // FuzzDecomposeCut stresses the decomposition oracle on arbitrary
-// geometry: it must never panic, must be deterministic, and its aggregate
-// metrics must stay self-consistent.
+// geometry: it must never panic, must be deterministic, its aggregate
+// metrics must stay self-consistent, and CutVerdict must read the same
+// verdict as the Result.
 func FuzzDecomposeCut(f *testing.F) {
 	f.Add([]byte{2, 1, 0, 10, 10, 5, 5, 2, 1, 60, 10, 5, 5})
 	f.Add([]byte{5, 0, 1, 3, 3, 7, 9, 1, 1, 100, 100, 30, 30, 2, 0, 50, 50, 20, 20})
@@ -69,6 +70,9 @@ func FuzzDecomposeCut(f *testing.F) {
 				t.Fatalf("oracle emitted empty material rect %+v", m)
 			}
 		}
+		var v decomp.Verdict
+		decomp.CutVerdict(ly, nil, &v)
+		checkVerdict(t, ly, res, v)
 		// The trim decomposition shares the measurement core; keep it under
 		// the same no-panic/determinism net.
 		tr := decomp.DecomposeTrim(ly)

@@ -134,8 +134,7 @@ func (e *Engine) measureRect(ly Layout, ti int, res *Result) {
 			return
 		}
 		x := &e.xset
-		x.CopyFrom(sideSets[a])
-		x.IntersectSet(sideSets[bSide])
+		x.Intersect(sideSets[a], sideSets[bSide])
 		for _, iv := range x.Intervals() {
 			res.Conflicts = append(res.Conflicts, CutConflict{
 				Pat: t.pat, Rect: r, Lo: iv.Lo, Hi: iv.Hi,

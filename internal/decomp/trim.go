@@ -25,7 +25,7 @@ func DecomposeTrim(ly Layout) *Result {
 // DecomposeTrim runs the trim-process oracle on the engine's scratch
 // state; the returned Result shares nothing with the engine.
 func (e *Engine) DecomposeTrim(ly Layout) *Result {
-	res := &Result{}
+	res := e.resetOut()
 	e.collectTargets(ly, res)
 	ts, tix := e.ts, &e.tix
 
@@ -82,9 +82,9 @@ func (e *Engine) DecomposeTrim(ly Layout) *Result {
 		e.measureRect(ly, ti, res)
 		res.Conflicts = res.Conflicts[:nc]
 	}
-	res.Materials = append([]Mat(nil), e.mats...)
-	res.SideOverlayUnits = float64(res.SideOverlayNM) / float64(ly.Rules.WLine) //lint:allow float reporting-only: the paper quotes overlay in fractional w_line units
-	return res
+	out := e.result(ly)
+	out.Materials = append([]Mat(nil), e.mats...)
+	return out
 }
 
 // DecomposeTrimLayers runs DecomposeTrim on every layer, on one pooled

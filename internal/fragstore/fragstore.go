@@ -31,6 +31,9 @@ type Store struct {
 	byNet   map[int][]int32
 	buckets map[geom.Pt][]int32
 	bucket  int
+	// AddPath's scratch: one path's cells on this layer and their rects.
+	cells []geom.Pt
+	rects []geom.Rect
 }
 
 func New() *Store {
@@ -105,7 +108,7 @@ func (fs *Store) Query(r geom.Rect, fn func(f Frag)) {
 	}
 }
 
-// NetRects returns the rects of a net.
+// NetRects returns a copy of the rects of a net.
 func (fs *Store) NetRects(net int) []geom.Rect {
 	ids := fs.byNet[net]
 	out := make([]geom.Rect, 0, len(ids))
@@ -113,6 +116,23 @@ func (fs *Store) NetRects(net int) []geom.Rect {
 		out = append(out, fs.frags[id].Rect)
 	}
 	return out
+}
+
+// EachNetRect calls fn with each rect of a net, in insertion order,
+// without copying them. fn must not modify fs.
+func (fs *Store) EachNetRect(net int, fn func(r geom.Rect)) {
+	for _, id := range fs.byNet[net] {
+		fn(fs.frags[id].Rect)
+	}
+}
+
+// AppendNM appends the rects of a net, converted to nm on g, to dst and
+// returns the extended slice.
+func (fs *Store) AppendNM(dst []geom.Rect, g *grid.Grid, net int) []geom.Rect {
+	for _, id := range fs.byNet[net] {
+		dst = append(dst, g.CellsToNM(fs.frags[id].Rect))
+	}
+	return dst
 }
 
 // NetIDs returns the sorted net ids with fragments.
@@ -133,22 +153,33 @@ func (fs *Store) Has(net int) bool { return len(fs.byNet[net]) > 0 }
 // colors. Nets without fragments, and skip, are left out (pass -1 to
 // skip none).
 func (fs *Store) Layout(g *grid.Grid, colors map[int]decomp.Color, ids []int, skip int) decomp.Layout {
-	ly := decomp.Layout{Rules: g.Rules, Die: g.DieNM()}
+	return fs.BuildLayout(new(LayoutBuf), g, colors, ids, skip)
+}
+
+// LayoutBuf holds the patterns and nm rects of the layouts BuildLayout
+// assembles, reused from one build to the next.
+type LayoutBuf struct {
+	pats  []decomp.Pattern
+	rects []geom.Rect
+}
+
+// BuildLayout is Layout assembled in buf's storage: the layout is valid
+// until the next build into buf, and a warm buf allocates nothing.
+func (fs *Store) BuildLayout(buf *LayoutBuf, g *grid.Grid, colors map[int]decomp.Color, ids []int, skip int) decomp.Layout {
+	pats, rects := buf.pats[:0], buf.rects[:0]
 	for _, n := range ids {
 		if n == skip {
 			continue
 		}
-		rects := fs.NetRects(n)
-		if len(rects) == 0 {
-			continue
+		// A later append may move rects; the rects a pattern holds stay
+		// where they were written, unchanged.
+		lo := len(rects)
+		if rects = fs.AppendNM(rects, g, n); len(rects) > lo {
+			pats = append(pats, decomp.Pattern{Net: n, Color: colors[n], Rects: rects[lo:len(rects):len(rects)]})
 		}
-		nm := make([]geom.Rect, len(rects))
-		for i, cr := range rects {
-			nm[i] = g.CellsToNM(cr)
-		}
-		ly.Pats = append(ly.Pats, decomp.Pattern{Net: n, Color: colors[n], Rects: nm})
 	}
-	return ly
+	buf.pats, buf.rects = pats, rects
+	return decomp.Layout{Rules: g.Rules, Die: g.DieNM(), Pats: pats}
 }
 
 // Layouts assembles the oracle input of every layer: all nets with
@@ -162,27 +193,22 @@ func Layouts(stores []*Store, g *grid.Grid, colors []map[int]decomp.Color) []dec
 }
 
 // AddPath registers a routed path's fragments with the per-layer stores:
-// each layer's cells, fragmented into rects (geom.FragmentCells).
+// each layer's cells, a revisited cell counted once, fragmented into rects
+// (geom.FragmentCells).
 func AddPath(stores []*Store, net int, path []grid.Cell) {
-	for l, cells := range CellsByLayer(path, len(stores)) {
+	for l, fs := range stores {
+		cells := fs.cells[:0]
+		for _, c := range path {
+			if c.L == l {
+				cells = append(cells, geom.Pt{X: c.X, Y: c.Y})
+			}
+		}
+		fs.cells = cells
 		if len(cells) > 0 {
-			stores[l].Add(net, geom.FragmentCells(cells))
+			fs.rects = geom.FragmentCells(fs.rects[:0], cells)
+			fs.Add(net, fs.rects)
 		}
 	}
-}
-
-// CellsByLayer splits a routed path into per-layer cell sets.
-func CellsByLayer(path []grid.Cell, layers int) [][]geom.Pt {
-	out := make([][]geom.Pt, layers)
-	seen := make(map[grid.Cell]bool, len(path))
-	for _, c := range path {
-		if seen[c] {
-			continue
-		}
-		seen[c] = true
-		out[c.L] = append(out[c.L], geom.Pt{X: c.X, Y: c.Y})
-	}
-	return out
 }
 
 func fdiv(a, b int) int {

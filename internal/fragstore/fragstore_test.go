@@ -182,14 +182,24 @@ func wantQuery(live []Frag, r geom.Rect, bucket int) []Frag {
 	return out
 }
 
-func TestCellsByLayer(t *testing.T) {
+// TestAddPathSplitsLayers: each layer's store receives the fragments of
+// the path's cells on that layer, and a cell the path revisits counts
+// once.
+func TestAddPathSplitsLayers(t *testing.T) {
 	path := []grid.Cell{
 		{X: 0, Y: 0, L: 0}, {X: 1, Y: 0, L: 0}, {X: 1, Y: 0, L: 1},
 		{X: 1, Y: 1, L: 1}, {X: 1, Y: 0, L: 1}, // duplicate cell
 	}
-	by := CellsByLayer(path, 3)
-	if len(by[0]) != 2 || len(by[1]) != 2 || len(by[2]) != 0 {
-		t.Fatalf("split: %v", by)
+	stores := []*Store{New(), New(), New()}
+	AddPath(stores, 4, path)
+	want := [][]geom.Rect{{{X0: 0, Y0: 0, X1: 2, Y1: 1}}, {{X0: 1, Y0: 0, X1: 2, Y1: 2}}, nil}
+	for l, fs := range stores {
+		if got := fs.NetRects(4); !slices.Equal(got, want[l]) {
+			t.Errorf("layer %d: rects %v, want %v", l, got, want[l])
+		}
+	}
+	if stores[2].Has(4) {
+		t.Error("layer 2 holds net 4, which has no cell there")
 	}
 }
 
@@ -226,5 +236,18 @@ func TestAddPathAndLayouts(t *testing.T) {
 	}
 	if ly := stores[0].Layout(g, colors[0], []int{5, 9, 3}, -1); len(ly.Pats) != 2 || ly.Pats[0].Net != 5 || ly.Pats[1].Net != 3 {
 		t.Fatalf("ids order or fragment-less net 9: %+v", ly.Pats)
+	}
+
+	// BuildLayout assembles the same layouts into one reused buffer, and
+	// once the buffer has grown it allocates nothing.
+	var buf LayoutBuf
+	for _, ids := range [][]int{{3, 5}, {5}, {5, 9, 3}} {
+		got := stores[0].BuildLayout(&buf, g, colors[0], ids, -1)
+		if want := stores[0].Layout(g, colors[0], ids, -1); !reflect.DeepEqual(got, want) {
+			t.Fatalf("BuildLayout(%v) = %+v, Layout %+v", ids, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { stores[0].BuildLayout(&buf, g, colors[0], []int{3, 5}, -1) }); n != 0 {
+		t.Errorf("a warm BuildLayout allocates %.1f objects, want 0", n)
 	}
 }

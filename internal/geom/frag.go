@@ -1,6 +1,9 @@
 package geom
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // FragmentCells decomposes a set of unit cells (e.g. the grid cells occupied
 // by one net on one layer) into maximal straight run rectangles, the
@@ -16,72 +19,48 @@ import "sort"
 // pairwise scenario classification because both rects belong to the same
 // polygon.
 //
-// The result is deterministic: rects are sorted by (Y0, X0, X1, Y1).
-func FragmentCells(cells []Pt) []Rect {
-	if len(cells) == 0 {
-		return nil
+// FragmentCells appends the rects to dst, sorted by (Y0, X0, X1, Y1), and
+// returns the extended slice. It sorts cells in place by (Y, X) and
+// counts a repeated cell once; it allocates only to grow dst.
+func FragmentCells(dst []Rect, cells []Pt) []Rect {
+	slices.SortFunc(cells, byRow)
+	cells = slices.Compact(cells)
+	has := func(p Pt) bool {
+		_, ok := slices.BinarySearchFunc(cells, p, byRow)
+		return ok
 	}
-	set := make(map[Pt]bool, len(cells))
-	for _, c := range cells {
-		set[c] = true
-	}
-	inRun := make(map[Pt]bool, len(cells))
-	var out []Rect
-
-	// Maximal horizontal runs.
-	for _, c := range cells {
-		if set[Pt{c.X - 1, c.Y}] {
-			continue // not a run start
-		}
-		x1 := c.X + 1
-		for set[Pt{x1, c.Y}] {
-			x1++
-		}
-		if x1-c.X >= 2 {
-			out = append(out, Rect{c.X, c.Y, x1, c.Y + 1})
-			for x := c.X; x < x1; x++ {
-				inRun[Pt{x, c.Y}] = true
+	base := len(dst)
+	for i, c := range cells {
+		left := i > 0 && cells[i-1] == Pt{c.X - 1, c.Y}
+		right := i+1 < len(cells) && cells[i+1] == Pt{c.X + 1, c.Y}
+		down, up := has(Pt{c.X, c.Y - 1}), has(Pt{c.X, c.Y + 1})
+		switch {
+		case !left && right: // a maximal horizontal run starts here
+			j := i + 1
+			for j+1 < len(cells) && cells[j+1] == (Pt{cells[j].X + 1, c.Y}) {
+				j++
 			}
+			dst = append(dst, Rect{c.X, c.Y, cells[j].X + 1, c.Y + 1})
+		case !left && !right && !down && !up: // isolated
+			dst = append(dst, Rect{c.X, c.Y, c.X + 1, c.Y + 1})
 		}
-	}
-	// Maximal vertical runs.
-	for _, c := range cells {
-		if set[Pt{c.X, c.Y - 1}] {
-			continue
-		}
-		y1 := c.Y + 1
-		for set[Pt{c.X, y1}] {
-			y1++
-		}
-		if y1-c.Y >= 2 {
-			out = append(out, Rect{c.X, c.Y, c.X + 1, y1})
-			for y := c.Y; y < y1; y++ {
-				inRun[Pt{c.X, y}] = true
+		if !down && up { // a maximal vertical run starts here
+			y1 := c.Y + 2
+			for has(Pt{c.X, y1}) {
+				y1++
 			}
+			dst = append(dst, Rect{c.X, c.Y, c.X + 1, y1})
 		}
 	}
-	// Isolated cells.
-	for _, c := range cells {
-		if !inRun[c] {
-			out = append(out, Rect{c.X, c.Y, c.X + 1, c.Y + 1})
-			inRun[c] = true
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Y0 != b.Y0 {
-			return a.Y0 < b.Y0
-		}
-		if a.X0 != b.X0 {
-			return a.X0 < b.X0
-		}
-		if a.X1 != b.X1 {
-			return a.X1 < b.X1
-		}
-		return a.Y1 < b.Y1
+	slices.SortFunc(dst[base:], func(a, b Rect) int {
+		return cmp.Or(cmp.Compare(a.Y0, b.Y0), cmp.Compare(a.X0, b.X0),
+			cmp.Compare(a.X1, b.X1), cmp.Compare(a.Y1, b.Y1))
 	})
-	return out
+	return dst
 }
+
+// byRow orders cells by (Y, X).
+func byRow(a, b Pt) int { return cmp.Or(cmp.Compare(a.Y, b.Y), cmp.Compare(a.X, b.X)) }
 
 // CellsOfRect expands a cell-coordinate Rect back into its unit cells.
 func CellsOfRect(r Rect) []Pt {

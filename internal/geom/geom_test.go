@@ -2,6 +2,8 @@ package geom
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -55,7 +57,8 @@ func TestOrient(t *testing.T) {
 	}
 }
 
-// TestQuickSubtract checks r.Subtract(s) partitions r \ s exactly.
+// TestQuickSubtract checks that r.AppendSubtract(dst, s) keeps dst and
+// appends pieces that partition r \ s exactly.
 func TestQuickSubtract(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -64,7 +67,16 @@ func TestQuickSubtract(t *testing.T) {
 			return Rect{x, y, x + 1 + rng.Intn(10), y + 1 + rng.Intn(10)}
 		}
 		r, s := rr(), rr()
-		pieces := r.Subtract(s)
+		dst := make([]Rect, rng.Intn(3), 8)
+		for i := range dst {
+			dst[i] = rr()
+		}
+		prefix := slices.Clone(dst)
+		out := r.AppendSubtract(dst, s)
+		if !slices.Equal(out[:len(prefix)], prefix) {
+			return false
+		}
+		pieces := out[len(prefix):]
 		// Pieces must be disjoint, inside r, outside s, and cover r \ s.
 		area := 0
 		for i, p := range pieces {
@@ -94,7 +106,7 @@ func TestFragmentCells(t *testing.T) {
 	for y := 1; y < 3; y++ {
 		cells = append(cells, Pt{3, y})
 	}
-	frags := FragmentCells(cells)
+	frags := FragmentCells(nil, cells)
 	if len(frags) != 2 {
 		t.Fatalf("want 2 fragments, got %v", frags)
 	}
@@ -113,7 +125,7 @@ func TestFragmentCells(t *testing.T) {
 }
 
 func TestFragmentIsolated(t *testing.T) {
-	frags := FragmentCells([]Pt{{5, 5}})
+	frags := FragmentCells(nil, []Pt{{5, 5}})
 	if len(frags) != 1 || frags[0] != (Rect{5, 5, 6, 6}) {
 		t.Fatalf("got %v", frags)
 	}
@@ -139,7 +151,7 @@ func TestQuickFragmentCovers(t *testing.T) {
 				y += rng.Intn(3) - 1
 			}
 		}
-		frags := FragmentCells(cells)
+		frags := FragmentCells(nil, cells)
 		covered := map[Pt]bool{}
 		for _, fr := range frags {
 			for _, c := range CellsOfRect(fr) {
@@ -154,4 +166,95 @@ func TestQuickFragmentCovers(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestQuickFragmentMatchesMaps holds FragmentCells to the map-based
+// fragmentation it replaced, rect for rect and in order, on random walks
+// that revisit cells, appended after a prefix that must stay.
+func TestQuickFragmentMatchesMaps(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var cells []Pt
+		x, y := rng.Intn(5), rng.Intn(5)
+		for range 1 + rng.Intn(60) {
+			cells = append(cells, Pt{x, y})
+			if rng.Intn(2) == 0 {
+				x += rng.Intn(3) - 1
+			} else {
+				y += rng.Intn(3) - 1
+			}
+		}
+		want := mapFragments(cells)
+		prefix := []Rect{{0, 0, 1, 1}}
+		got := FragmentCells(slices.Clone(prefix), slices.Clone(cells))
+		return slices.Equal(got[:1], prefix) && slices.Equal(got[1:], want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mapFragments is the map-based fragmentation FragmentCells replaced,
+// with its caller's first-seen deduplication of revisited cells.
+func mapFragments(path []Pt) []Rect {
+	set := map[Pt]bool{}
+	var cells []Pt
+	for _, c := range path {
+		if !set[c] {
+			set[c] = true
+			cells = append(cells, c)
+		}
+	}
+	inRun := map[Pt]bool{}
+	var out []Rect
+	for _, c := range cells {
+		if set[Pt{c.X - 1, c.Y}] {
+			continue
+		}
+		x1 := c.X + 1
+		for set[Pt{x1, c.Y}] {
+			x1++
+		}
+		if x1-c.X >= 2 {
+			out = append(out, Rect{c.X, c.Y, x1, c.Y + 1})
+			for x := c.X; x < x1; x++ {
+				inRun[Pt{x, c.Y}] = true
+			}
+		}
+	}
+	for _, c := range cells {
+		if set[Pt{c.X, c.Y - 1}] {
+			continue
+		}
+		y1 := c.Y + 1
+		for set[Pt{c.X, y1}] {
+			y1++
+		}
+		if y1-c.Y >= 2 {
+			out = append(out, Rect{c.X, c.Y, c.X + 1, y1})
+			for y := c.Y; y < y1; y++ {
+				inRun[Pt{c.X, y}] = true
+			}
+		}
+	}
+	for _, c := range cells {
+		if !inRun[c] {
+			out = append(out, Rect{c.X, c.Y, c.X + 1, c.Y + 1})
+			inRun[c] = true
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Y0 != b.Y0 {
+			return a.Y0 < b.Y0
+		}
+		if a.X0 != b.X0 {
+			return a.X0 < b.X0
+		}
+		if a.X1 != b.X1 {
+			return a.X1 < b.X1
+		}
+		return a.Y1 < b.Y1
+	})
+	return out
 }

@@ -1,46 +1,30 @@
 package geom
 
-// Subtract returns r minus s as up to four disjoint rectangles. The pieces
-// are emitted in bottom, top, left, right order; empty pieces are omitted.
-func (r Rect) Subtract(s Rect) []Rect {
+// AppendSubtract appends r minus s to dst as up to four disjoint
+// rectangles and returns the extended slice. The pieces are appended in
+// bottom, top, left, right order; empty pieces are omitted.
+func (r Rect) AppendSubtract(dst []Rect, s Rect) []Rect {
 	if r.Empty() {
-		return nil
+		return dst
 	}
 	x := r.Intersect(s)
 	if x.Empty() {
-		return []Rect{r}
+		return append(dst, r)
 	}
 	if x == r {
-		return nil
+		return dst
 	}
-	out := make([]Rect, 0, 4)
 	if x.Y0 > r.Y0 { // bottom slab
-		out = append(out, Rect{r.X0, r.Y0, r.X1, x.Y0})
+		dst = append(dst, Rect{r.X0, r.Y0, r.X1, x.Y0})
 	}
 	if x.Y1 < r.Y1 { // top slab
-		out = append(out, Rect{r.X0, x.Y1, r.X1, r.Y1})
+		dst = append(dst, Rect{r.X0, x.Y1, r.X1, r.Y1})
 	}
 	if x.X0 > r.X0 { // left slab
-		out = append(out, Rect{r.X0, x.Y0, x.X0, x.Y1})
+		dst = append(dst, Rect{r.X0, x.Y0, x.X0, x.Y1})
 	}
 	if x.X1 < r.X1 { // right slab
-		out = append(out, Rect{x.X1, x.Y0, r.X1, x.Y1})
+		dst = append(dst, Rect{x.X1, x.Y0, r.X1, x.Y1})
 	}
-	return out
-}
-
-// SubtractAll removes every rect in subs from each rect in rs.
-func SubtractAll(rs []Rect, subs []Rect) []Rect {
-	cur := rs
-	for _, s := range subs {
-		var next []Rect
-		for _, r := range cur {
-			next = append(next, r.Subtract(s)...)
-		}
-		cur = next
-		if len(cur) == 0 {
-			return nil
-		}
-	}
-	return cur
+	return dst
 }

@@ -151,14 +151,14 @@ func (s *Set) SubtractSet(o *Set) {
 	}
 }
 
-// IntersectSet keeps only the parts of s covered by o.
-func (s *Set) IntersectSet(o *Set) {
-	var out []Iv
-	for _, a := range s.ivs {
-		for _, b := range o.ivs {
-			x := a.Intersect(b)
-			if !x.Empty() {
-				out = append(out, x)
+// Intersect sets s to the parts of a covered by b, reusing s's backing
+// storage. s must be neither a nor b.
+func (s *Set) Intersect(a, b *Set) {
+	out := s.ivs[:0]
+	for _, x := range a.ivs {
+		for _, y := range b.ivs {
+			if iv := x.Intersect(y); !iv.Empty() {
+				out = append(out, iv)
 			}
 		}
 	}

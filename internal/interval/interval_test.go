@@ -43,12 +43,18 @@ func TestComplement(t *testing.T) {
 	}
 }
 
-func TestIntersectSet(t *testing.T) {
+// TestIntersect: s becomes a ∩ b whatever it held, and once its storage
+// has grown it intersects without allocating.
+func TestIntersect(t *testing.T) {
 	a := NewSet(Iv{0, 10}, Iv{20, 30})
 	b := NewSet(Iv{5, 25})
-	a.IntersectSet(b)
-	if a.TotalLen() != 10 || a.Len() != 2 {
-		t.Fatalf("got %v", a)
+	s := NewSet(Iv{100, 200}, Iv{300, 400}, Iv{500, 600})
+	s.Intersect(a, b)
+	if got := s.Intervals(); len(got) != 2 || got[0] != (Iv{5, 10}) || got[1] != (Iv{20, 25}) {
+		t.Fatalf("got %v", s)
+	}
+	if n := testing.AllocsPerRun(10, func() { s.Intersect(a, b) }); n != 0 {
+		t.Errorf("Intersect allocates %.1f objects, want 0", n)
 	}
 }
 

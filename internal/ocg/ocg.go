@@ -290,15 +290,16 @@ func (g *Graph) newMark(n int) {
 	}
 }
 
-// Component returns the nets connected to n (including n) through any
-// edges, in sorted order, and the edges among them, sorted by (A, B): the
-// result of ComponentEdges on those nets, from the same walk.
-func (g *Graph) Component(n int) ([]int, []*Edge) {
+// Component appends to nets the nets connected to n (including n) through
+// any edges, in sorted order, and to edges the edges among them, sorted by
+// (A, B): the result of ComponentEdges on those nets, from the same walk.
+// It returns the extended slices; callers pass buffers they own, emptied.
+func (g *Graph) Component(n int, nets []int, edges []*Edge) ([]int, []*Edge) {
 	g.newMark(n)
 	g.mark[n] = g.stamp
-	nets := []int{n}
-	var edges []*Edge
-	for i := 0; i < len(nets); i++ {
+	n0, e0 := len(nets), len(edges)
+	nets = append(nets, n)
+	for i := n0; i < len(nets); i++ {
 		v := nets[i]
 		for _, e := range g.adj[v] {
 			if e.A == v { // every edge once, from its A side
@@ -310,8 +311,8 @@ func (g *Graph) Component(n int) ([]int, []*Edge) {
 			}
 		}
 	}
-	slices.Sort(nets)
-	slices.SortFunc(edges, byEnds)
+	slices.Sort(nets[n0:])
+	slices.SortFunc(edges[e0:], byEnds)
 	return nets, edges
 }
 

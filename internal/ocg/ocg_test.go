@@ -113,18 +113,23 @@ func TestComponent(t *testing.T) {
 	g.AddScenario(1, 2, soft(1))
 	g.AddScenario(2, 3, soft(1))
 	g.AddScenario(7, 8, soft(1))
-	comp, edges := g.Component(1)
+	comp, edges := g.Component(1, nil, nil)
 	if len(comp) != 3 || comp[0] != 1 || comp[2] != 3 {
 		t.Fatalf("component: %v", comp)
 	}
 	if len(edges) != 2 {
 		t.Fatal("component edges wrong")
 	}
+	// Component appends: what the buffers held stays in front.
+	comp, edges = g.Component(8, []int{9}, edges[:1])
+	if !slices.Equal(comp, []int{9, 7, 8}) || len(edges) != 2 || edges[1] != g.EdgeBetween(7, 8) {
+		t.Fatalf("appended component: %v, %d edges", comp, len(edges))
+	}
 }
 
 // TestComponentEdgesOneWalk checks that Component's edges are exactly
 // ComponentEdges of its nets, in the same order, on random graphs with
-// rip-ups.
+// rip-ups, with one pair of buffers reused for every walk.
 func TestComponentEdgesOneWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for range 50 {
@@ -136,8 +141,10 @@ func TestComponentEdgesOneWalk(t *testing.T) {
 				g.RemoveNet(rng.Intn(n))
 			}
 		}
+		var nets []int
+		var edges []*Edge
 		for v := range n {
-			nets, edges := g.Component(v)
+			nets, edges = g.Component(v, nets[:0], edges[:0])
 			if want := g.ComponentEdges(nets); !slices.Equal(edges, want) {
 				t.Fatalf("component of %d: one walk gives %d edges, ComponentEdges %d", v, len(edges), len(want))
 			}

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"sadproute/internal/astar"
-	"sadproute/internal/colorflip"
 	"sadproute/internal/decomp"
 	"sadproute/internal/fragstore"
 	"sadproute/internal/geom"
@@ -27,16 +26,14 @@ import (
 // targeted rip-up cost inflation.
 func (st *state) windowResolve(id int) (bad bool, hot []grid.Cell) {
 	for l := 0; l < st.nl.Layers; l++ {
-		mine := st.frags[l].NetRects(id)
-		if len(mine) == 0 {
+		fs := st.frags[l]
+		if !fs.Has(id) {
 			continue
 		}
 		st.rec.Inc(obs.CtrWindowChecks)
 		st.rec.NetWindowCheck(id)
 		var bbox geom.Rect
-		for _, r := range mine {
-			bbox = bbox.Union(r)
-		}
+		fs.EachNetRect(id, func(r geom.Rect) { bbox = bbox.Union(r) })
 		window := bbox.Expand(scenario.Reach)
 
 		if st.winNets == nil {
@@ -46,7 +43,7 @@ func (st *state) windowResolve(id int) (bad bool, hot []grid.Cell) {
 		}
 		netsIn := st.winNets
 		netsIn[id] = true
-		st.frags[l].Query(window, func(f fragstore.Frag) { netsIn[f.Net] = true })
+		fs.Query(window, func(f fragstore.Frag) { netsIn[f.Net] = true })
 		ids := st.winIDs[:0]
 		for n := range netsIn {
 			ids = append(ids, n)
@@ -58,7 +55,7 @@ func (st *state) windowResolve(id int) (bad bool, hot []grid.Cell) {
 		// Current coloring. Badness is never negative, so a window that is
 		// clean with the net cannot be worse than its baseline, and only a
 		// dirty window pays for the baseline.
-		cur := st.verdictOf(l, st.frags[l].Layout(st.g, st.colors[l], ids, -1))
+		cur := st.verdictOf(l, fs.BuildLayout(&st.layout, st.g, st.colors[l], ids, -1))
 		curBad := cur.bad
 		if curBad == 0 {
 			if st.rec.Tracing() {
@@ -68,7 +65,7 @@ func (st *state) windowResolve(id int) (bad bool, hot []grid.Cell) {
 			continue
 		}
 		// Baseline: the window without the new net.
-		baseBad := st.verdictOf(l, st.frags[l].Layout(st.g, st.colors[l], ids, id)).bad
+		baseBad := st.verdictOf(l, fs.BuildLayout(&st.layout, st.g, st.colors[l], ids, id)).bad
 		if curBad <= baseBad {
 			if st.rec.Tracing() {
 				st.rec.Trace("window_check", obs.I("net", id), obs.I("layer", l),
@@ -80,21 +77,26 @@ func (st *state) windowResolve(id int) (bad bool, hot []grid.Cell) {
 		// The net made things worse: try to resolve by recoloring its
 		// component with the net's color forced each way. Both attempts
 		// solve one spanning tree: recoloring leaves the graph as it is.
-		comp, edges := st.ocgs[l].Component(id)
-		saved := make(map[int]decomp.Color, len(comp))
+		comp := st.buildTree(l, id)
+		saved := st.saved[:0]
 		for _, n := range comp {
-			saved[n] = st.colors[l][n]
+			saved = append(saved, st.colors[l][n])
+		}
+		st.saved = saved
+		restore := func() {
+			for i, n := range comp {
+				st.colors[l][n] = saved[i]
+			}
 		}
 		savedLock, hadLock := st.locks[l][id]
 		resolved := false
-		tree := colorflip.NewTree(comp, edges)
 		for _, forced := range [2]decomp.Color{st.colors[l][id], st.colors[l][id].Flip()} {
 			st.locks[l][id] = forced
-			r := tree.Solve(st.locks[l], st.rec)
+			r := st.tree.Solve(st.locks[l], st.rec)
 			if !r.Feasible {
 				continue
 			}
-			if sameColors(r.Colors, saved) {
+			if sameColors(r.Colors, comp, saved) {
 				// The DP reproduced the assignment the window was just
 				// decomposed under, so this attempt would score exactly
 				// curBad (> baseBad): reject it without re-running the
@@ -105,14 +107,12 @@ func (st *state) windowResolve(id int) (bad bool, hot []grid.Cell) {
 			for n, col := range r.Colors {
 				st.colors[l][n] = col
 			}
-			if st.verdictOf(l, st.frags[l].Layout(st.g, st.colors[l], ids, -1)).bad <= baseBad {
+			if st.verdictOf(l, fs.BuildLayout(&st.layout, st.g, st.colors[l], ids, -1)).bad <= baseBad {
 				resolved = true
 				break
 			}
 			st.rec.Inc(obs.CtrFlipsRejected)
-			for n, col := range saved {
-				st.colors[l][n] = col
-			}
+			restore()
 		}
 		if resolved {
 			st.rec.Inc(obs.CtrWindowResolved)
@@ -129,9 +129,7 @@ func (st *state) windowResolve(id int) (bad bool, hot []grid.Cell) {
 		} else {
 			delete(st.locks[l], id)
 		}
-		for n, col := range saved {
-			st.colors[l][n] = col
-		}
+		restore()
 		st.rec.Inc(obs.CtrWindowFailed)
 		st.rec.NetWindowFail(id)
 		if st.rec.Tracing() {
@@ -145,14 +143,14 @@ func (st *state) windowResolve(id int) (bad bool, hot []grid.Cell) {
 }
 
 // sameColors reports whether the flipping DP's assignment is identical to
-// the coloring it started from.
-func sameColors(got, cur map[int]decomp.Color) bool {
-	if len(got) != len(cur) {
+// the coloring it started from: cur[i] is the color of nets[i], and got
+// colors exactly those nets.
+func sameColors(got map[int]decomp.Color, nets []int, cur []decomp.Color) bool {
+	if len(got) != len(nets) {
 		return false
 	}
-	for n, c := range got {
-		cc, ok := cur[n]
-		if !ok || cc != c {
+	for i, n := range nets {
+		if c, ok := got[n]; !ok || c != cur[i] {
 			return false
 		}
 	}
@@ -165,9 +163,10 @@ func sameColors(got, cur map[int]decomp.Color) bool {
 // lookup misses.
 var memoCap = 4096
 
-// verdict is what the router reads from one oracle run on a layer layout:
-// the window badness (cut conflicts, violations and hard overlays), the
-// conflict rects conflictCells inflates, and the nets offenders rips up.
+// verdict is what the router reads from one oracle run on a layer layout
+// (decomp.Verdict): the window badness (cut conflicts, violations and
+// hard overlays), the conflict rects conflictCells inflates, and the nets
+// offenders rips up. Its slices are its own, exactly sized.
 type verdict struct {
 	bad       int
 	conflicts []geom.Rect
@@ -177,7 +176,7 @@ type verdict struct {
 // layerMemo maps a layer layout's pattern serialization to its verdict.
 // Rules and die are fixed for the run, so the patterns alone key it.
 type layerMemo struct {
-	m    map[string]*verdict
+	m    map[string]verdict
 	ring []string // keys of the stored verdicts, oldest at head
 	head int
 	key  []byte // serialization scratch
@@ -187,9 +186,10 @@ type layerMemo struct {
 // from the layer's memo. Window checks and repair passes ask about many
 // layouts more than once (a window without the new net, an unchanged full
 // layer), so they share one memo per layer, keyed by net, color and rects
-// of the patterns in the order given. The oracle's Result is dropped once
-// its verdict is taken.
-func (st *state) verdictOf(l int, ly decomp.Layout) *verdict {
+// of the patterns in the order given. The oracle writes its verdict into
+// the run's buffer, and the returned verdict owns copies, so it outlives
+// the buffer's next use and the layout's.
+func (st *state) verdictOf(l int, ly decomp.Layout) verdict {
 	mm := &st.memo[l]
 	k := mm.key[:0]
 	for _, p := range ly.Pats {
@@ -208,23 +208,13 @@ func (st *state) verdictOf(l int, ly decomp.Layout) *verdict {
 		return v
 	}
 	st.rec.Inc(obs.CtrDecompMemoMisses)
-	res := decomp.DecomposeCutR(ly, st.rec)
-	v := &verdict{bad: len(res.Conflicts) + len(res.Violations) + res.HardOverlays}
-	for _, cf := range res.Conflicts {
-		v.conflicts = append(v.conflicts, cf.Rect)
-		v.nets = append(v.nets, ly.Pats[cf.Pat].Net)
-	}
-	for _, ov := range res.Overlays {
-		if ov.Hard {
-			v.nets = append(v.nets, ly.Pats[ov.Pat].Net)
-		}
-	}
-	v.nets = append(v.nets, res.BadNets...)
+	decomp.CutVerdict(ly, st.rec, &st.verdict)
+	v := verdict{bad: st.verdict.Bad, conflicts: owned(st.verdict.Conflicts), nets: owned(st.verdict.Nets)}
 	if memoCap == 0 {
 		return v
 	}
 	if mm.m == nil {
-		mm.m = make(map[string]*verdict)
+		mm.m = make(map[string]verdict)
 	}
 	key := string(k)
 	if len(mm.ring) < memoCap {
@@ -237,6 +227,14 @@ func (st *state) verdictOf(l int, ly decomp.Layout) *verdict {
 	}
 	mm.m[key] = v
 	return v
+}
+
+// owned returns an exactly sized copy of s, or nil when s is empty.
+func owned[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return append(make([]T, 0, len(s)), s...)
 }
 
 // conflictCells maps oracle conflict rects back to grid cells on layer l
@@ -329,7 +327,8 @@ func (st *state) repairConflicts() {
 // violations of the current full layout.
 func (st *state) offenders() []int {
 	bad := map[int]bool{}
-	for l, ly := range st.res.Layouts() {
+	for l, fs := range st.frags {
+		ly := fs.BuildLayout(&st.layout, st.g, st.colors[l], fs.NetIDs(), -1)
 		for _, n := range st.verdictOf(l, ly).nets {
 			bad[n] = true
 		}

@@ -16,6 +16,7 @@ import (
 	"sadproute/internal/colorflip"
 	"sadproute/internal/decomp"
 	"sadproute/internal/fragstore"
+	"sadproute/internal/geom"
 	"sadproute/internal/grid"
 	"sadproute/internal/netlist"
 	"sadproute/internal/obs"
@@ -173,10 +174,19 @@ type state struct {
 	// for rerouting.
 	blockerBudget int
 	pending       []int
-	// winNets and winIDs are windowResolve's per-window net set and sorted
-	// id list, cleared and reused across windows instead of reallocated.
-	winNets map[int]bool
-	winIDs  []int
+	// The per-net checks' buffers, reused from one check to the next:
+	// windowResolve's net set and sorted id list, the oracle layouts of
+	// windowResolve and offenders and the oracle's verdict on them, the
+	// component walk, the flipping tree, and the colors a failed recolor
+	// restores.
+	winNets   map[int]bool
+	winIDs    []int
+	layout    fragstore.LayoutBuf
+	verdict   decomp.Verdict
+	compNets  []int
+	compEdges []*ocg.Edge
+	tree      colorflip.Tree
+	saved     []decomp.Color
 	// ctx is the run context (RouteCtx). Checked at net and pass
 	// boundaries only: a run that is never cancelled behaves — and
 	// traces — byte-identically to one routed without a context.
@@ -551,10 +561,8 @@ func (st *state) ripup(id int) {
 // the cells implicated, for targeted cost inflation.
 func (st *state) updateGraphs(id int) (odd, infeasible bool, hot []grid.Cell) {
 	for l := 0; l < st.nl.Layers; l++ {
-		mine := st.frags[l].NetRects(id)
-		for _, mr := range mine {
-			rect := mr
-			st.frags[l].Query(mr.Expand(scenario.Reach), func(f fragstore.Frag) {
+		st.frags[l].EachNetRect(id, func(rect geom.Rect) {
+			st.frags[l].Query(rect.Expand(scenario.Reach), func(f fragstore.Frag) {
 				prof, ok := scenario.Classify(rect, f.Rect, st.ds)
 				if !ok {
 					return
@@ -580,7 +588,7 @@ func (st *state) updateGraphs(id int) (odd, infeasible bool, hot []grid.Cell) {
 				odd = odd || o
 				infeasible = infeasible || inf
 			})
-		}
+		})
 	}
 	return odd, infeasible, hot
 }
@@ -599,8 +607,8 @@ func (st *state) colorNewNet(id int) {
 			continue
 		}
 		if induced := st.inducedOverlay(l, id); induced > st.opt.FlipThresholdNM {
-			nets, edges := st.ocgs[l].Component(id)
-			r := colorflip.NewTree(nets, edges).Solve(st.locks[l], st.rec)
+			nets := st.buildTree(l, id)
+			r := st.tree.Solve(st.locks[l], st.rec)
 			for n, col := range r.Colors {
 				st.colors[l][n] = col
 			}
@@ -654,14 +662,22 @@ func (st *state) flipAll() {
 			if visited[n] {
 				continue
 			}
-			comp, edges := st.ocgs[l].Component(n)
-			for _, v := range comp {
+			for _, v := range st.buildTree(l, n) {
 				visited[v] = true
 			}
-			r := colorflip.NewTree(comp, edges).Solve(st.locks[l], st.rec)
+			r := st.tree.Solve(st.locks[l], st.rec)
 			for v, col := range r.Colors {
 				st.colors[l][v] = col
 			}
 		}
 	}
+}
+
+// buildTree walks net n's OCG component on layer l into the run's buffers
+// and rebuilds st.tree for it; it returns the component's sorted nets,
+// valid until the next walk.
+func (st *state) buildTree(l, n int) []int {
+	st.compNets, st.compEdges = st.ocgs[l].Component(n, st.compNets[:0], st.compEdges[:0])
+	st.tree.Build(st.compNets, st.compEdges)
+	return st.compNets
 }

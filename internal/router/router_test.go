@@ -62,12 +62,15 @@ func TestRouteSmokeSmall(t *testing.T) {
 
 // TestEveryNetEndsRoutedOrFailed routes the congested instance and the
 // served jobs of the digest corpus, five of which used to strand nets that
-// a repair-pass reroute ripped as blockers: every net must end routed or
-// failed.
+// a repair-pass reroute ripped as blockers, and, unless -short, Huge1–3:
+// every net must end routed or failed.
 func TestEveryNetEndsRoutedOrFailed(t *testing.T) {
 	specs := []bench.Spec{congestedSpec}
 	for i := range servedDigestSeeds {
 		specs = append(specs, servedDigestSpec(1001+int64(i)))
+	}
+	if !testing.Short() {
+		specs = append(specs, bench.HugeSpecs()...)
 	}
 	for _, sp := range specs {
 		nl := bench.Generate(sp)
