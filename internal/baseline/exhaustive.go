@@ -154,9 +154,7 @@ func (t TrimExhaustive) scorePath(c *common, id int, path []grid.Cell) ([]decomp
 // nets with a fragment meeting its bounding box expanded by scenario.Reach.
 func (t TrimExhaustive) window(c *common, l, id int) decomp.Layout {
 	var bbox geom.Rect
-	for _, r := range c.frags[l].NetRects(id) {
-		bbox = bbox.Union(r)
-	}
+	c.frags[l].EachNetRect(id, func(r geom.Rect) { bbox = bbox.Union(r) })
 	in := map[int]bool{id: true}
 	c.frags[l].Query(bbox.Expand(scenario.Reach), func(f fragstore.Frag) { in[f.Net] = true })
 	ids := make([]int, 0, len(in))

@@ -86,7 +86,7 @@ func greedyTrimColor(c *common, l, id int) (decomp.Color, int) {
 	countFor := func(col decomp.Color) int {
 		cnt := 0
 		seen := map[int]bool{}
-		for _, mr := range c.frags[l].NetRects(id) {
+		c.frags[l].EachNetRect(id, func(mr geom.Rect) {
 			c.frags[l].Query(mr.Expand(2), func(f fragstore.Frag) {
 				if f.Net == id || seen[f.Net] {
 					return
@@ -100,7 +100,7 @@ func greedyTrimColor(c *common, l, id int) (decomp.Color, int) {
 					cnt++
 				}
 			})
-		}
+		})
 		return cnt
 	}
 	cc := countFor(decomp.Core)

@@ -62,9 +62,7 @@ func benchWindow(b testing.TB) decomp.Layout {
 		fragstore.AddPath(stores, id, res.Paths[id])
 	}
 	var bbox geom.Rect
-	for _, r := range stores[0].NetRects(ids[0]) {
-		bbox = bbox.Union(r)
-	}
+	stores[0].EachNetRect(ids[0], func(r geom.Rect) { bbox = bbox.Union(r) })
 	in := map[int]bool{ids[0]: true}
 	stores[0].Query(bbox.Expand(scenario.Reach), func(f fragstore.Frag) { in[f.Net] = true })
 	win := make([]int, 0, len(in))

@@ -108,16 +108,6 @@ func (fs *Store) Query(r geom.Rect, fn func(f Frag)) {
 	}
 }
 
-// NetRects returns a copy of the rects of a net.
-func (fs *Store) NetRects(net int) []geom.Rect {
-	ids := fs.byNet[net]
-	out := make([]geom.Rect, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, fs.frags[id].Rect)
-	}
-	return out
-}
-
 // EachNetRect calls fn with each rect of a net, in insertion order,
 // without copying them. fn must not modify fs.
 func (fs *Store) EachNetRect(net int, fn func(r geom.Rect)) {
@@ -126,9 +116,9 @@ func (fs *Store) EachNetRect(net int, fn func(r geom.Rect)) {
 	}
 }
 
-// AppendNM appends the rects of a net, converted to nm on g, to dst and
+// appendNM appends the rects of a net, converted to nm on g, to dst and
 // returns the extended slice.
-func (fs *Store) AppendNM(dst []geom.Rect, g *grid.Grid, net int) []geom.Rect {
+func (fs *Store) appendNM(dst []geom.Rect, g *grid.Grid, net int) []geom.Rect {
 	for _, id := range fs.byNet[net] {
 		dst = append(dst, g.CellsToNM(fs.frags[id].Rect))
 	}
@@ -174,7 +164,7 @@ func (fs *Store) BuildLayout(buf *LayoutBuf, g *grid.Grid, colors map[int]decomp
 		// A later append may move rects; the rects a pattern holds stay
 		// where they were written, unchanged.
 		lo := len(rects)
-		if rects = fs.AppendNM(rects, g, n); len(rects) > lo {
+		if rects = fs.appendNM(rects, g, n); len(rects) > lo {
 			pats = append(pats, decomp.Pattern{Net: n, Color: colors[n], Rects: rects[lo:len(rects):len(rects)]})
 		}
 	}

@@ -27,8 +27,8 @@ func TestAddQueryRemove(t *testing.T) {
 		t.Fatalf("query reported %v, want %v", seenRects, want)
 	}
 
-	if got := fs.NetRects(2); len(got) != 2 {
-		t.Fatalf("NetRects: %v", got)
+	if got := netRects(fs, 2); len(got) != 2 {
+		t.Fatalf("EachNetRect: %v", got)
 	}
 	if ids := fs.NetIDs(); len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
 		t.Fatalf("NetIDs: %v", ids)
@@ -182,6 +182,13 @@ func wantQuery(live []Frag, r geom.Rect, bucket int) []Frag {
 	return out
 }
 
+// netRects collects a net's rects with EachNetRect.
+func netRects(fs *Store, net int) []geom.Rect {
+	var out []geom.Rect
+	fs.EachNetRect(net, func(r geom.Rect) { out = append(out, r) })
+	return out
+}
+
 // TestAddPathSplitsLayers: each layer's store receives the fragments of
 // the path's cells on that layer, and a cell the path revisits counts
 // once.
@@ -194,7 +201,7 @@ func TestAddPathSplitsLayers(t *testing.T) {
 	AddPath(stores, 4, path)
 	want := [][]geom.Rect{{{X0: 0, Y0: 0, X1: 2, Y1: 1}}, {{X0: 1, Y0: 0, X1: 2, Y1: 2}}, nil}
 	for l, fs := range stores {
-		if got := fs.NetRects(4); !slices.Equal(got, want[l]) {
+		if got := netRects(fs, 4); !slices.Equal(got, want[l]) {
 			t.Errorf("layer %d: rects %v, want %v", l, got, want[l])
 		}
 	}

@@ -43,9 +43,9 @@ func TestComplement(t *testing.T) {
 	}
 }
 
-// TestIntersect: s becomes a ∩ b whatever it held, and once its storage
-// has grown it intersects without allocating.
-func TestIntersect(t *testing.T) {
+// TestIntersectSet: s.Intersect(a, b) makes s a ∩ b whatever it held, and
+// once its storage has grown it intersects without allocating.
+func TestIntersectSet(t *testing.T) {
 	a := NewSet(Iv{0, 10}, Iv{20, 30})
 	b := NewSet(Iv{5, 25})
 	s := NewSet(Iv{100, 200}, Iv{300, 400}, Iv{500, 600})

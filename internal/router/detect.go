@@ -176,7 +176,7 @@ type verdict struct {
 // layerMemo maps a layer layout's pattern serialization to its verdict.
 // Rules and die are fixed for the run, so the patterns alone key it.
 type layerMemo struct {
-	m    map[string]verdict
+	m    map[string]*verdict
 	ring []string // keys of the stored verdicts, oldest at head
 	head int
 	key  []byte // serialization scratch
@@ -189,7 +189,7 @@ type layerMemo struct {
 // of the patterns in the order given. The oracle writes its verdict into
 // the run's buffer, and the returned verdict owns copies, so it outlives
 // the buffer's next use and the layout's.
-func (st *state) verdictOf(l int, ly decomp.Layout) verdict {
+func (st *state) verdictOf(l int, ly decomp.Layout) *verdict {
 	mm := &st.memo[l]
 	k := mm.key[:0]
 	for _, p := range ly.Pats {
@@ -209,12 +209,12 @@ func (st *state) verdictOf(l int, ly decomp.Layout) verdict {
 	}
 	st.rec.Inc(obs.CtrDecompMemoMisses)
 	decomp.CutVerdict(ly, st.rec, &st.verdict)
-	v := verdict{bad: st.verdict.Bad, conflicts: owned(st.verdict.Conflicts), nets: owned(st.verdict.Nets)}
+	v := &verdict{bad: st.verdict.Bad, conflicts: owned(st.verdict.Conflicts), nets: owned(st.verdict.Nets)}
 	if memoCap == 0 {
 		return v
 	}
 	if mm.m == nil {
-		mm.m = make(map[string]verdict)
+		mm.m = make(map[string]*verdict)
 	}
 	key := string(k)
 	if len(mm.ring) < memoCap {
