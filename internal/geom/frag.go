@@ -23,21 +23,24 @@ import (
 // returns the extended slice. It sorts cells in place by (Y, X) and
 // counts a repeated cell once; it allocates only to grow dst.
 func FragmentCells(dst []Rect, cells []Pt) []Rect {
-	slices.SortFunc(cells, byRow)
+	slices.SortFunc(cells, func(a, b Pt) int {
+		if a.Y != b.Y {
+			return cmp.Compare(a.Y, b.Y)
+		}
+		return cmp.Compare(a.X, b.X)
+	})
 	cells = slices.Compact(cells)
-	has := func(p Pt) bool {
-		_, ok := slices.BinarySearchFunc(cells, p, byRow)
-		return ok
-	}
+	n := len(cells)
 	base := len(dst)
 	for i, c := range cells {
 		left := i > 0 && cells[i-1] == Pt{c.X - 1, c.Y}
-		right := i+1 < len(cells) && cells[i+1] == Pt{c.X + 1, c.Y}
-		down, up := has(Pt{c.X, c.Y - 1}), has(Pt{c.X, c.Y + 1})
+		right := i+1 < n && cells[i+1] == Pt{c.X + 1, c.Y}
+		down := has(cells[:i], Pt{c.X, c.Y - 1})
+		up := has(cells[i+1:], Pt{c.X, c.Y + 1})
 		switch {
 		case !left && right: // a maximal horizontal run starts here
 			j := i + 1
-			for j+1 < len(cells) && cells[j+1] == (Pt{cells[j].X + 1, c.Y}) {
+			for j+1 < n && cells[j+1] == (Pt{cells[j].X + 1, c.Y}) {
 				j++
 			}
 			dst = append(dst, Rect{c.X, c.Y, cells[j].X + 1, c.Y + 1})
@@ -45,22 +48,51 @@ func FragmentCells(dst []Rect, cells []Pt) []Rect {
 			dst = append(dst, Rect{c.X, c.Y, c.X + 1, c.Y + 1})
 		}
 		if !down && up { // a maximal vertical run starts here
-			y1 := c.Y + 2
-			for has(Pt{c.X, y1}) {
+			y1, j := c.Y+2, i
+			for {
+				j += 1 + search(cells[j+1:], Pt{c.X, y1})
+				if j == n || cells[j] != (Pt{c.X, y1}) {
+					break
+				}
 				y1++
 			}
 			dst = append(dst, Rect{c.X, c.Y, c.X + 1, y1})
 		}
 	}
 	slices.SortFunc(dst[base:], func(a, b Rect) int {
-		return cmp.Or(cmp.Compare(a.Y0, b.Y0), cmp.Compare(a.X0, b.X0),
-			cmp.Compare(a.X1, b.X1), cmp.Compare(a.Y1, b.Y1))
+		switch {
+		case a.Y0 != b.Y0:
+			return cmp.Compare(a.Y0, b.Y0)
+		case a.X0 != b.X0:
+			return cmp.Compare(a.X0, b.X0)
+		case a.X1 != b.X1:
+			return cmp.Compare(a.X1, b.X1)
+		}
+		return cmp.Compare(a.Y1, b.Y1)
 	})
 	return dst
 }
 
-// byRow orders cells by (Y, X).
-func byRow(a, b Pt) int { return cmp.Or(cmp.Compare(a.Y, b.Y), cmp.Compare(a.X, b.X)) }
+// search returns the index of the first of cells, sorted by (Y, X), at or
+// after p in that order.
+func search(cells []Pt, p Pt) int {
+	lo, hi := 0, len(cells)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c := cells[m]; c.Y < p.Y || c.Y == p.Y && c.X < p.X {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// has reports whether cells, sorted by (Y, X), hold p.
+func has(cells []Pt, p Pt) bool {
+	i := search(cells, p)
+	return i < len(cells) && cells[i] == p
+}
 
 // CellsOfRect expands a cell-coordinate Rect back into its unit cells.
 func CellsOfRect(r Rect) []Pt {
