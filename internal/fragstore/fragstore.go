@@ -116,15 +116,6 @@ func (fs *Store) EachNetRect(net int, fn func(r geom.Rect)) {
 	}
 }
 
-// appendNM appends the rects of a net, converted to nm on g, to dst and
-// returns the extended slice.
-func (fs *Store) appendNM(dst []geom.Rect, g *grid.Grid, net int) []geom.Rect {
-	for _, id := range fs.byNet[net] {
-		dst = append(dst, g.CellsToNM(fs.frags[id].Rect))
-	}
-	return dst
-}
-
 // NetIDs returns the sorted net ids with fragments.
 func (fs *Store) NetIDs() []int {
 	out := make([]int, 0, len(fs.byNet))
@@ -164,7 +155,10 @@ func (fs *Store) BuildLayout(buf *LayoutBuf, g *grid.Grid, colors map[int]decomp
 		// A later append may move rects; the rects a pattern holds stay
 		// where they were written, unchanged.
 		lo := len(rects)
-		if rects = fs.appendNM(rects, g, n); len(rects) > lo {
+		for _, id := range fs.byNet[n] {
+			rects = append(rects, g.CellsToNM(fs.frags[id].Rect))
+		}
+		if len(rects) > lo {
 			pats = append(pats, decomp.Pattern{Net: n, Color: colors[n], Rects: rects[lo:len(rects):len(rects)]})
 		}
 	}
