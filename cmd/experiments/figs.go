@@ -51,16 +51,13 @@ func colorOddCycle(ds rules.Set, nets [][]geom.Rect) []decomp.Color {
 			}
 		}
 	}
-	ids := make([]int, len(nets))
-	for i := range ids {
-		ids[i] = i
-	}
-	res := colorflip.Optimize(g, ids)
-	out := make([]decomp.Color, len(nets))
-	for i := range nets {
-		out[i] = res.Colors[i]
-	}
-	return out
+	// The three nets form one component.
+	var t colorflip.Tree
+	t.Build(g.Component(0, nil, nil))
+	t.Solve(make([]decomp.Color, len(nets)), nil)
+	colors := make([]decomp.Color, len(nets))
+	t.Apply(colors)
+	return colors
 }
 
 func microLayout(ds rules.Set, nets [][]geom.Rect, colors []decomp.Color, naive bool) decomp.Layout {

@@ -35,15 +35,15 @@ func fuzzSpec(data []byte) Spec {
 	}
 }
 
-// FuzzScheduleCommitOrder checks the router's commit contract from the
-// outside on fuzzed benchmark shapes. Nets commit one at a time in
-// canonical order, so the routed result is a pure function of the input:
-// a second run in the same process, on oracle engines the first run
-// returned to the pool, matches the first exactly (totals, paths, colors,
-// per-net attribution in canonical net order); and no two nets' committed
-// paths ever share a grid cell. The decoding is total — every byte string
+// FuzzRouteRepeatable checks the router's commit contract from the outside
+// on fuzzed benchmark shapes. Nets commit one at a time in canonical
+// order, so the routed result is a pure function of the input: a second
+// run in the same process, on oracle engines the first run returned to the
+// pool, matches the first exactly (totals, paths, colors, per-net
+// attribution in canonical net order); and no two nets' committed paths
+// ever share a grid cell. The decoding is total — every byte string
 // yields a routable instance small enough to route twice per input.
-func FuzzScheduleCommitOrder(f *testing.F) {
+func FuzzRouteRepeatable(f *testing.F) {
 	f.Add([]byte{40, 18, 7, 1, 5, 2, 4})
 	f.Add([]byte{12, 12, 3, 2, 3, 0, 2})
 	f.Add([]byte{90, 28, 11, 3, 6, 3, 9})

@@ -57,14 +57,18 @@ func (o *Out) Routability() float64 {
 	return 100 * float64(o.Routed) / float64(total)
 }
 
+// maxRipup bounds each baseline's rip-up-and-reroute rounds per net (3, as
+// in the paper's experiments).
+const maxRipup = 3
+
 // common carries the shared baseline state.
 type common struct {
 	nl     *netlist.Netlist
 	g      *grid.Grid
 	eng    *astar.Engine
 	frags  []*fragstore.Store
-	colors []map[int]decomp.Color
-	pen    []int32 // rip-up cost inflation, grid index order
+	colors [][]decomp.Color // per layer, indexed by net; Unassigned: no pattern
+	pen    []int32          // rip-up cost inflation, grid index order
 	out    *Out
 }
 
@@ -77,10 +81,10 @@ func newCommon(nl *netlist.Netlist, ds rules.Set) *common {
 	c.pen = make([]int32, c.g.W*c.g.H*c.g.Layers)
 	c.eng = astar.New(c.g)
 	c.frags = make([]*fragstore.Store, nl.Layers)
-	c.colors = make([]map[int]decomp.Color, nl.Layers)
+	c.colors = make([][]decomp.Color, nl.Layers)
 	for l := 0; l < nl.Layers; l++ {
 		c.frags[l] = fragstore.New()
-		c.colors[l] = make(map[int]decomp.Color)
+		c.colors[l] = make([]decomp.Color, len(nl.Nets))
 	}
 	return c
 }
@@ -115,6 +119,6 @@ func (c *common) ripup(id int, path []grid.Cell) {
 	c.out.Vias -= vias
 	for l := 0; l < c.nl.Layers; l++ {
 		c.frags[l].RemoveNet(id)
-		delete(c.colors[l], id)
+		c.colors[l][id] = decomp.Unassigned
 	}
 }

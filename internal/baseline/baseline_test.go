@@ -1,6 +1,7 @@
 package baseline_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -51,10 +52,12 @@ func TestCutNoMergeRuns(t *testing.T) {
 
 func TestExhaustiveRespectsBudget(t *testing.T) {
 	nl := bench.Generate(*instance(3))
-	if out := (baseline.TrimExhaustive{Budget: time.Nanosecond}).Run(nl, rules.Node10nm()); out != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	if out := (baseline.TrimExhaustive{}).RunCtx(ctx, nl, rules.Node10nm()); out != nil {
 		t.Fatal("nanosecond budget must abort (the paper's NA entries)")
 	}
-	out := baseline.TrimExhaustive{}.Run(nl, rules.Node10nm())
+	out := baseline.TrimExhaustive{}.RunCtx(context.Background(), nl, rules.Node10nm())
 	if out == nil || out.Routed == 0 {
 		t.Fatal("unbudgeted run must complete")
 	}

@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"context"
-	"sort"
 	"time"
 
 	"sadproute/internal/astar"
@@ -22,36 +21,16 @@ import (
 // exhaustive candidate sweep with oracle-grade scoring is what gives [10]
 // its enormous runtime in the paper's Table IV (> 100000 s on the larger
 // benchmarks).
-type TrimExhaustive struct {
-	MaxRipup int
-	// Budget aborts the run when exceeded (the paper reports "NA" for
-	// Test9/Test10 after 100000 s); zero means unlimited.
-	Budget time.Duration
-}
-
-// Run routes the netlist; returns nil when the time budget was exceeded
-// (the paper's "NA" entries). It is RunCtx under a context derived from
-// Budget.
-func (t TrimExhaustive) Run(nl *netlist.Netlist, ds rules.Set) *Out {
-	ctx := context.Background()
-	if t.Budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, t.Budget)
-		defer cancel()
-	}
-	return t.RunCtx(ctx, nl, ds)
-}
+type TrimExhaustive struct{}
 
 // RunCtx routes the netlist under ctx and returns nil as soon as ctx is
-// canceled or its deadline passes — the paper's "NA" entries. Cancellation
-// is checked per candidate pair inside the exhaustive sweep, not only per
-// net, so even the multi-hour nets of the paper-scale Table IV abort
-// promptly. The bench harness uses this for per-cell budget cancellation.
+// canceled or its deadline passes — the paper's "NA" entries (Test9 and
+// Test10 after 100000 s). Cancellation is checked per candidate pair
+// inside the exhaustive sweep, not only per net, so even the multi-hour
+// nets of the paper-scale Table IV abort promptly. The bench harness
+// budgets each cell with a deadline on ctx.
 func (t TrimExhaustive) RunCtx(ctx context.Context, nl *netlist.Netlist, ds rules.Set) *Out {
 	start := time.Now() //lint:allow wallclock CPU column of the paper's tables; reporting-only, never fed into routing
-	if t.MaxRipup == 0 {
-		t.MaxRipup = 3
-	}
 	c := newCommon(nl, ds)
 	for _, id := range nl.HPWLOrder() {
 		if !t.routeNet(ctx, c, id) {
@@ -82,7 +61,7 @@ func (t TrimExhaustive) routeNet(ctx context.Context, c *common, id int) bool {
 				c.colors[l][id] = col
 			}
 		}
-		if score == 0 || attempt >= t.MaxRipup {
+		if score == 0 || attempt >= maxRipup {
 			c.out.Routed++
 			return true
 		}
@@ -143,7 +122,7 @@ func (t TrimExhaustive) scorePath(c *common, id int, path []grid.Cell) ([]decomp
 				best, bestCol = bad, col
 			}
 		}
-		delete(c.colors[l], id)
+		c.colors[l][id] = decomp.Unassigned
 		cols[l] = bestCol
 		total += best
 	}
@@ -151,16 +130,11 @@ func (t TrimExhaustive) scorePath(c *common, id int, path []grid.Cell) ([]decomp
 }
 
 // window assembles the trim-oracle input around the net's fragments: the
-// nets with a fragment meeting its bounding box expanded by scenario.Reach.
+// nets with a fragment meeting its bounding box expanded by scenario.Reach,
+// the net itself among them.
 func (t TrimExhaustive) window(c *common, l, id int) decomp.Layout {
 	var bbox geom.Rect
 	c.frags[l].EachNetRect(id, func(r geom.Rect) { bbox = bbox.Union(r) })
-	in := map[int]bool{id: true}
-	c.frags[l].Query(bbox.Expand(scenario.Reach), func(f fragstore.Frag) { in[f.Net] = true })
-	ids := make([]int, 0, len(in))
-	for n := range in {
-		ids = append(ids, n)
-	}
-	sort.Ints(ids)
+	ids := c.frags[l].AppendNets(nil, bbox.Expand(scenario.Reach))
 	return c.frags[l].Layout(c.g, c.colors[l], ids, -1)
 }

@@ -18,21 +18,14 @@ import (
 // distance conflict, and odd cycles are unresolvable; assistant core
 // patterns are not planned, so second-pattern boundaries facing no core
 // spacer become overlays.
-type TrimGreedy struct {
-	// MaxRipup bounds rip-up-and-reroute rounds per net (3, as in the
-	// paper's experiments).
-	MaxRipup int
-}
+type TrimGreedy struct{}
 
 // Run routes the netlist and returns the result with trim-process layouts.
-func (t TrimGreedy) Run(nl *netlist.Netlist, ds rules.Set) *Out {
+func (TrimGreedy) Run(nl *netlist.Netlist, ds rules.Set) *Out {
 	start := time.Now() //lint:allow wallclock CPU column of the paper's tables; reporting-only, never fed into routing
-	if t.MaxRipup == 0 {
-		t.MaxRipup = 3
-	}
 	c := newCommon(nl, ds)
 	for _, id := range nl.HPWLOrder() {
-		t.routeNet(c, id)
+		c.routeGreedy(id)
 	}
 	c.out.Layouts = fragstore.Layouts(c.frags, c.g, c.colors)
 	c.out.Trim = true
@@ -40,7 +33,10 @@ func (t TrimGreedy) Run(nl *netlist.Netlist, ds rules.Set) *Out {
 	return c.out
 }
 
-func (t TrimGreedy) routeNet(c *common, id int) {
+// routeGreedy routes one net for TrimGreedy and CutNoMerge: each layer's
+// color is fixed greedily when the net is routed, and a modeled coloring
+// conflict rips the net up, at most maxRipup times.
+func (c *common) routeGreedy(id int) {
 	n := c.nl.Nets[id]
 	for attempt := 0; ; attempt++ {
 		path, out := c.search(id, n)
@@ -66,7 +62,7 @@ func (t TrimGreedy) routeNet(c *common, id int) {
 		}
 		c.ripup(id, path)
 		c.out.Ripups++
-		if attempt >= t.MaxRipup {
+		if attempt >= maxRipup {
 			// The router cannot place this net without a (modeled)
 			// coloring conflict: the net fails. Conflicts its model cannot
 			// see (diagonal corners, same-polygon slots, line-end pairs)
@@ -91,8 +87,7 @@ func greedyTrimColor(c *common, l, id int) (decomp.Color, int) {
 				if f.Net == id || seen[f.Net] {
 					return
 				}
-				oc, ok := c.colors[l][f.Net]
-				if !ok || oc != col {
+				if c.colors[l][f.Net] != col {
 					return
 				}
 				if trimAdjacent(mr, f.Rect) {

@@ -24,25 +24,19 @@ import (
 const inf = int(1) << 40
 
 // PseudoColor picks the color of a freshly routed net n that minimizes the
-// overlay cost against its already-colored neighbors. Uncolored neighbors
-// contribute their cheapest option. Ties prefer Second: an uncommitted
-// pattern keeps more flexibility for later assistant-core sharing.
-func PseudoColor(g *ocg.Graph, n int, colors map[int]decomp.Color) decomp.Color {
-	return PseudoColorLocked(g, n, colors, nil)
-}
-
-// PseudoColorLocked is PseudoColor honoring per-net color locks (nets whose
-// color is pinned by the cut-conflict check).
-func PseudoColorLocked(g *ocg.Graph, n int, colors map[int]decomp.Color, locked map[int]decomp.Color) decomp.Color {
-	if c, ok := locked[n]; ok && c != decomp.Unassigned {
+// overlay cost against its already-colored neighbors, unless locks pins n
+// (the cut-conflict check's locks). colors and locks are indexed by net,
+// Unassigned meaning uncolored or unlocked. Uncolored neighbors contribute
+// their cheapest option. Ties prefer Second: an uncommitted pattern keeps
+// more flexibility for later assistant-core sharing.
+func PseudoColor(g *ocg.Graph, n int, colors, locks []decomp.Color) decomp.Color {
+	if c := locks[n]; c != decomp.Unassigned {
 		return c
 	}
 	costOf := func(c decomp.Color) int {
 		total := 0
 		for _, e := range g.Edges(n) {
-			o := e.Other(n)
-			oc, ok := colors[o]
-			if ok && oc != decomp.Unassigned {
+			if oc := colors[e.Other(n)]; oc != decomp.Unassigned {
 				total = addSat(total, assignCost2(e, n, c, oc))
 				continue
 			}
@@ -81,30 +75,13 @@ func assignCostRaw(p scenario.Profile, ca, cb decomp.Color) int {
 	return p.Cost[a]
 }
 
-// Result reports one flipping run.
+// Result reports one flipping run; its colors are the Tree's (Tree.Colors).
 type Result struct {
-	Colors map[int]decomp.Color
 	// Cost is the DP tree cost of the chosen assignment (inf if the tree
 	// admits no feasible assignment).
 	Cost int
 	// Feasible is false when some hard constraint cannot be satisfied.
 	Feasible bool
-}
-
-// Optimize computes the optimal color assignment of one OCG component
-// containing the given nets, considering the component's maximum spanning
-// tree (nonhard off-tree edges are ignored, as in the paper).
-func Optimize(g *ocg.Graph, nets []int) Result {
-	return OptimizeLocked(g, nets, nil)
-}
-
-// OptimizeLocked is Optimize honoring per-net color locks: a locked net
-// takes infinite cost for the opposite color, so the DP routes flexibility
-// around it.
-func OptimizeLocked(g *ocg.Graph, nets []int, locked map[int]decomp.Color) Result {
-	var t Tree
-	t.Build(nets, g.ComponentEdges(nets))
-	return t.Solve(locked, nil)
 }
 
 // Tree is the flipping structure of one OCG component: its maximum
@@ -124,6 +101,8 @@ type Tree struct {
 	// Solve's scratch: subtree costs and child colors per parent color.
 	cost [][2]int
 	pick [][2]decomp.Color
+	// colors[v] is the color Solve chose for nets[v].
+	colors []decomp.Color
 	// Build's scratch: each net's position in nets (pos[net]; the entries
 	// of other ids are stale), the edges by spanning-tree weight, the
 	// Kruskal union-find, the spanning tree, and its CSR adjacency.
@@ -152,6 +131,7 @@ func (t *Tree) Build(nets []int, edges []*ocg.Edge) {
 	t.up = resize(t.up, n)
 	t.cost = resize(t.cost, n)
 	t.pick = resize(t.pick, n)
+	t.colors = resize(t.colors, n)
 	t.index()
 	tree := t.spanningTree(edges)
 	pos := t.pos
@@ -216,14 +196,15 @@ func resize[T any](s []T, n int) []T {
 }
 
 // Solve runs the dynamic program of equation (4) on the tree under one
-// lock set: a locked net takes infinite cost for the opposite color. It
-// reports the DP run, an infeasible component and the component size to
-// rec; a nil rec is the un-instrumented fast path.
-func (t *Tree) Solve(locked map[int]decomp.Color, rec *obs.Recorder) Result {
-	res := Result{Colors: make(map[int]decomp.Color, len(t.nets)), Feasible: true}
+// lock set, indexed by net: a net locked to a color (not Unassigned) takes
+// infinite cost for the opposite one. It reports the DP run, an infeasible
+// component and the component size to rec; a nil rec is the
+// un-instrumented fast path.
+func (t *Tree) Solve(locks []decomp.Color, rec *obs.Recorder) Result {
+	res := Result{Feasible: true}
 	for v, n := range t.nets {
 		t.cost[v] = [2]int{}
-		if lc, ok := locked[n]; ok && lc != decomp.Unassigned {
+		if lc := locks[n]; lc != decomp.Unassigned {
 			t.cost[v][colorIndex(lc.Flip())] = inf
 		}
 	}
@@ -252,7 +233,7 @@ func (t *Tree) Solve(locked map[int]decomp.Color, rec *obs.Recorder) Result {
 	for _, v := range t.order {
 		var c decomp.Color
 		if p := t.parent[v]; p >= 0 {
-			c = t.pick[v][colorIndex(res.Colors[t.nets[p]])]
+			c = t.pick[v][colorIndex(t.colors[p])]
 		} else {
 			c = decomp.Second
 			best := t.cost[v][1]
@@ -264,7 +245,7 @@ func (t *Tree) Solve(locked map[int]decomp.Color, rec *obs.Recorder) Result {
 			}
 			total = addSat(total, best)
 		}
-		res.Colors[t.nets[v]] = c
+		t.colors[v] = c
 	}
 	res.Cost = total
 	if rec != nil {
@@ -275,6 +256,17 @@ func (t *Tree) Solve(locked map[int]decomp.Color, rec *obs.Recorder) Result {
 		}
 	}
 	return res
+}
+
+// Colors returns the colors of the last Solve, parallel to the nets of
+// the last Build; they are the Tree's until the next Build or Solve.
+func (t *Tree) Colors() []decomp.Color { return t.colors }
+
+// Apply copies the colors of the last Solve into colors, indexed by net.
+func (t *Tree) Apply(colors []decomp.Color) {
+	for v, n := range t.nets {
+		colors[n] = t.colors[v]
+	}
 }
 
 // colorIndex maps Core to 0 and Second to 1.

@@ -2,7 +2,7 @@ package colorflip
 
 import (
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -26,8 +26,41 @@ func softProfile(rng *rand.Rand) scenario.Profile {
 	return p
 }
 
+// allEdges returns the edges among nets 0..n-1, sorted by (A, B) as
+// ocg.Graph.Component returns a component's.
+func allEdges(g *ocg.Graph, n int) []*ocg.Edge {
+	var out []*ocg.Edge
+	for a := range n {
+		for b := a + 1; b < n; b++ {
+			if e := g.EdgeBetween(a, b); e != nil {
+				out = append(out, e)
+			}
+		}
+	}
+	return out
+}
+
+// solveAll builds one flipping forest over nets 0..n-1 and every edge among
+// them, solves it under locks (nil locks none) and returns the result with
+// the colors by net.
+func solveAll(g *ocg.Graph, n int, locks []decomp.Color) (Result, []decomp.Color) {
+	nets := make([]int, n)
+	for i := range nets {
+		nets[i] = i
+	}
+	if locks == nil {
+		locks = make([]decomp.Color, n)
+	}
+	var t Tree
+	t.Build(nets, allEdges(g, n))
+	res := t.Solve(locks, nil)
+	colors := make([]decomp.Color, n)
+	t.Apply(colors)
+	return res, colors
+}
+
 // treeCost evaluates an assignment over the given edges (inf-free check).
-func treeCost(edges []*ocg.Edge, colors map[int]decomp.Color) (int, bool) {
+func treeCost(edges []*ocg.Edge, colors []decomp.Color) (int, bool) {
 	total := 0
 	for _, e := range edges {
 		a := scenario.Of(colors[e.A], colors[e.B])
@@ -52,17 +85,13 @@ func TestQuickDPOptimalOnTrees(t *testing.T) {
 			parent := rng.Intn(i)
 			g.AddScenario(parent, i, softProfile(rng))
 		}
-		nets := make([]int, n)
-		for i := range nets {
-			nets[i] = i
-		}
-		res := Optimize(g, nets)
+		res, colors := solveAll(g, n, nil)
 
 		_, edges := g.Component(0, nil, nil)
 		// Brute force optimum.
 		best := -1
+		cols := make([]decomp.Color, n)
 		for mask := 0; mask < 1<<n; mask++ {
-			cols := map[int]decomp.Color{}
 			for i := 0; i < n; i++ {
 				cols[i] = decomp.Core
 				if mask&(1<<i) != 0 {
@@ -73,7 +102,7 @@ func TestQuickDPOptimalOnTrees(t *testing.T) {
 				best = c
 			}
 		}
-		got, ok := treeCost(edges, res.Colors)
+		got, ok := treeCost(edges, colors)
 		if best < 0 {
 			return !res.Feasible || !ok
 		}
@@ -91,30 +120,36 @@ func TestDPRespectsLocks(t *testing.T) {
 	diff.Forbidden[scenario.CC], diff.Forbidden[scenario.SS] = true, true
 	g.AddScenario(0, 1, diff)
 	g.AddScenario(1, 2, diff)
-	locks := map[int]decomp.Color{0: decomp.Second}
-	res := OptimizeLocked(g, []int{0, 1, 2}, locks)
+	locks := []decomp.Color{decomp.Second, decomp.Unassigned, decomp.Unassigned}
+	res, colors := solveAll(g, 3, locks)
 	if !res.Feasible {
 		t.Fatal("chain must be feasible")
 	}
-	if res.Colors[0] != decomp.Second || res.Colors[1] != decomp.Core || res.Colors[2] != decomp.Second {
-		t.Fatalf("lock not honored: %v", res.Colors)
+	if !slices.Equal(colors, []decomp.Color{decomp.Second, decomp.Core, decomp.Second}) {
+		t.Fatalf("lock not honored: %v", colors)
 	}
 }
 
 // TestPseudoColorPicksCheapest: against a single core neighbor with a
-// same-color preference, the new net must take core.
+// same-color preference, the new net must take core; a lock overrides the
+// preference.
 func TestPseudoColorPicksCheapest(t *testing.T) {
 	g := ocg.New()
 	var p scenario.Profile
 	p.Cost[scenario.CS], p.Cost[scenario.SC] = 40, 40 // different colors cost
 	g.AddScenario(0, 1, p)
-	colors := map[int]decomp.Color{0: decomp.Core}
-	if got := PseudoColor(g, 1, colors); got != decomp.Core {
+	colors := []decomp.Color{decomp.Core, decomp.Unassigned}
+	locks := make([]decomp.Color, 2)
+	if got := PseudoColor(g, 1, colors, locks); got != decomp.Core {
 		t.Fatalf("pseudo color = %v, want core", got)
 	}
 	colors[0] = decomp.Second
-	if got := PseudoColor(g, 1, colors); got != decomp.Second {
+	if got := PseudoColor(g, 1, colors, locks); got != decomp.Second {
 		t.Fatalf("pseudo color = %v, want second", got)
+	}
+	locks[1] = decomp.Core
+	if got := PseudoColor(g, 1, colors, locks); got != decomp.Core {
+		t.Fatalf("locked pseudo color = %v, want core", got)
 	}
 }
 
@@ -143,12 +178,16 @@ func TestHardEdgesAlwaysSatisfied(t *testing.T) {
 			}
 		}
 		nets, edges := g.Component(0, nil, nil)
-		res := Optimize(g, nets)
+		var tr Tree
+		tr.Build(nets, edges)
+		res := tr.Solve(make([]decomp.Color, n), nil)
 		if !res.Feasible {
 			return true
 		}
+		colors := make([]decomp.Color, n)
+		tr.Apply(colors)
 		for _, e := range edges {
-			a := scenario.Of(res.Colors[e.A], res.Colors[e.B])
+			a := scenario.Of(colors[e.A], colors[e.B])
 			if e.Prof.Forbidden[a] {
 				return false
 			}
@@ -174,7 +213,7 @@ func TestTreeRebuiltInPlace(t *testing.T) {
 		for range rng.Intn(3 * n) {
 			g.AddScenario(rng.Intn(n), rng.Intn(n), softProfile(rng))
 		}
-		locks := map[int]decomp.Color{}
+		locks := make([]decomp.Color, n)
 		for range rng.Intn(3) {
 			locks[rng.Intn(n)] = decomp.Color(1 + rng.Intn(2))
 		}
@@ -182,8 +221,9 @@ func TestTreeRebuiltInPlace(t *testing.T) {
 		reused.Build(nets, edges)
 		var fresh Tree
 		fresh.Build(nets, edges)
-		if got, want := reused.Solve(locks, nil), fresh.Solve(locks, nil); !reflect.DeepEqual(got, want) {
-			t.Fatalf("rebuilt tree solves %+v, fresh tree %+v", got, want)
+		got, want := reused.Solve(locks, nil), fresh.Solve(locks, nil)
+		if got != want || !slices.Equal(reused.Colors(), fresh.Colors()) {
+			t.Fatalf("rebuilt tree solves %+v %v, fresh tree %+v %v", got, reused.Colors(), want, fresh.Colors())
 		}
 	}
 }

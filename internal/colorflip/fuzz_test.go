@@ -1,6 +1,7 @@
 package colorflip
 
 import (
+	"slices"
 	"testing"
 
 	"sadproute/internal/decomp"
@@ -12,9 +13,10 @@ import (
 
 // FuzzColorFlip checks the flipping DP (Theorem 4) against brute force:
 // build an overlay constraint graph from fuzzed wire geometry, enumerate
-// all 2^n color assignments, and require Optimize to hit the exact optimum
-// of the spanning-tree objective it minimizes. Also checks determinism and
-// that feasible results satisfy every hard edge when no odd cycle exists.
+// all 2^n color assignments, and require the DP over the spanning forest
+// of all nets to hit the exact optimum of the objective it minimizes. Also
+// checks determinism and that feasible results satisfy every hard edge
+// when no odd cycle exists.
 func FuzzColorFlip(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{7, 200, 13, 13, 14, 15, 80, 81, 82, 3, 9, 27, 81, 243, 729 % 256})
@@ -51,26 +53,20 @@ func FuzzColorFlip(f *testing.F) {
 				}
 			}
 		}
-		nets := make([]int, n)
-		for i := range nets {
-			nets[i] = i
-		}
-
-		res := Optimize(g, nets)
-		res2 := Optimize(g, nets)
-		if res.Cost != res2.Cost || res.Feasible != res2.Feasible {
-			t.Fatalf("Optimize is nondeterministic: %+v vs %+v", res, res2)
-		}
-		for k, v := range res.Colors {
-			if res2.Colors[k] != v {
-				t.Fatalf("Optimize colors nondeterministic at net %d", k)
-			}
+		res, got := solveAll(g, n, nil)
+		res2, got2 := solveAll(g, n, nil)
+		if res != res2 || !slices.Equal(got, got2) {
+			t.Fatalf("the DP is nondeterministic: %+v %v vs %+v %v", res, got, res2, got2)
 		}
 
 		// Brute-force the exact objective the DP minimizes: the sum of
 		// oriented assignment costs over the maximum spanning tree.
+		nets := make([]int, n)
+		for i := range nets {
+			nets[i] = i
+		}
 		var built Tree
-		built.Build(nets, g.ComponentEdges(nets))
+		built.Build(nets, allEdges(g, n))
 		tree := built.tree
 		treeCost := func(colors []decomp.Color) int {
 			total := 0
@@ -101,10 +97,6 @@ func FuzzColorFlip(f *testing.F) {
 		}
 
 		// The DP's own assignment must achieve its reported cost.
-		got := make([]decomp.Color, n)
-		for i := range got {
-			got[i] = res.Colors[i]
-		}
 		if c := treeCost(got); c != res.Cost {
 			t.Fatalf("returned assignment costs %d, reported %d", c, res.Cost)
 		}

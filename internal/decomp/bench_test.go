@@ -63,13 +63,7 @@ func benchWindow(b testing.TB) decomp.Layout {
 	}
 	var bbox geom.Rect
 	stores[0].EachNetRect(ids[0], func(r geom.Rect) { bbox = bbox.Union(r) })
-	in := map[int]bool{ids[0]: true}
-	stores[0].Query(bbox.Expand(scenario.Reach), func(f fragstore.Frag) { in[f.Net] = true })
-	win := make([]int, 0, len(in))
-	for n := range in {
-		win = append(win, n)
-	}
-	sort.Ints(win)
+	win := stores[0].AppendNets([]int{ids[0]}, bbox.Expand(scenario.Reach))
 	return stores[0].Layout(res.Grid, res.Colors[0], win, -1)
 }
 
@@ -80,7 +74,7 @@ func BenchmarkDecomposeWindow(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		decomp.DecomposeCutR(ly, nil)
+		decomp.DecomposeCut(ly)
 	}
 }
 
@@ -116,6 +110,6 @@ func BenchmarkDecomposeFull(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		decomp.DecomposeCutR(lys[i%len(lys)], nil)
+		decomp.DecomposeCut(lys[i%len(lys)])
 	}
 }

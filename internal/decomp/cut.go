@@ -17,21 +17,18 @@ import (
 //     cut conflicts.
 //
 // The returned Result always exists; decomposition failures surface as
-// Violations, hard overlays and conflicts rather than errors.
-func DecomposeCut(ly Layout) *Result { return DecomposeCutR(ly, nil) }
-
-// DecomposeCutR is DecomposeCut reporting to an observability recorder
-// (decomposition count, blob/bridge/assist material counts, overlay
-// fragment count, and StageDecompose wall time). A nil rec is the
-// un-instrumented fast path. It borrows a pooled scratch engine for the
-// single call.
-func DecomposeCutR(ly Layout, rec *obs.Recorder) *Result {
+// Violations, hard overlays and conflicts rather than errors. It borrows a
+// pooled scratch engine for the single call.
+func DecomposeCut(ly Layout) *Result {
 	e := enginePool.Get().(*Engine)
 	defer enginePool.Put(e)
-	return e.DecomposeCut(ly, rec)
+	return e.DecomposeCut(ly, nil)
 }
 
-// DecomposeCut runs the cut-process oracle on the engine's scratch state.
+// DecomposeCut runs the cut-process oracle on the engine's scratch state,
+// reporting to an observability recorder (decomposition count,
+// blob/bridge/assist material counts, overlay fragment count, and
+// StageDecompose wall time); a nil rec is the un-instrumented fast path.
 // The returned Result shares nothing with the engine.
 func (e *Engine) DecomposeCut(ly Layout, rec *obs.Recorder) *Result {
 	e.decomposeCut(ly, rec)
@@ -55,7 +52,7 @@ type Verdict struct {
 
 // CutVerdict is DecomposeCut reduced to the verdict a window check reads,
 // on a pooled engine: it writes v, reusing v's slices, and builds no
-// Result. The counters it reports to rec are DecomposeCutR's.
+// Result. The counters it reports to rec are Engine.DecomposeCut's.
 func CutVerdict(ly Layout, rec *obs.Recorder, v *Verdict) {
 	e := enginePool.Get().(*Engine)
 	defer enginePool.Put(e)
@@ -156,7 +153,7 @@ func DecomposeLayers(layers []Layout) ([]*Result, Totals) {
 }
 
 // DecomposeLayersR is DecomposeLayers reporting to an observability
-// recorder (see DecomposeCutR).
+// recorder (see Engine.DecomposeCut).
 func DecomposeLayersR(layers []Layout, rec *obs.Recorder) ([]*Result, Totals) {
 	e := enginePool.Get().(*Engine)
 	defer enginePool.Put(e)

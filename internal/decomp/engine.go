@@ -17,7 +17,7 @@ import (
 // The zero Engine is ready to use. An Engine is single-goroutine state;
 // a caller that decomposes many layouts may hold one and call its
 // methods. Results never alias engine scratch, so they outlive the
-// engine's next call. The package functions (DecomposeCutR and the rest)
+// engine's next call. The package functions (DecomposeCut and the rest)
 // draw engines from a private pool instead.
 type Engine struct {
 	// out holds one decomposition's overlays, conflicts, violations, bad

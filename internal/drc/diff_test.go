@@ -1,6 +1,7 @@
 package drc_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -57,7 +58,9 @@ func runAllAlgos(t *testing.T, sp bench.Spec, withExhaustive bool) {
 		return
 	}
 	t.Run("du-exhaustive", func(t *testing.T) {
-		out := baseline.TrimExhaustive{Budget: 5 * time.Minute}.Run(bench.Generate(sp), ds)
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+		defer cancel()
+		out := baseline.TrimExhaustive{}.RunCtx(ctx, bench.Generate(sp), ds)
 		if out == nil {
 			t.Fatal("exhaustive baseline hit its budget on a tiny instance")
 		}

@@ -6,7 +6,6 @@ package fragstore
 
 import (
 	"slices"
-	"sort"
 
 	"sadproute/internal/decomp"
 	"sadproute/internal/geom"
@@ -116,13 +115,21 @@ func (fs *Store) EachNetRect(net int, fn func(r geom.Rect)) {
 	}
 }
 
+// AppendNets appends to ids the net of every fragment meeting r, then
+// sorts ids and drops repeats: a window's nets, from one query.
+func (fs *Store) AppendNets(ids []int, r geom.Rect) []int {
+	fs.Query(r, func(f Frag) { ids = append(ids, f.Net) })
+	slices.Sort(ids)
+	return slices.Compact(ids)
+}
+
 // NetIDs returns the sorted net ids with fragments.
 func (fs *Store) NetIDs() []int {
 	out := make([]int, 0, len(fs.byNet))
 	for n := range fs.byNet {
 		out = append(out, n)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -131,9 +138,9 @@ func (fs *Store) Has(net int) bool { return len(fs.byNet[net]) > 0 }
 
 // Layout assembles the oracle input for the nets in ids on this layer, in
 // the order given: each net's fragments converted to nm, colored from
-// colors. Nets without fragments, and skip, are left out (pass -1 to
-// skip none).
-func (fs *Store) Layout(g *grid.Grid, colors map[int]decomp.Color, ids []int, skip int) decomp.Layout {
+// colors (indexed by net). Nets without fragments, and skip, are left out
+// (pass -1 to skip none).
+func (fs *Store) Layout(g *grid.Grid, colors []decomp.Color, ids []int, skip int) decomp.Layout {
 	return fs.BuildLayout(new(LayoutBuf), g, colors, ids, skip)
 }
 
@@ -146,7 +153,7 @@ type LayoutBuf struct {
 
 // BuildLayout is Layout assembled in buf's storage: the layout is valid
 // until the next build into buf, and a warm buf allocates nothing.
-func (fs *Store) BuildLayout(buf *LayoutBuf, g *grid.Grid, colors map[int]decomp.Color, ids []int, skip int) decomp.Layout {
+func (fs *Store) BuildLayout(buf *LayoutBuf, g *grid.Grid, colors []decomp.Color, ids []int, skip int) decomp.Layout {
 	pats, rects := buf.pats[:0], buf.rects[:0]
 	for _, n := range ids {
 		if n == skip {
@@ -167,8 +174,8 @@ func (fs *Store) BuildLayout(buf *LayoutBuf, g *grid.Grid, colors map[int]decomp
 }
 
 // Layouts assembles the oracle input of every layer: all nets with
-// fragments, in id order, colored from colors[l].
-func Layouts(stores []*Store, g *grid.Grid, colors []map[int]decomp.Color) []decomp.Layout {
+// fragments, in id order, colored from colors[l] (indexed by net).
+func Layouts(stores []*Store, g *grid.Grid, colors [][]decomp.Color) []decomp.Layout {
 	out := make([]decomp.Layout, len(stores))
 	for l, fs := range stores {
 		out[l] = fs.Layout(g, colors[l], fs.NetIDs(), -1)

@@ -95,13 +95,16 @@ func TestQueryOrder(t *testing.T) {
 }
 
 // FuzzFragstoreQuery runs random Add, RemoveNet and Query sequences: every
-// query reports what wantQuery computes from the live fragments, and the
-// store, reusing the ids of removed fragments, never holds more fragments
-// than were live at once.
+// query reports what wantQuery computes from the live fragments, AppendNets
+// the nets of those fragments, and the store, reusing the ids of removed
+// fragments, never holds more fragments than were live at once.
 func FuzzFragstoreQuery(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 10, 10, 40, 0, 2, 0, 0, 0, 60, 60})
 	f.Add([]byte{0, 1, 1, 200, 200, 90, 3, 0, 2, 3, 0, 0, 1, 1, 20, 1, 2, 0, 0, 0, 40, 40})
 	f.Add([]byte{0, 0, 3, 5, 5, 70, 1, 0, 9, 9, 9, 2, 0, 0, 1, 2, 100, 250, 0, 60, 7, 1, 1, 2, 0, 0, 0, 255, 255})
+	// Two nets' fragments in one query, then one net ripped up and the
+	// query asked again.
+	f.Add([]byte{0, 5, 1, 10, 10, 20, 5, 12, 12, 3, 3, 0, 2, 0, 15, 15, 4, 4, 2, 0, 0, 60, 60, 1, 5, 2, 0, 0, 60, 60})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -139,7 +142,9 @@ func FuzzFragstoreQuery(f *testing.F) {
 				fs.RemoveNet(net)
 				live = slices.DeleteFunc(live, func(f Frag) bool { return f.Net == net })
 			default:
-				checkQuery(t, fs, live, rect())
+				r := rect()
+				checkQuery(t, fs, live, r)
+				checkNets(t, fs, live, r, len(live)%9)
 			}
 			if len(fs.frags) != peak {
 				t.Fatalf("store holds %d fragments, peak live %d", len(fs.frags), peak)
@@ -155,6 +160,24 @@ func checkQuery(t *testing.T, fs *Store, live []Frag, r geom.Rect) {
 	fs.Query(r, func(f Frag) { got = append(got, f) })
 	if want := wantQuery(live, r, fs.bucket); !reflect.DeepEqual(got, want) {
 		t.Fatalf("query %v: got %v, want %v", r, got, want)
+	}
+}
+
+// checkNets fails t unless AppendNets, given a slice holding seed (a net
+// the store may or may not hold), returns seed and the nets of the live
+// fragments meeting r, sorted and distinct.
+func checkNets(t *testing.T, fs *Store, live []Frag, r geom.Rect, seed int) {
+	t.Helper()
+	want := []int{seed}
+	for _, f := range live {
+		if f.Rect.Intersects(r) {
+			want = append(want, f.Net)
+		}
+	}
+	slices.Sort(want)
+	want = slices.Compact(want)
+	if got := fs.AppendNets([]int{seed}, r); !slices.Equal(got, want) {
+		t.Fatalf("AppendNets(%d, %v) = %v, want %v", seed, r, got, want)
 	}
 }
 
@@ -219,7 +242,8 @@ func TestAddPathAndLayouts(t *testing.T) {
 	// Net 3: two cells on layer 0, a via, two cells on layer 1.
 	AddPath(stores, 3, []grid.Cell{{X: 0, Y: 0, L: 0}, {X: 1, Y: 0, L: 0}, {X: 1, Y: 0, L: 1}, {X: 1, Y: 1, L: 1}})
 	AddPath(stores, 5, []grid.Cell{{X: 4, Y: 4, L: 0}, {X: 5, Y: 4, L: 0}})
-	colors := []map[int]decomp.Color{{3: decomp.Second, 5: decomp.Core}, {3: decomp.Core}}
+	colors := [][]decomp.Color{make([]decomp.Color, 6), make([]decomp.Color, 6)}
+	colors[0][3], colors[0][5], colors[1][3] = decomp.Second, decomp.Core, decomp.Core
 
 	lys := Layouts(stores, g, colors)
 	if len(lys) != 2 || len(lys[0].Pats) != 2 || len(lys[1].Pats) != 1 {

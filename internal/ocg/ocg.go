@@ -93,8 +93,8 @@ type Graph struct {
 	// nonzero until the offending edges are removed by rip-up).
 	OddCycles int
 
-	// mark is the visited set of Component and ComponentEdges: net n is in
-	// the current set when mark[n] == stamp.
+	// mark is Component's visited set: net n is in the current set when
+	// mark[n] == stamp.
 	mark  []uint32
 	stamp uint32
 	// scratch holds RemoveNet's forest members and their hard edges.
@@ -291,9 +291,9 @@ func (g *Graph) newMark(n int) {
 }
 
 // Component appends to nets the nets connected to n (including n) through
-// any edges, in sorted order, and to edges the edges among them, sorted by
-// (A, B): the result of ComponentEdges on those nets, from the same walk.
-// It returns the extended slices; callers pass buffers they own, emptied.
+// any edges, in sorted order, and to edges the edges among them, each
+// once, sorted by (A, B), from one walk. It returns the extended slices;
+// callers pass buffers they own, emptied.
 func (g *Graph) Component(n int, nets []int, edges []*Edge) ([]int, []*Edge) {
 	g.newMark(n)
 	g.mark[n] = g.stamp
@@ -314,29 +314,6 @@ func (g *Graph) Component(n int, nets []int, edges []*Edge) ([]int, []*Edge) {
 	slices.Sort(nets[n0:])
 	slices.SortFunc(edges[e0:], byEnds)
 	return nets, edges
-}
-
-// ComponentEdges returns the unique edges among the given nets, sorted by
-// (A, B).
-func (g *Graph) ComponentEdges(nets []int) []*Edge {
-	top := 0
-	for _, n := range nets {
-		top = max(top, n)
-	}
-	g.newMark(top)
-	for _, n := range nets {
-		g.mark[n] = g.stamp
-	}
-	var out []*Edge
-	for _, n := range nets {
-		for _, e := range g.adj[n] {
-			if e.A == n && g.mark[e.B] == g.stamp { // emit once, from the A side
-				out = append(out, e)
-			}
-		}
-	}
-	slices.SortFunc(out, byEnds)
-	return out
 }
 
 // parityForest is a union-find with edge parities: parity 0 links vertices

@@ -127,9 +127,9 @@ func TestComponent(t *testing.T) {
 	}
 }
 
-// TestComponentEdgesOneWalk checks that Component's edges are exactly
-// ComponentEdges of its nets, in the same order, on random graphs with
-// rip-ups, with one pair of buffers reused for every walk.
+// TestComponentEdgesOneWalk checks that Component's edges are exactly the
+// edges EdgeBetween finds among its nets, sorted by (A, B), on random
+// graphs with rip-ups, with one pair of buffers reused for every walk.
 func TestComponentEdgesOneWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for range 50 {
@@ -145,8 +145,16 @@ func TestComponentEdgesOneWalk(t *testing.T) {
 		var edges []*Edge
 		for v := range n {
 			nets, edges = g.Component(v, nets[:0], edges[:0])
-			if want := g.ComponentEdges(nets); !slices.Equal(edges, want) {
-				t.Fatalf("component of %d: one walk gives %d edges, ComponentEdges %d", v, len(edges), len(want))
+			var want []*Edge
+			for i, a := range nets {
+				for _, b := range nets[i+1:] {
+					if e := g.EdgeBetween(a, b); e != nil {
+						want = append(want, e)
+					}
+				}
+			}
+			if !slices.Equal(edges, want) {
+				t.Fatalf("component of %d: one walk gives %d edges, EdgeBetween %d", v, len(edges), len(want))
 			}
 		}
 	}

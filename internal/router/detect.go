@@ -2,11 +2,10 @@ package router
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"sadproute/internal/astar"
 	"sadproute/internal/decomp"
-	"sadproute/internal/fragstore"
 	"sadproute/internal/geom"
 	"sadproute/internal/grid"
 	"sadproute/internal/obs"
@@ -34,21 +33,9 @@ func (st *state) windowResolve(id int) (bad bool, hot []grid.Cell) {
 		st.rec.NetWindowCheck(id)
 		var bbox geom.Rect
 		fs.EachNetRect(id, func(r geom.Rect) { bbox = bbox.Union(r) })
-		window := bbox.Expand(scenario.Reach)
-
-		if st.winNets == nil {
-			st.winNets = make(map[int]bool)
-		} else {
-			clear(st.winNets)
-		}
-		netsIn := st.winNets
-		netsIn[id] = true
-		fs.Query(window, func(f fragstore.Frag) { netsIn[f.Net] = true })
-		ids := st.winIDs[:0]
-		for n := range netsIn {
-			ids = append(ids, n)
-		}
-		sort.Ints(ids)
+		// The net's own fragments meet its window, so the window's nets
+		// include it.
+		ids := fs.AppendNets(st.winIDs[:0], bbox.Expand(scenario.Reach))
 		st.winIDs = ids
 		st.rec.Observe(obs.HistWindowNets, int64(len(ids)))
 
@@ -77,26 +64,27 @@ func (st *state) windowResolve(id int) (bad bool, hot []grid.Cell) {
 		// The net made things worse: try to resolve by recoloring its
 		// component with the net's color forced each way. Both attempts
 		// solve one spanning tree: recoloring leaves the graph as it is.
+		colors, locks := st.colors[l], st.locks[l]
 		comp := st.buildTree(l, id)
 		saved := st.saved[:0]
 		for _, n := range comp {
-			saved = append(saved, st.colors[l][n])
+			saved = append(saved, colors[n])
 		}
 		st.saved = saved
 		restore := func() {
 			for i, n := range comp {
-				st.colors[l][n] = saved[i]
+				colors[n] = saved[i]
 			}
 		}
-		savedLock, hadLock := st.locks[l][id]
+		savedLock := locks[id]
 		resolved := false
-		for _, forced := range [2]decomp.Color{st.colors[l][id], st.colors[l][id].Flip()} {
-			st.locks[l][id] = forced
-			r := st.tree.Solve(st.locks[l], st.rec)
+		for _, forced := range [2]decomp.Color{colors[id], colors[id].Flip()} {
+			locks[id] = forced
+			r := st.tree.Solve(locks, st.rec)
 			if !r.Feasible {
 				continue
 			}
-			if sameColors(r.Colors, comp, saved) {
+			if slices.Equal(st.tree.Colors(), saved) {
 				// The DP reproduced the assignment the window was just
 				// decomposed under, so this attempt would score exactly
 				// curBad (> baseBad): reject it without re-running the
@@ -104,10 +92,8 @@ func (st *state) windowResolve(id int) (bad bool, hot []grid.Cell) {
 				st.rec.Inc(obs.CtrFlipsRejected)
 				continue
 			}
-			for n, col := range r.Colors {
-				st.colors[l][n] = col
-			}
-			if st.verdictOf(l, fs.BuildLayout(&st.layout, st.g, st.colors[l], ids, -1)).bad <= baseBad {
+			st.tree.Apply(colors)
+			if st.verdictOf(l, fs.BuildLayout(&st.layout, st.g, colors, ids, -1)).bad <= baseBad {
 				resolved = true
 				break
 			}
@@ -124,11 +110,7 @@ func (st *state) windowResolve(id int) (bad bool, hot []grid.Cell) {
 			continue
 		}
 		// No coloring clears the window: restore and rip up.
-		if hadLock {
-			st.locks[l][id] = savedLock
-		} else {
-			delete(st.locks[l], id)
-		}
+		locks[id] = savedLock
 		restore()
 		st.rec.Inc(obs.CtrWindowFailed)
 		st.rec.NetWindowFail(id)
@@ -140,21 +122,6 @@ func (st *state) windowResolve(id int) (bad bool, hot []grid.Cell) {
 		bad = true
 	}
 	return bad, hot
-}
-
-// sameColors reports whether the flipping DP's assignment is identical to
-// the coloring it started from: cur[i] is the color of nets[i], and got
-// colors exactly those nets.
-func sameColors(got map[int]decomp.Color, nets []int, cur []decomp.Color) bool {
-	if len(got) != len(nets) {
-		return false
-	}
-	for i, n := range nets {
-		if c, ok := got[n]; !ok || c != cur[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // memoCap bounds each layer's verdict memo. When it is full, the oldest
@@ -324,21 +291,15 @@ func (st *state) repairConflicts() {
 }
 
 // offenders lists the nets implicated in oracle conflicts, hard overlays or
-// violations of the current full layout.
+// violations of the current full layout, sorted and distinct.
 func (st *state) offenders() []int {
-	bad := map[int]bool{}
+	var out []int
 	for l, fs := range st.frags {
 		ly := fs.BuildLayout(&st.layout, st.g, st.colors[l], fs.NetIDs(), -1)
-		for _, n := range st.verdictOf(l, ly).nets {
-			bad[n] = true
-		}
+		out = append(out, st.verdictOf(l, ly).nets...)
 	}
-	out := make([]int, 0, len(bad))
-	for n := range bad {
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 func fdiv(a, b int) int {

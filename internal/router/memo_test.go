@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sadproute/internal/bench"
+	"sadproute/internal/decomp"
 	"sadproute/internal/obs"
 	"sadproute/internal/router"
 	"sadproute/internal/rules"
@@ -70,8 +71,23 @@ func (r routeRun) dump(maskSearch bool) string {
 	fmt.Fprintf(&b, "routed=%d failed=%d wl=%d vias=%d\n", res.Routed, res.Failed, res.WirelengthCells, res.Vias)
 	b.WriteString(work.CountersString())
 	b.WriteString(obs.NetStatsString(stats))
-	fmt.Fprintf(&b, "paths=%v\ncolors=%v\n", res.Paths, res.Colors)
+	fmt.Fprintf(&b, "paths=%v\ncolors=%v\n", res.Paths, colorMaps(res.Colors))
 	return b.String()
+}
+
+// colorMaps renders each layer's colored nets as a net-to-color map, the
+// form the pinned digests were taken over (map[id:C ...]).
+func colorMaps(colors [][]decomp.Color) []map[int]decomp.Color {
+	out := make([]map[int]decomp.Color, len(colors))
+	for l, cs := range colors {
+		out[l] = map[int]decomp.Color{}
+		for n, c := range cs {
+			if c != decomp.Unassigned {
+				out[l][n] = c
+			}
+		}
+	}
+	return out
 }
 
 // checkMemoTransparent holds the router's verdict memo to the uncached

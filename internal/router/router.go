@@ -9,7 +9,6 @@ package router
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"sadproute/internal/astar"
@@ -64,8 +63,7 @@ type Options struct {
 	// cost proves the path dense-optimal (exact-or-fallback, see
 	// sparseSearch). Routed results stay DRC-equivalent but are not
 	// byte-identical to the dense run wherever several optimal paths tie —
-	// the engines break ties differently. Off by default, so default
-	// behavior is byte-identical to previous releases.
+	// the engines break ties differently. Off by default.
 	SparseSearch bool
 	// Obs receives counters, stage timings and (when a trace sink is
 	// attached) structured trace events. Nil disables observability at a
@@ -110,13 +108,15 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// Result is a completed routing run. Diagnostics that used to live here
-// (rip-up counts by cause, flips, blocker rips) are now counters on the
-// Options.Obs recorder — pass one and read its Snapshot.
+// Result is a completed routing run. Rip-up counts by cause, flips and
+// blocker rips are counters on the Options.Obs recorder: pass one and read
+// its Snapshot.
 type Result struct {
-	Routed, Failed  int
-	Paths           map[int][]grid.Cell
-	Colors          []map[int]decomp.Color // per layer: net -> color
+	Routed, Failed int
+	Paths          map[int][]grid.Cell
+	// Colors holds each layer's color per net id; Unassigned means the net
+	// has no pattern there.
+	Colors          [][]decomp.Color
 	WirelengthCells int
 	Vias            int
 	CPU             time.Duration
@@ -155,9 +155,9 @@ type state struct {
 	eng    *astar.Engine
 	ocgs   []*ocg.Graph
 	frags  []*fragstore.Store
-	colors []map[int]decomp.Color
-	locks  []map[int]decomp.Color // colors pinned by the cut-conflict check
-	pen    []int32                // rip-up cost inflation, grid index order; nil until the first inflate
+	colors [][]decomp.Color // per layer and net, as Result.Colors
+	locks  [][]decomp.Color // per layer and net: the color the cut-conflict check pinned, or Unassigned
+	pen    []int32          // rip-up cost inflation, grid index order; nil until the first inflate
 	// sp/speng are the corridor graph and its engine, live only
 	// under Options.SparseSearch. sp mirrors g: commit and ripup forward
 	// every cell mutation.
@@ -175,11 +175,9 @@ type state struct {
 	blockerBudget int
 	pending       []int
 	// The per-net checks' buffers, reused from one check to the next:
-	// windowResolve's net set and sorted id list, the oracle layouts of
-	// windowResolve and offenders and the oracle's verdict on them, the
-	// component walk, the flipping tree, and the colors a failed recolor
-	// restores.
-	winNets   map[int]bool
+	// windowResolve's sorted net list, the oracle layouts of windowResolve
+	// and offenders and the oracle's verdict on them, the component walk,
+	// the flipping tree, and the colors a failed recolor restores.
 	winIDs    []int
 	layout    fragstore.LayoutBuf
 	verdict   decomp.Verdict
@@ -232,13 +230,13 @@ func RouteCtx(ctx context.Context, nl *netlist.Netlist, ds rules.Set, opt Option
 	}
 	st.ocgs = make([]*ocg.Graph, nl.Layers)
 	st.frags = make([]*fragstore.Store, nl.Layers)
-	st.colors = make([]map[int]decomp.Color, nl.Layers)
-	st.locks = make([]map[int]decomp.Color, nl.Layers)
+	st.colors = make([][]decomp.Color, nl.Layers)
+	st.locks = make([][]decomp.Color, nl.Layers)
 	for l := 0; l < nl.Layers; l++ {
 		st.ocgs[l] = ocg.New()
 		st.frags[l] = fragstore.New()
-		st.colors[l] = make(map[int]decomp.Color)
-		st.locks[l] = make(map[int]decomp.Color)
+		st.colors[l] = make([]decomp.Color, len(nl.Nets))
+		st.locks[l] = make([]decomp.Color, len(nl.Nets))
 	}
 	st.memo = make([]layerMemo, nl.Layers)
 	st.res = &Result{
@@ -550,8 +548,8 @@ func (st *state) ripup(id int) {
 	for l := 0; l < st.nl.Layers; l++ {
 		st.frags[l].RemoveNet(id)
 		st.ocgs[l].RemoveNet(id)
-		delete(st.colors[l], id)
-		delete(st.locks[l], id)
+		st.colors[l][id] = decomp.Unassigned
+		st.locks[l][id] = decomp.Unassigned
 	}
 }
 
@@ -601,17 +599,14 @@ func (st *state) colorNewNet(id int) {
 		if !st.frags[l].Has(id) {
 			continue
 		}
-		c := colorflip.PseudoColorLocked(st.ocgs[l], id, st.colors[l], st.locks[l])
-		st.colors[l][id] = c
+		st.colors[l][id] = colorflip.PseudoColor(st.ocgs[l], id, st.colors[l], st.locks[l])
 		if !st.opt.ColorFlip {
 			continue
 		}
 		if induced := st.inducedOverlay(l, id); induced > st.opt.FlipThresholdNM {
 			nets := st.buildTree(l, id)
 			r := st.tree.Solve(st.locks[l], st.rec)
-			for n, col := range r.Colors {
-				st.colors[l][n] = col
-			}
+			st.tree.Apply(st.colors[l])
 			if r.Feasible {
 				st.rec.Inc(obs.CtrFlipsApplied)
 			} else {
@@ -638,9 +633,8 @@ func (st *state) inducedOverlay(l, id int) int {
 	total := 0
 	cn := st.colors[l][id]
 	for _, e := range st.ocgs[l].Edges(id) {
-		o := e.Other(id)
-		co, ok := st.colors[l][o]
-		if !ok || co == decomp.Unassigned {
+		co := st.colors[l][e.Other(id)]
+		if co == decomp.Unassigned {
 			continue
 		}
 		p := e.ProfileFor(id)
@@ -649,26 +643,21 @@ func (st *state) inducedOverlay(l, id int) int {
 	return total
 }
 
-// flipAll runs the color-flipping DP on every component of every layer.
+// flipAll runs the color-flipping DP on every component of every layer,
+// each from its lowest colored net.
 func (st *state) flipAll() {
-	for l := 0; l < st.nl.Layers; l++ {
-		visited := make(map[int]bool)
-		nets := make([]int, 0, len(st.colors[l]))
-		for n := range st.colors[l] {
-			nets = append(nets, n)
-		}
-		sort.Ints(nets)
-		for _, n := range nets {
-			if visited[n] {
+	visited := make([]bool, len(st.nl.Nets))
+	for l, colors := range st.colors {
+		clear(visited)
+		for n, c := range colors {
+			if c == decomp.Unassigned || visited[n] {
 				continue
 			}
 			for _, v := range st.buildTree(l, n) {
 				visited[v] = true
 			}
-			r := st.tree.Solve(st.locks[l], st.rec)
-			for v, col := range r.Colors {
-				st.colors[l][v] = col
-			}
+			st.tree.Solve(st.locks[l], st.rec)
+			st.tree.Apply(colors)
 		}
 	}
 }

@@ -40,9 +40,10 @@ func Summarize(nl *netlist.Netlist, res *router.Result, tot decomp.Totals) Summa
 // input, which is what lets the soak test and the CI sadpd smoke step
 // diff a served job against the one-shot CLI for byte-identity.
 //
-// Iteration is canonical throughout: nets ascend by ID (membership tested
-// against the Paths map, never ranged), layers ascend, and the counter
-// block is obs.Snapshot.CountersString (declaration order).
+// Iteration is canonical throughout: nets ascend by ID (path membership
+// tested against the Paths map, never ranged; colors read from the dense
+// per-layer slices), layers ascend, and the counter block is
+// obs.Snapshot.CountersString (declaration order).
 func RenderResultText(nl *netlist.Netlist, res *router.Result, tot decomp.Totals, snap *obs.Snapshot) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "design %s nets %d grid %dx%dx%d\n", nl.Name, len(nl.Nets), nl.W, nl.H, nl.Layers)
@@ -67,12 +68,10 @@ func RenderResultText(nl *netlist.Netlist, res *router.Result, tot decomp.Totals
 	b.WriteString("end paths\n")
 	b.WriteString("begin colors\n")
 	for l, colors := range res.Colors {
-		for id := 0; id < len(nl.Nets); id++ {
-			c, ok := colors[id]
-			if !ok {
-				continue
+		for id, c := range colors {
+			if c != decomp.Unassigned {
+				fmt.Fprintf(&b, "color %d %d %d\n", l, id, int(c))
 			}
-			fmt.Fprintf(&b, "color %d %d %d\n", l, id, int(c))
 		}
 	}
 	b.WriteString("end colors\n")
