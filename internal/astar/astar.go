@@ -89,8 +89,8 @@ type Engine struct {
 	g     *grid.Grid
 	nodes []node // per-cell search records, grid index order
 	cur   uint32 // id of the current search; records of other ids are stale
-	// delta holds the index offset of each move in moves order.
-	delta [6]int
+	// step holds the grid index step of each move, in moves order.
+	step  [6]int
 	queue bucketQueue
 	// Per-search statistics, reset by Search. The inner loop maintains them
 	// as plain field increments (no branches) so the cost is identical
@@ -103,8 +103,8 @@ type Engine struct {
 	// the heap-peak gauge) in one flush at the end of every search.
 	Rec *obs.Recorder
 	// cfg and targets are the current search's parameters, held as fields so
-	// the hot heuristic/push paths are methods instead of closures. targets
-	// is a reused copy of the caller's slice.
+	// the expansion reads them without closures. targets is a reused copy
+	// of the caller's slice.
 	cfg     Config
 	targets []grid.Cell
 	// invalid is set when the current search reached a cost outside
@@ -122,7 +122,7 @@ type Engine struct {
 // The tag holds, from the top, the id of the search that last wrote the
 // record (under any other id the whole record is stale), the reached, pin
 // and target flags, and the move that entered the cell: the parent is
-// i - delta[move], and fromSource marks a source.
+// i - step[move], and fromSource marks a source.
 type node struct {
 	dist int32  // best g pushed this search; valid when reached
 	tag  uint32 // id<<idShift | reached | pin | target | move
@@ -140,7 +140,7 @@ const (
 	maxSearchID = 1<<(32-idShift) - 1
 )
 
-// forbidden is stepCosts' price of a move the net may not make. No priced
+// forbidden is expand's price of a move the net may not make. No priced
 // step reaches it: the most negative is one negative int32 Pen entry.
 const forbidden = math.MinInt
 
@@ -151,17 +151,11 @@ var moves = [6]grid.Cell{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}, {L: 1}, {L: -1}}
 
 // New creates an engine for g.
 func New(g *grid.Grid) *Engine {
-	plane := g.W * g.H
-	return &Engine{
-		g:     g,
-		nodes: make([]node, plane*g.Layers),
-		delta: [6]int{1, -1, g.W, -g.W, plane, -plane},
+	e := &Engine{g: g, nodes: make([]node, g.Len())}
+	for d, m := range &moves {
+		e.step[d] = g.Step(m)
 	}
-}
-
-func (e *Engine) cell(i int) grid.Cell {
-	w, h := e.g.W, e.g.H
-	return grid.Cell{X: i % w, Y: (i / w) % h, L: i / (w * h)}
+	return e
 }
 
 // Search finds a minimum-cost path from any source to any target under cfg.
@@ -171,12 +165,12 @@ func (e *Engine) cell(i int) grid.Cell {
 // Config.mayEnter) ends NoPath before its first expansion: it cannot
 // reach a goal, however far its sources flood.
 func (e *Engine) Search(id int32, sources, targets []grid.Cell, cfg Config) ([]grid.Cell, Outcome) {
-	if len(sources) == 0 || len(targets) == 0 {
-		return nil, NoPath
-	}
 	e.queue.reset()
 	e.Expand, e.Pushes, e.Pops, e.HeapPeak = 0, 0, 0, 0
 	defer e.flushObs()
+	if len(sources) == 0 || len(targets) == 0 {
+		return nil, NoPath
+	}
 	if !cfg.nonNegative() {
 		return nil, Invalid
 	}
@@ -189,10 +183,28 @@ func (e *Engine) Search(id int32, sources, targets []grid.Cell, cfg Config) ([]g
 		if !e.g.In(s) || !e.g.FreeOrNet(s, id) {
 			continue
 		}
-		e.pushNode(e.g.Index(s), s, 0, fromSource)
+		// A source enters at path cost 0 before the first expansion, so of
+		// expand's relaxation only the record and the MaxCost bound can
+		// refuse it.
+		i := e.g.Index(s)
+		n := e.record(i)
+		if n.tag&reachedBit != 0 {
+			continue // a repeated source
+		}
+		f := e.h(s)
+		if f > MaxCost {
+			e.invalid = true
+			continue
+		}
+		if n.tag&targetBit == 0 {
+			f = min(f+e.entry, MaxCost)
+		}
+		n.dist, n.tag = 0, n.tag|reachedBit|fromSource
+		e.queue.push(item{sub: subKey(0, uint32(e.Pushes)), idx: int32(i), f: int32(f)})
+		e.Pushes++
 	}
+	e.HeapPeak = e.queue.n
 
-	var costs [6]int
 	for e.queue.n > 0 && !e.invalid {
 		it := e.queue.pop()
 		e.Pops++
@@ -210,16 +222,7 @@ func (e *Engine) Search(id int32, sources, targets []grid.Cell, cfg Config) ([]g
 		if e.nodes[i].tag&targetBit != 0 {
 			return e.trace(i), Found
 		}
-		c := e.cell(i)
-		e.stepCosts(id, i, c, &costs)
-		for d, m := range &moves {
-			switch sc := costs[d]; {
-			case sc >= 0:
-				e.pushNode(i+e.delta[d], grid.Cell{X: c.X + m.X, Y: c.Y + m.Y, L: c.L + m.L}, g+sc, uint32(d))
-			case sc != forbidden:
-				e.invalid = true // a negative Pen entry priced the step below 0
-			}
-		}
+		e.expand(id, i, g, nil)
 	}
 	if e.invalid {
 		return nil, Invalid
@@ -287,13 +290,13 @@ func (c *Config) nonNegative() bool {
 
 // mayEnter reports whether net id may enter a cell holding v under c: a
 // free cell, its own cell, or another net's cell when SoftOccupied is
-// positive — the rule stepCosts prices moves by. Every pushed cell passes
+// positive — the rule expand prices moves by. Every pushed cell passes
 // it, sources included (they must be free or the net's own).
 func (c *Config) mayEnter(v, id int32) bool {
 	return v == grid.Free || v == id || (c.SoftOccupied > 0 && v >= 0)
 }
 
-// entryCost is what stepCosts charges net id, on top of every other term,
+// entryCost is what expand charges net id, on top of every other term,
 // for entering cell i holding v, a cell the net may enter: the
 // soft-occupancy toll of another net's cell plus the cell's rip-up
 // penalty. The other terms are >= 0, so every step into the cell costs at
@@ -309,52 +312,105 @@ func (c *Config) entryCost(v, id int32, i int) int {
 	return cost
 }
 
-// stepCosts prices the six moves out of cell c (index i) for net id under
-// cost equation (5) and the current search's Config, in moves order: the
-// wirelength or via weight, the soft-occupancy toll, the rip-up penalty
-// of the entered cell, the pin-via push-off, the type-2-b lookahead and
-// the preferred-direction penalty. A move off the grid or into a cell the
-// net may not enter costs forbidden; any other negative cost comes from a
-// negative Pen entry. Search and Price both price through here, so
-// a repriced path costs exactly what a search charges for it.
-func (e *Engine) stepCosts(id int32, i int, c grid.Cell, out *[6]int) {
-	g, cfg := e.g, &e.cfg
+// expand is the engine's one implementation of the eq. (5) step price.
+// It prices the six moves out of cell i for net id under the current
+// search's Config, in moves order: the wirelength or via weight, the
+// soft-occupancy toll, the rip-up penalty of the entered cell, the
+// pin-via push-off, the preferred-direction penalty and the type-2-b
+// look-ahead. A move off the grid or into a cell the net may not enter is
+// forbidden; any other negative price comes from a negative Pen entry.
+// Search and Price both price through here, so a repriced path costs
+// exactly what a search charges for it.
+//
+// With price nil, expand is Search's expansion of cell i at path cost g,
+// and it relaxes each move in the same pass. A negative price sets
+// invalid. Any other is refused when the entered cell's record already
+// holds a path no dearer, which the look-ahead, as it only adds, is not
+// read to decide. Otherwise the cell is pushed at its path cost gc and
+// f = gc + h (a single target's distance computed inline), plus the entry
+// bound unless the cell is a target, capped at MaxCost. A gc + h above
+// MaxCost, or an f below the f being expanded (a negative Pen entry made
+// the estimate inconsistent), is not pushed; it sets invalid, which ends
+// the search. With price non-nil, expand writes each price there instead,
+// forbidden for a forbidden move, and g is unused.
+func (e *Engine) expand(id int32, i, g int, price *[6]int) {
+	gr, cfg := e.g, &e.cfg
+	if price != nil {
+		*price = [6]int{forbidden, forbidden, forbidden, forbidden, forbidden, forbidden}
+	}
+	c := gr.CellAt(i)
 	pinHere := e.pin(i)
-	for d, m := range &moves {
+	for d := range &moves {
+		m := moves[d]
 		nc := grid.Cell{X: c.X + m.X, Y: c.Y + m.Y, L: c.L + m.L}
-		if !g.In(nc) {
-			out[d] = forbidden
+		if !gr.In(nc) {
 			continue
 		}
-		ni := i + e.delta[d]
-		cost := 0
-		if v := g.AtIndex(ni); v != grid.Free && v != id {
+		ni := i + e.step[d]
+		sc := 0
+		if v := gr.AtIndex(ni); v != grid.Free && v != id {
 			if cfg.SoftOccupied <= 0 || v < 0 {
-				out[d] = forbidden // foreign cell or hard blockage
-				continue
+				continue // foreign cell or hard blockage
 			}
-			cost = cfg.SoftOccupied
+			sc = cfg.SoftOccupied
 		}
 		if cfg.Pen != nil {
-			cost += int(cfg.Pen[ni])
+			sc += int(cfg.Pen[ni])
+		}
+		n := &e.nodes[ni]
+		t := n.tag
+		if t>>idShift != e.cur {
+			t = e.cur << idShift // written by an earlier search: no flags
 		}
 		if m.L != 0 {
-			cost += cfg.Via * Scale
-			if cfg.PinVia > 0 && (pinHere || e.pin(ni)) {
-				cost += cfg.PinVia
+			sc += cfg.Via * Scale
+			if cfg.PinVia > 0 && (pinHere || t&pinBit != 0) {
+				sc += cfg.PinVia
 			}
 		} else {
-			cost += cfg.WL * Scale
-			if cfg.Gamma2 > 0 && g.In(grid.Cell{X: nc.X + m.X, Y: nc.Y + m.Y, L: nc.L}) {
-				if v := g.AtIndex(ni + e.delta[d]); v >= 0 && v != id {
-					cost += cfg.Gamma2
+			sc += cfg.WL * Scale
+			if cfg.DirPenalty > 0 && (m.X != 0) != (c.L%2 == 0) {
+				sc += cfg.DirPenalty
+			}
+			if cfg.Gamma2 > 0 && (price != nil || sc < 0 || t&reachedBit == 0 || int(n.dist) > g+sc) {
+				if gr.In(grid.Cell{X: nc.X + m.X, Y: nc.Y + m.Y, L: nc.L}) {
+					if v := gr.AtIndex(ni + e.step[d]); v >= 0 && v != id {
+						sc += cfg.Gamma2
+					}
 				}
 			}
-			if cfg.DirPenalty > 0 && (m.X != 0) != (c.L%2 == 0) {
-				cost += cfg.DirPenalty
+		}
+		switch {
+		case price != nil:
+			price[d] = sc
+		case sc < 0:
+			e.invalid = true // a negative Pen entry priced the step below 0
+		case t&reachedBit == 0 || int(n.dist) > g+sc:
+			gc := g + sc
+			f := gc
+			if len(e.targets) == 1 {
+				f += e.manhattan(nc, e.targets[0])
+			} else {
+				f += e.h(nc)
+			}
+			if f > MaxCost {
+				e.invalid = true
+				continue
+			}
+			if t&targetBit == 0 {
+				f = min(f+e.entry, MaxCost)
+			}
+			if f < e.queue.f {
+				e.invalid = true
+				continue
+			}
+			n.dist, n.tag = int32(gc), t&^moveMask|reachedBit|uint32(d)
+			e.queue.push(item{sub: subKey(gc, uint32(e.Pushes)), idx: int32(ni), f: int32(f)})
+			e.Pushes++
+			if e.queue.n > e.HeapPeak {
+				e.HeapPeak = e.queue.n
 			}
 		}
-		out[d] = cost
 	}
 }
 
@@ -369,18 +425,18 @@ func (e *Engine) Price(id int32, sources, targets, path []grid.Cell, cfg Config)
 	}
 	e.begin(id, sources, targets, cfg)
 	total := 0
-	var costs [6]int
+	var price [6]int
 	for k := 1; k < len(path); k++ {
 		from, to := path[k-1], path[k]
 		d := moveIndex(grid.Cell{X: to.X - from.X, Y: to.Y - from.Y, L: to.L - from.L})
 		if d < 0 || !e.g.In(from) {
 			return 0, false
 		}
-		e.stepCosts(id, e.g.Index(from), from, &costs)
-		if costs[d] < 0 {
+		e.expand(id, e.g.Index(from), 0, &price)
+		if price[d] < 0 {
 			return 0, false
 		}
-		total += costs[d]
+		total += price[d]
 	}
 	return total, true
 }
@@ -399,7 +455,7 @@ func moveIndex(m grid.Cell) int {
 // search's targets, in engine cost units: every planar step costs at least
 // WL*Scale and every layer change at least Via*Scale, and h falls by at
 // most that much across one step. The estimate of a cell is h, plus the
-// entry bound off the targets (pushNode). It stays consistent, hence
+// entry bound off the targets (expand). It stays consistent, hence
 // admissible: a step between two other cells keeps the bound on both
 // sides, and a step into a target pays at least its weight plus the bound
 // (Config.entryCost). So no push has an estimate below the f being
@@ -408,48 +464,16 @@ func moveIndex(m grid.Cell) int {
 // the plain Manhattan order and a search expands a prefix of the cells
 // the plain estimate would have it expand.
 func (e *Engine) h(c grid.Cell) int {
-	best := -1
+	best := math.MaxInt
 	for _, t := range e.targets {
-		d := (absi(c.X-t.X)+absi(c.Y-t.Y))*e.cfg.WL + absi(c.L-t.L)*e.cfg.Via
-		if best < 0 || d < best {
-			best = d
-		}
+		best = min(best, e.manhattan(c, t))
 	}
-	return best * Scale
+	return best
 }
 
-// pushNode relaxes node i (cell c), entered by move (fromSource at a
-// source), to gcost >= 0 and pushes it on the open list at f = gcost + h,
-// plus the entry bound unless c is a target, capped at MaxCost. A gcost + h
-// above MaxCost, or an f below the f being expanded (a negative Pen entry
-// made the estimate inconsistent), is not pushed; it sets invalid, which
-// ends the search.
-func (e *Engine) pushNode(i int, c grid.Cell, gcost int, move uint32) {
-	n := &e.nodes[i]
-	t := n.tag
-	if t>>idShift != e.cur {
-		t = e.cur << idShift
-	} else if t&reachedBit != 0 && int(n.dist) <= gcost {
-		return
-	}
-	f := gcost + e.h(c)
-	if f > MaxCost {
-		e.invalid = true
-		return
-	}
-	if t&targetBit == 0 {
-		f = min(f+e.entry, MaxCost)
-	}
-	if f < e.queue.f {
-		e.invalid = true
-		return
-	}
-	n.dist, n.tag = int32(gcost), t&^moveMask|reachedBit|move
-	e.queue.push(item{sub: subKey(gcost, uint32(e.Pushes)), idx: int32(i), f: int32(f)})
-	e.Pushes++
-	if e.queue.n > e.HeapPeak {
-		e.HeapPeak = e.queue.n
-	}
+// manhattan is the Manhattan distance from c to t in engine cost units.
+func (e *Engine) manhattan(c, t grid.Cell) int {
+	return ((absi(c.X-t.X)+absi(c.Y-t.Y))*e.cfg.WL + absi(c.L-t.L)*e.cfg.Via) * Scale
 }
 
 // flushObs reports the last search's statistics to the attached Recorder
@@ -470,12 +494,12 @@ func (e *Engine) flushObs() {
 func (e *Engine) trace(i int) []grid.Cell {
 	var rev []grid.Cell
 	for {
-		rev = append(rev, e.cell(i))
+		rev = append(rev, e.g.CellAt(i))
 		m := e.nodes[i].tag & moveMask
 		if m == fromSource {
 			break
 		}
-		i -= e.delta[m]
+		i -= e.step[m]
 	}
 	for a, b := 0, len(rev)-1; a < b; a, b = a+1, b-1 {
 		rev[a], rev[b] = rev[b], rev[a]

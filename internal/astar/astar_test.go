@@ -134,7 +134,7 @@ func TestQuickOptimalVsDijkstra(t *testing.T) {
 		ok := out == Found
 		// Reference BFS (all steps cost 1).
 		dist := bfs(g, src)
-		want, reach := dist[key(g, dst)]
+		want, reach := dist[g.Index(dst)]
 		if ok != reach {
 			return false
 		}
@@ -148,10 +148,8 @@ func TestQuickOptimalVsDijkstra(t *testing.T) {
 	}
 }
 
-func key(g *grid.Grid, c grid.Cell) int { return (c.L*g.H+c.Y)*g.W + c.X }
-
 func bfs(g *grid.Grid, src grid.Cell) map[int]int {
-	dist := map[int]int{key(g, src): 0}
+	dist := map[int]int{g.Index(src): 0}
 	queue := []grid.Cell{src}
 	dirs := [6]grid.Cell{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}, {L: 1}, {L: -1}}
 	for len(queue) > 0 {
@@ -162,10 +160,10 @@ func bfs(g *grid.Grid, src grid.Cell) map[int]int {
 			if !g.In(n) || g.At(n) == grid.Blocked {
 				continue
 			}
-			if _, seen := dist[key(g, n)]; seen {
+			if _, seen := dist[g.Index(n)]; seen {
 				continue
 			}
-			dist[key(g, n)] = dist[key(g, c)] + 1
+			dist[g.Index(n)] = dist[g.Index(c)] + 1
 			queue = append(queue, n)
 		}
 	}

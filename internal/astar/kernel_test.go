@@ -246,9 +246,10 @@ func kernelCell(rng *rand.Rand, g *grid.Grid) grid.Cell {
 }
 
 // kernelGrid draws a small grid with blockages and cells owned by nets
-// 0..3 (the searching net may own some of them).
+// 0..3 (the searching net may own some of them). Its dies may be one cell
+// wide or high, where only the bounds every move checks keep it inside.
 func kernelGrid(rng *rand.Rand) *grid.Grid {
-	return kernelGridOf(rng, 2+rng.Intn(14), 2+rng.Intn(14), 1+rng.Intn(3))
+	return kernelGridOf(rng, 1+rng.Intn(15), 1+rng.Intn(15), 1+rng.Intn(3))
 }
 
 // kernelGridOf draws kernelGrid's blockages and owned cells on a w×h×layers
@@ -259,7 +260,7 @@ func kernelGridOf(rng *rand.Rand, w, h, layers int) *grid.Grid {
 		x, y := rng.Intn(g.W), rng.Intn(g.H)
 		g.Block(rng.Intn(g.Layers), geom.Rect{X0: x, Y0: y, X1: x + 1 + rng.Intn(3), Y1: y + 1 + rng.Intn(3)})
 	}
-	for i := rng.Intn(g.W * g.H / 3 * g.Layers); i > 0; i-- {
+	for i := rng.Intn(g.W*g.H*g.Layers/3 + 1); i > 0; i-- {
 		if c := kernelCell(rng, g); g.In(c) && g.At(c) == grid.Free {
 			g.Occupy(c, int32(rng.Intn(4)))
 		}
@@ -442,7 +443,7 @@ func TestKernelMatchesReference(t *testing.T) {
 // return the bounded reference search's outcome, path and
 // Expand/Pushes/Pops/HeapPeak, and the plain-Manhattan reference's path
 // and outcome with no more expansions (checkKernel). The corpus
-// seeds 2066, 2164 and 2019 open with a target owned by another net, a
+// seeds 2067, 2133 and 2056 open with a target owned by another net, a
 // blocked target under SoftOccupied, and a target owned by the searching
 // net: the first two end before expanding, the third searches.
 func FuzzAstarKernel(f *testing.F) {
@@ -567,6 +568,28 @@ func TestCostCeiling(t *testing.T) {
 		"falling f":      {WL: 1, Pen: []int32{0, -1}},
 	} {
 		if path, out := e.Search(0, src, tgt, cfg); out != Invalid {
+			t.Errorf("%s: outcome %v with path %v, want Invalid", name, out, path)
+		}
+	}
+	// A negative Pen entry ends the search Invalid on the step into its
+	// cell, whether that cell is fresh or already reached (here a second
+	// source, reached before the first expansion), and whether the step is
+	// a planar move or a via.
+	for name, q := range map[string]struct {
+		w, h, layers int
+		src          []grid.Cell
+		neg, tgt     grid.Cell
+	}{
+		"negative Pen, fresh cell, planar":   {3, 1, 1, []grid.Cell{{X: 0}}, grid.Cell{X: 1}, grid.Cell{X: 2}},
+		"negative Pen, reached cell, planar": {3, 1, 1, []grid.Cell{{X: 0}, {X: 1}}, grid.Cell{X: 0}, grid.Cell{X: 2}},
+		"negative Pen, fresh cell, via":      {1, 1, 3, []grid.Cell{{L: 0}}, grid.Cell{L: 1}, grid.Cell{L: 2}},
+		"negative Pen, reached cell, via":    {1, 1, 3, []grid.Cell{{L: 0}, {L: 1}}, grid.Cell{L: 0}, grid.Cell{L: 2}},
+	} {
+		g := mk(q.w, q.h, q.layers)
+		pen := make([]int32, g.Len())
+		pen[g.Index(q.neg)] = -5
+		cfg := Config{WL: 1, Via: 1, Pen: pen, Gamma2: 3}
+		if path, out := New(g).Search(0, q.src, []grid.Cell{q.tgt}, cfg); out != Invalid {
 			t.Errorf("%s: outcome %v with path %v, want Invalid", name, out, path)
 		}
 	}

@@ -58,6 +58,36 @@ func TestSearchStats(t *testing.T) {
 	}
 }
 
+// TestEmptySearchResetsStats: a search with no sources or no targets ends
+// NoPath with every statistic zero, not the last search's, and is flushed
+// to the recorder as a search of its own.
+func TestEmptySearchResetsStats(t *testing.T) {
+	e := New(mk(16, 16, 2))
+	rec := obs.New()
+	e.Rec = rec
+	src, tgt := []grid.Cell{{X: 0, Y: 8}}, []grid.Cell{{X: 15, Y: 8}}
+	cfg := Config{WL: 1, Via: 1}
+	if _, out := e.Search(0, src, tgt, cfg); out != Found || e.Expand == 0 {
+		t.Fatalf("real search: outcome %v after %d expansions", out, e.Expand)
+	}
+	s := rec.Snapshot()
+	expanded := s.Counter(obs.CtrAstarExpanded)
+	for _, q := range [][2][]grid.Cell{{src, nil}, {nil, tgt}} {
+		if path, out := e.Search(0, q[0], q[1], cfg); out != NoPath || path != nil {
+			t.Fatalf("%v -> %v: outcome %v, path %v; want NoPath", q[0], q[1], out, path)
+		}
+		if e.Expand != 0 || e.Pushes != 0 || e.Pops != 0 || e.HeapPeak != 0 {
+			t.Errorf("%v -> %v: stats expand=%d pushes=%d pops=%d peak=%d, want all 0",
+				q[0], q[1], e.Expand, e.Pushes, e.Pops, e.HeapPeak)
+		}
+	}
+	s = rec.Snapshot()
+	if s.Counter(obs.CtrAstarSearches) != 3 || s.Counter(obs.CtrAstarExpanded) != expanded {
+		t.Errorf("recorder: %d searches, %d expanded; want 3 and the real search's %d",
+			s.Counter(obs.CtrAstarSearches), s.Counter(obs.CtrAstarExpanded), expanded)
+	}
+}
+
 // benchGrid builds a 64x64x3 grid with scattered blockages — dense enough
 // that the search does real work.
 func benchGrid() *grid.Grid {
@@ -125,4 +155,24 @@ func BenchmarkSearchPenalizedTarget(b *testing.B) {
 		cfg.Pen[g.Index(c)] += 16 * Scale
 	}
 	benchLoop(b, e, src, dst, cfg)
+}
+
+// BenchmarkSearchHugeDie is one long net on a die the size of Huge2's,
+// 1200×1200 tracks on 3 layers, whose straight line meets a full-stack
+// macro slab mid-face: the search floods the face before the detour pays
+// off. Its per-cell planes (35 MB of search records, 17 MB each of
+// occupancy and penalties) are far larger than the cache, unlike
+// benchGrid's, so the grid layout shows in its ns per expansion.
+func BenchmarkSearchHugeDie(b *testing.B) {
+	g := mk(1200, 1200, 3)
+	for l := range g.Layers {
+		g.Block(l, geom.Rect{X0: 560, Y0: 250, X1: 610, Y1: 950})
+		g.Block(l, geom.Rect{X0: 200, Y0: 900, X1: 500, Y1: 940})
+		g.Block(l, geom.Rect{X0: 750, Y0: 200, X1: 790, Y1: 520})
+	}
+	cfg := Config{WL: 1, Via: 1, Pen: make([]int32, g.Len()), PinVia: 12, Gamma2: 3, DirPenalty: 2}
+	src, dst := []grid.Cell{{X: 100, Y: 600}}, []grid.Cell{{X: 1100, Y: 620}}
+	e := New(g)
+	benchLoop(b, e, src, dst, cfg)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*e.Expand), "ns/expansion")
 }

@@ -78,7 +78,7 @@ func newCommon(nl *netlist.Netlist, ds rules.Set) *common {
 		g:   nl.BuildGrid(ds),
 		out: &Out{},
 	}
-	c.pen = make([]int32, c.g.W*c.g.H*c.g.Layers)
+	c.pen = make([]int32, c.g.Len())
 	c.eng = astar.New(c.g)
 	c.frags = make([]*fragstore.Store, nl.Layers)
 	c.colors = make([][]decomp.Color, nl.Layers)

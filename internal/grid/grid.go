@@ -10,6 +10,7 @@ package grid
 
 import (
 	"fmt"
+	"math"
 
 	"sadproute/internal/geom"
 	"sadproute/internal/rules"
@@ -49,8 +50,9 @@ type Grid struct {
 }
 
 // New returns an empty grid of W x H tracks on the given number of layers.
+// The grid holds at most math.MaxInt32 cells, so every index fits 32 bits.
 func New(w, h, layers int, ds rules.Set) *Grid {
-	if w <= 0 || h <= 0 || layers <= 0 {
+	if w <= 0 || h <= 0 || layers <= 0 || w > math.MaxInt32/h || w*h > math.MaxInt32/layers {
 		panic(fmt.Sprintf("grid: invalid dimensions %dx%dx%d", w, h, layers))
 	}
 	g := &Grid{W: w, H: h, Layers: layers, Rules: ds}
@@ -61,17 +63,35 @@ func New(w, h, layers int, ds rules.Set) *Grid {
 	return g
 }
 
+// Len returns the number of cells: the length of every per-cell plane
+// indexed alongside the grid.
+func (g *Grid) Len() int { return len(g.occ) }
+
 // In reports whether c lies inside the grid.
 func (g *Grid) In(c Cell) bool {
 	return c.X >= 0 && c.X < g.W && c.Y >= 0 && c.Y < g.H && c.L >= 0 && c.L < g.Layers
 }
 
-func (g *Grid) idx(c Cell) int { return (c.L*g.H+c.Y)*g.W + c.X }
+func (g *Grid) idx(c Cell) int { return (c.Y*g.W+c.X)*g.Layers + c.L }
 
-// Index returns c's position in grid index order (layer-major, then row,
-// then column): the layout of per-cell planes indexed alongside the grid,
-// such as the router's rip-up penalty plane.
+// Index returns c's position in grid index order, (Y*W + X)*Layers + L:
+// cell-major, with a cell's layers side by side. It is the layout of the
+// per-cell planes indexed alongside the grid, such as the router's rip-up
+// penalty plane and the A* search records.
 func (g *Grid) Index(c Cell) int { return g.idx(c) }
+
+// Step returns the index offset of move m: Index(c+m) - Index(c) for every
+// c with c and c+m inside the grid. The index is linear in the
+// coordinates, so the step is the index of m itself.
+func (g *Grid) Step(m Cell) int { return g.idx(m) }
+
+// CellAt returns the cell at index i, the inverse of Index. Every index
+// fits 32 bits (see New), so the decode divides in 32 bits.
+func (g *Grid) CellAt(i int) Cell {
+	u, layers, w := uint32(i), uint32(g.Layers), uint32(g.W)
+	xy := u / layers
+	return Cell{X: int(xy % w), Y: int(xy / w), L: int(u % layers)}
+}
 
 // At returns the occupancy of c: Free, Blocked, or a net id.
 func (g *Grid) At(c Cell) int32 { return g.occ[g.idx(c)] }

@@ -71,15 +71,18 @@ func TestInBounds(t *testing.T) {
 	}
 }
 
-// TestIndexOrder pins the index layout per-cell planes rely on: layer-major,
-// then row, then column, dense from 0, and AtIndex agreeing with At.
+// TestIndexOrder pins the index layout per-cell planes rely on: cell-major
+// with a cell's layers side by side, (Y*W + X)*Layers + L, dense from 0,
+// with AtIndex agreeing with At, CellAt inverting Index, and Step the index
+// offset of every unit move between two cells of the grid.
 func TestIndexOrder(t *testing.T) {
-	g := New(4, 5, 2, rules.Node10nm())
+	g := New(4, 5, 3, rules.Node10nm())
 	g.Occupy(Cell{3, 4, 1}, 7)
+	moves := []Cell{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}, {L: 1}, {L: -1}}
 	next := 0
-	for l := 0; l < 2; l++ {
-		for y := 0; y < 5; y++ {
-			for x := 0; x < 4; x++ {
+	for y := 0; y < 5; y++ {
+		for x := 0; x < 4; x++ {
+			for l := 0; l < 3; l++ {
 				c := Cell{x, y, l}
 				if i := g.Index(c); i != next {
 					t.Fatalf("Index(%v) = %d, want %d", c, i, next)
@@ -87,9 +90,21 @@ func TestIndexOrder(t *testing.T) {
 				if g.AtIndex(next) != g.At(c) {
 					t.Fatalf("AtIndex(%d) disagrees with At(%v)", next, c)
 				}
+				if got := g.CellAt(next); got != c {
+					t.Fatalf("CellAt(%d) = %v, want %v", next, got, c)
+				}
+				for _, m := range moves {
+					n := Cell{c.X + m.X, c.Y + m.Y, c.L + m.L}
+					if g.In(n) && g.Index(n)-next != g.Step(m) {
+						t.Fatalf("Index(%v) - Index(%v) = %d, Step(%v) = %d", n, c, g.Index(n)-next, m, g.Step(m))
+					}
+				}
 				next++
 			}
 		}
+	}
+	if next != g.Len() {
+		t.Fatalf("Len() = %d, want %d", g.Len(), next)
 	}
 }
 

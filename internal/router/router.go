@@ -464,7 +464,7 @@ func (st *state) searchCfg(pen []int32) astar.Config {
 // never rips a net up (Huge1-3) searches without one.
 func (st *state) inflate(cells []grid.Cell, delta int) {
 	if st.pen == nil {
-		st.pen = make([]int32, st.g.W*st.g.H*st.g.Layers)
+		st.pen = make([]int32, st.g.Len())
 	}
 	for _, c := range cells {
 		st.pen[st.g.Index(c)] += int32(delta)
